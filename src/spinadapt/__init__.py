@@ -8,10 +8,9 @@ ground-state preparation schedules on top.
 """
 
 from .basis import (CsfBasis, SpinPath, cardinality, enumerate_paths,
-                    height_to_step, singlet_pair_path, step_to_height,
-                    triplet_reference_path)
+                    singlet_pair_path, step_to_height, triplet_reference_path)
 from .encode import (PauliString, PauliSum, QubitLayout, build_layout,
-                     decode_bitstring, encode_hamiltonian, qubit_count)
+                     encode_hamiltonian, qubit_count)
 from .errors import (InvalidQuantumNumbersError, ResourceLimitError,
                      SpinAdaptError, UnphysicalPathError,
                      UnsupportedConfigurationError)
@@ -25,9 +24,8 @@ __all__ = [
     "ResourceLimitError", "SpinAdaptError", "UnphysicalPathError",
     "UnsupportedConfigurationError", "apply_elementary_permutation",
     "apply_hamiltonian", "band_coefficients", "band_hamiltonian",
-    "build_hamiltonian", "build_layout", "cardinality", "decode_bitstring",
-    "encode_hamiltonian", "enumerate_paths", "height_to_step",
-    "permutation_matrix", "qubit_count", "singlet_pair_path",
+    "build_hamiltonian", "build_layout", "cardinality", "encode_hamiltonian",
+    "enumerate_paths", "permutation_matrix", "qubit_count", "singlet_pair_path",
     "step_to_height", "triplet_reference_path",
 ]
 

@@ -14,7 +14,10 @@ from dataclasses import dataclass, field
 from math import comb
 from typing import Iterator, Sequence
 
-from .errors import InvalidQuantumNumbersError, UnphysicalPathError
+import numpy as np
+
+from .errors import (InvalidQuantumNumbersError, ResourceLimitError,
+                     UnphysicalPathError)
 
 STEP_UP = 1
 STEP_DOWN = -1
@@ -119,13 +122,16 @@ def step_to_height(steps: Sequence[int], n_sites: int | None = None) -> SpinPath
     return SpinPath(tuple(heights), n)
 
 
-def height_to_step(path: SpinPath) -> tuple[int, ...]:
-    return path.steps()
-
-
 @dataclass(frozen=True)
 class CsfBasis:
-    """Ordered, truncated set of spin paths for fixed (N, 2S), with index lookup.
+    """Ordered, truncated set of spin paths for fixed (N, 2S), stored as arrays.
+
+    heights[k] is the k-th path (int8, shape (dim, N+1)).  walks[i, h] counts
+    the ways to finish a path from height h at position i without leaving the
+    truncation; its last column is zero, so walks[i, -1] reads 0.  Spin paths
+    are the walks of Shavitt's graphical unitary group approach, and a path's
+    row is its rank: the sum over its up-steps i of walks[i, h[i-1] - 1], the
+    number of paths that share its first i heights and step down at i.
 
     M is pinned to S throughout: matrix elements of spin-free operators do not
     depend on it, and fixing it keeps cross-checks against the explicit
@@ -135,31 +141,51 @@ class CsfBasis:
     n_sites: int
     total_spin_x2: int
     trunc_x2: int
-    paths: tuple[SpinPath, ...]
-    index: dict[tuple[int, ...], int] = field(repr=False, compare=False)
+    heights: np.ndarray = field(repr=False, compare=False)
+    walks: np.ndarray = field(repr=False, compare=False)
 
     @property
     def magnetization_x2(self) -> int:
         return self.total_spin_x2
 
+    @property
+    def paths(self) -> tuple[SpinPath, ...]:
+        return tuple(self)
+
     def __len__(self) -> int:
-        return len(self.paths)
+        return self.heights.shape[0]
 
     def __iter__(self) -> Iterator[SpinPath]:
-        return iter(self.paths)
+        return (SpinPath(tuple(row), self.n_sites) for row in self.heights.tolist())
+
+    def ranks(self, heights) -> np.ndarray:
+        """Row of each height sequence (last axis); -1 where it is not a path
+        of this basis.  Accepts raw heights, negative or out of range."""
+        h = np.asarray(heights, dtype=np.int64)
+        if h.shape[-1] != self.n_sites + 1:
+            return np.full(h.shape[:-1], -1)
+        steps = np.diff(h, axis=-1)
+        member = ((h[..., 0] == 0) & (h[..., -1] == self.total_spin_x2)
+                  & (np.abs(steps) == 1).all(axis=-1)
+                  & (h >= 0).all(axis=-1) & (h <= self.trunc_x2).all(axis=-1))
+        prev = np.clip(h[..., :-1], 0, self.walks.shape[1] - 1)
+        below = self.walks[np.arange(1, self.n_sites + 1), prev - 1]
+        rank = np.where(steps > 0, below, 0).sum(axis=-1)
+        return np.where(member, rank, -1)
 
     def position(self, path: SpinPath) -> int:
-        try:
-            return self.index[path.heights]
-        except KeyError:
-            raise KeyError(f"path {path} not in basis") from None
+        k = int(self.ranks(path.heights))
+        if k < 0:
+            raise KeyError(f"path {path} not in basis")
+        return k
 
-    def __contains__(self, path: SpinPath) -> bool:
-        return path.heights in self.index
+    def __contains__(self, path) -> bool:
+        """Membership of a SpinPath or of a raw height sequence."""
+        return bool(self.ranks(getattr(path, "heights", path)) >= 0)
 
     def csv_lines(self) -> list[str]:
         lines = ["index,heights"]
-        lines += [f"{k},{p}" for k, p in enumerate(self.paths)]
+        lines += [f"{k},{p}" for k, p in enumerate(self)]
         return lines
 
     def to_csv(self) -> str:
@@ -175,9 +201,10 @@ def enumerate_paths(n_sites: int, total_spin_x2: int,
                     trunc_x2: int | None = None) -> CsfBasis:
     """All spin paths for (N, 2S) with max height <= trunc_x2, in lexicographic order.
 
-    trunc_x2=None enumerates the full (untruncated) basis.  The search descends
-    lower heights first and prunes with a reachability table, so the output
-    order is lexicographic on the height tuples by construction.
+    trunc_x2=None enumerates the full (untruncated) basis.  The heights are
+    filled one position at a time: each path prefix with a completion gets its
+    children in the order down, up, so the rows come out lexicographic, and a
+    prefix ending at height h owns walks[i, h] consecutive rows.
     """
     _check_quantum_numbers(n_sites, total_spin_x2)
     if trunc_x2 is None:
@@ -185,37 +212,27 @@ def enumerate_paths(n_sites: int, total_spin_x2: int,
     if trunc_x2 < 0:
         raise InvalidQuantumNumbersError("truncation must be non-negative")
 
-    # reachable[i][h]: a path standing at height h after i sites can still close at 2S
-    reachable = [[False] * (trunc_x2 + 2) for _ in range(n_sites + 1)]
-    if total_spin_x2 <= trunc_x2:
-        reachable[n_sites][total_spin_x2] = True
+    top = min(trunc_x2, n_sites)
+    walks = np.zeros((n_sites + 1, top + 2), dtype=object)   # exact integers
+    if total_spin_x2 <= top:
+        walks[n_sites, total_spin_x2] = 1
     for i in range(n_sites - 1, -1, -1):
-        for h in range(0, trunc_x2 + 1):
-            ok = False
-            if h + 1 <= trunc_x2 and reachable[i + 1][h + 1]:
-                ok = True
-            if h - 1 >= 0 and reachable[i + 1][h - 1]:
-                ok = True
-            reachable[i][h] = ok
+        walks[i, 1:top + 1] += walks[i + 1, 0:top]
+        walks[i, 0:top + 1] += walks[i + 1, 1:top + 2]
+    if top > np.iinfo(np.int8).max or walks.max() > np.iinfo(np.int64).max:
+        raise ResourceLimitError(
+            f"N={n_sites}, trunc {trunc_x2}: paths too tall or too many to store")
+    walks = walks.astype(np.int64)
 
-    paths: list[SpinPath] = []
-    prefix = [0]
-
-    def descend(i: int, h: int) -> None:
-        if i == n_sites:
-            paths.append(SpinPath(tuple(prefix), n_sites))
-            return
-        for step in (STEP_DOWN, STEP_UP):
-            h2 = h + step
-            if 0 <= h2 <= trunc_x2 and reachable[i + 1][h2]:
-                prefix.append(h2)
-                descend(i + 1, h2)
-                prefix.pop()
-
-    if reachable[0][0]:
-        descend(0, 0)
-    index = {p.heights: k for k, p in enumerate(paths)}
-    return CsfBasis(n_sites, total_spin_x2, trunc_x2, tuple(paths), index)
+    heights = np.zeros((walks[0, 0], n_sites + 1), dtype=np.int8)
+    ends = np.zeros(1, dtype=np.int64)   # last height of each prefix, in order
+    for i in range(1, n_sites + 1):
+        children = np.stack([ends - 1, ends + 1], axis=1).ravel()
+        ends = children[walks[i, children] > 0]   # height -1 reads the zero column
+        heights[:, i] = np.repeat(ends, walks[i, ends])
+    heights.setflags(write=False)
+    walks.setflags(write=False)
+    return CsfBasis(n_sites, total_spin_x2, trunc_x2, heights, walks)
 
 
 def allowed_heights(n_sites: int, total_spin_x2: int, trunc_x2: int,

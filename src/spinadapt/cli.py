@@ -9,7 +9,6 @@ byte-identical outputs.  Exit codes: 0 success, 2 invalid configuration,
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 import numpy as np
@@ -169,8 +168,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--coupling", type=float, default=1.0,
                        help="exchange constant J (rescales outputs)")
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--threads", type=int, default=None,
-                       help="cap BLAS threads; results are thread-independent")
         p.add_argument("--oracle-check", action="store_true",
                        help=argparse.SUPPRESS)
 
@@ -224,12 +221,6 @@ def _validate(args, parser) -> None:
     if abs(ts - round(ts)) > 1e-9 or round(ts) not in (0, 2):
         raise InvalidQuantumNumbersError("--total-spin must be 0 or 1")
     args.total_spin_x2 = int(round(ts))
-    if args.threads is not None:
-        if args.threads < 1:
-            raise InvalidQuantumNumbersError("--threads must be positive")
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS"):
-            os.environ[var] = str(args.threads)
 
 
 def main(argv=None) -> int:

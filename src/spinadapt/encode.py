@@ -109,7 +109,21 @@ class QubitLayout:
         return SpinPath(tuple(heights), self.n_sites)
 
     def physical_bitstrings(self, basis: CsfBasis) -> np.ndarray:
-        return np.array([self.encode_path(p) for p in basis], dtype=np.int64)
+        """encode_path of every basis path, read off the heights array."""
+        bits = np.zeros(len(basis), dtype=np.int64)
+        gray = np.array([GRAY_CODES[r] for r in range(3)], dtype=np.int64)
+        for pos, vals in enumerate(self.site_values):
+            col = basis.heights[:, pos]
+            if not np.isin(col, vals).all():
+                raise InvalidQuantumNumbersError(
+                    f"a height at position {pos} is not representable")
+            rank = np.searchsorted(vals, col)
+            if len(vals) == 2:
+                bits |= rank << (self.n_qubits - 1 - self.main_qubit[pos])
+            elif len(vals) == 3:
+                bits |= gray[rank, 1] << (self.n_qubits - 1 - self.main_qubit[pos])
+                bits |= gray[rank, 0] << (self.n_qubits - 1 - self.ext_qubit[pos])
+        return bits
 
 
 def build_layout(n_sites: int, total_spin_x2: int, trunc_x2: int,
@@ -148,10 +162,6 @@ def build_layout(n_sites: int, total_spin_x2: int, trunc_x2: int,
 def qubit_count(n_sites: int, total_spin_x2: int, trunc_x2: int) -> int:
     """Dynamical qubits after boundary elimination (0 at the scalar level)."""
     return build_layout(n_sites, total_spin_x2, trunc_x2).n_qubits
-
-
-def decode_bitstring(layout: QubitLayout, bits: int) -> SpinPath | None:
-    return layout.decode_bits(bits)
 
 
 # ---------------------------------------------------------------------------

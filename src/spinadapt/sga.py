@@ -28,7 +28,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .basis import CsfBasis, SpinPath
+from .basis import CsfBasis, SpinPath, enumerate_paths
 from .errors import InvalidQuantumNumbersError
 
 PRUNE_TOL = 1e-14
@@ -63,6 +63,26 @@ def band_coefficients(s_x2: int) -> BandCoefficients:
     return BandCoefficients(s_x2, Fraction(1, s_x2 + 1))
 
 
+def _height_rule(triples: np.ndarray):
+    """The transposition (p, p+1) on height triples (h[p-1], h[p], h[p+1]).
+
+    triples has the three heights on its last axis.  Returns, per triple,
+    (band, diag, flip, off): the band label (the shared end height if the
+    triple mixes, the center height if it passes through), the diagonal
+    coefficient (1, -a or +a), the flipped center height (-1 if none) and
+    the flip's coefficient b.
+    """
+    hm, hc, hp = (triples[..., k].astype(np.int64) for k in range(3))
+    mix = hm == hp
+    peak = hc > hm
+    band = np.where(mix, hm, hc)
+    a = 1.0 / (band + 1)          # a_s = 1/(2s+1), as in band_coefficients
+    diag = np.where(mix, np.where(peak, -a, a), 1.0)
+    flip = np.where(mix, np.where(peak, hm - 1, hm + 1), -1)
+    off = np.where(mix, np.sqrt(1.0 - a * a), 0.0)
+    return band, diag, flip, off
+
+
 def apply_elementary_permutation(path: SpinPath, p: int,
                                  band_x2: int | None = None,
                                  trunc_x2: int | None = None):
@@ -76,30 +96,14 @@ def apply_elementary_permutation(path: SpinPath, p: int,
     n = path.n_sites
     if not 1 <= p <= n - 1:
         raise IndexError(f"permutation index {p} outside 1..{n - 1}")
-    h = path.heights
-    hm, hc, hp_ = h[p - 1], h[p], h[p + 1]
-
-    if hm != hp_:  # monotone: pass-through, band = center height
-        if band_x2 is not None and band_x2 != hc:
-            return []
-        return [(path, 1.0)]
-
-    s_x2 = hm
-    if band_x2 is not None and band_x2 != s_x2:
+    band, diag, flip, off = _height_rule(np.array(path.heights[p - 1:p + 2]))
+    if band_x2 is not None and band_x2 != band:
         return []
-    coeff = band_coefficients(s_x2)
-    a, b = coeff.a, coeff.b
-    out = []
-    if hc == s_x2 + 1:  # peak
-        out.append((path, -a))
-        flip = s_x2 - 1
-    else:               # valley
-        out.append((path, a))
-        flip = s_x2 + 1
-    if b > 0 and flip >= 0 and (trunc_x2 is None or flip <= trunc_x2):
-        flipped = list(h)
-        flipped[p] = flip
-        out.append((SpinPath(tuple(flipped), n), b))
+    out = [(path, float(diag))]
+    if flip >= 0 and (trunc_x2 is None or flip <= trunc_x2):
+        flipped = list(path.heights)
+        flipped[p] = int(flip)
+        out.append((SpinPath(tuple(flipped), n), float(off)))
     return out
 
 
@@ -164,170 +168,109 @@ class SparseOperator:
         return "\n".join(lines) + "\n"
 
 
-def _operator_from_columns(basis: CsfBasis, columns) -> SparseOperator:
-    rows, cols, vals = [], [], []
-    for c, column in enumerate(columns):
-        for heights, v in column.items():
-            if abs(v) > PRUNE_TOL:
-                rows.append(basis.index[heights])
-                cols.append(c)
-                vals.append(v)
-    mat = sp.csr_matrix((vals, (rows, cols)), shape=(len(basis), len(basis)))
-    return SparseOperator(basis, mat)
+def _rule_entries(basis: CsfBasis, bonds) -> tuple[np.ndarray, ...]:
+    """The transpositions (p, p+1), p in bonds, on every basis row, as COO
+    entries (band, rows, cols, vals): each row's diagonal entry per bond, then
+    the off-diagonal entries of the flips that stay in the truncation.
 
-
-def _apply_rules_to_dict(state: dict, p: int, n: int) -> dict:
-    """Full elementary-permutation rules on a {heights: coeff} combination.
-
-    No truncation: used inside group-composition products where intermediates
-    may legitimately leave the truncated window.
+    A flip changes only the rank terms of steps p and p+1: a valley's partner
+    lies walks[p+1, s] rows later, a peak's that many rows earlier.
     """
-    out: dict = {}
-    for heights, v in state.items():
-        hm, hc, hp_ = heights[p - 1], heights[p], heights[p + 1]
-        if hm != hp_:
-            out[heights] = out.get(heights, 0.0) + v
-            continue
-        coeff = band_coefficients(hm)
-        a, b = coeff.a, coeff.b
-        if hc == hm + 1:
-            out[heights] = out.get(heights, 0.0) - a * v
-            flip = hm - 1
-        else:
-            out[heights] = out.get(heights, 0.0) + a * v
-            flip = hm + 1
-        if b > 0 and flip >= 0:
-            f = list(heights)
-            f[p] = flip
-            key = tuple(f)
-            out[key] = out.get(key, 0.0) + b * v
-    return {k: v for k, v in out.items() if abs(v) > PRUNE_TOL}
+    h = basis.heights
+    bonds = np.asarray(bonds, dtype=np.intp)
+    band, diag, flip, off = _height_rule(h[:, bonds[:, None] + np.arange(-1, 2)])
+    rows = np.broadcast_to(np.arange(len(basis))[:, None], band.shape).ravel()
+    hop, bond = np.nonzero((flip >= 0) & (flip <= basis.trunc_x2))
+    p = bonds[bond]
+    shift = basis.walks[p + 1, band[hop, bond]]
+    partner = hop + np.where(flip[hop, bond] > h[hop, p], shift, -shift)
+    return (np.concatenate([band.ravel(), band[hop, bond]]),
+            np.concatenate([rows, partner]), np.concatenate([rows, hop]),
+            np.concatenate([diag.ravel(), off[hop, bond]]))
+
+
+def _matrix(basis: CsfBasis, rows, cols, vals) -> sp.csr_matrix:
+    """COO entries summed into a matrix over the basis."""
+    dim = len(basis)
+    return _pruned(sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim)))
+
+
+def _pruned(mat: sp.csr_matrix) -> sp.csr_matrix:
+    """Drop the entries that sum to round-off level."""
+    mat.data[np.abs(mat.data) <= PRUNE_TOL] = 0.0
+    mat.eliminate_zeros()
+    return mat
+
+
+def _bond_matrix(basis: CsfBasis, p: int) -> sp.csr_matrix:
+    """pi_{p,p+1} on the basis, flips out of the truncation dropped."""
+    return _matrix(basis, *_rule_entries(basis, [p])[1:])
 
 
 def permutation_matrix(basis: CsfBasis, i: int, j: int) -> SparseOperator:
     """Matrix of pi_{i,j} on the basis.
 
-    Adjacent transpositions come straight from the rules; the general case is
-    built by conjugating pi_{j-1,j} with the chain of elementary ones, applied
-    column by column so no intermediate matrix product is formed.  Rows are
-    projected back onto the (possibly truncated) basis only at the end.
+    Adjacent transpositions come straight from the rules.  The general case
+    conjugates pi_{j-1,j} with the chain of elementary ones on the
+    untruncated basis of the same (N, 2S), where every intermediate lies, and
+    restricts the product to the basis rows and columns at the end.
     """
     if not 1 <= i < j <= basis.n_sites:
         raise IndexError(f"need 1 <= i < j <= N, got ({i}, {j})")
-    n = basis.n_sites
-    columns = []
-    for path in basis:
-        state = {path.heights: 1.0}
-        if j == i + 1:
-            state = _apply_rules_to_dict(state, i, n)
-        else:
-            # conjugation telescopes to the palindrome
-            # pi_{i,i+1} ... pi_{j-2,j-1} pi_{j-1,j} pi_{j-2,j-1} ... pi_{i,i+1}
-            for p in range(i, j - 1):
-                state = _apply_rules_to_dict(state, p, n)
-            state = _apply_rules_to_dict(state, j - 1, n)
-            for p in range(j - 2, i - 1, -1):
-                state = _apply_rules_to_dict(state, p, n)
-        columns.append({h: v for h, v in state.items() if h in basis.index})
-    return _operator_from_columns(basis, columns)
+    if j == i + 1:
+        return SparseOperator(basis, _bond_matrix(basis, i))
+    full = enumerate_paths(basis.n_sites, basis.total_spin_x2)
+    # conjugation telescopes to the palindrome
+    # pi_{i,i+1} ... pi_{j-2,j-1} pi_{j-1,j} pi_{j-2,j-1} ... pi_{i,i+1}
+    mat = _bond_matrix(full, j - 1)
+    for p in range(j - 2, i - 1, -1):
+        step = _bond_matrix(full, p)
+        mat = step @ mat @ step
+    sel = full.ranks(basis.heights)
+    return SparseOperator(basis, _pruned(mat[sel][:, sel]))
 
 
 def band_hamiltonian(basis: CsfBasis, s_x2: int) -> SparseOperator:
     """Band operator: all transpositions' band-s_x2 pieces, truncated."""
-    n = basis.n_sites
-    columns = []
-    for path in basis:
-        col: dict = {}
-        for p in range(1, n):
-            for q, v in apply_elementary_permutation(path, p, band_x2=s_x2,
-                                                     trunc_x2=basis.trunc_x2):
-                col[q.heights] = col.get(q.heights, 0.0) + v
-        columns.append(col)
-    return _operator_from_columns(basis, columns)
+    band, rows, cols, vals = _rule_entries(basis, range(1, basis.n_sites))
+    keep = band == s_x2
+    return SparseOperator(basis, _matrix(basis, rows[keep], cols[keep], vals[keep]))
 
 
-def _boundary_band_diagonal(basis: CsfBasis) -> np.ndarray:
-    """Surviving diagonal of the band at the truncation edge.
+def _hamiltonian_entries(basis: CsfBasis, mode: str):
+    """COO entries (rows, cols, vals) of sum_s H_s - (N-1)/2 over the bands
+    that mode keeps.
 
-    Valleys (s, s-1/2, s) with s at the truncation level keep their +a_s
-    diagonal weight after the partner peak is projected out; together with the
-    lower bands this reproduces the exact projection of the full Hamiltonian
-    onto the truncated basis.
+    mode="band" keeps the bands strictly below the truncation level (drops
+    the boundary band: sparser, not variational); mode="height" keeps the
+    boundary band too, whose valleys keep their diagonal after the flip is
+    truncated away, and equals the exact projection of the full Hamiltonian.
     """
-    s_x2 = basis.trunc_x2
-    a = band_coefficients(s_x2).a
-    diag = np.zeros(len(basis))
-    for k, path in enumerate(basis):
-        h = path.heights
-        hits = sum(1 for p in range(1, basis.n_sites)
-                   if h[p - 1] == h[p + 1] == s_x2 and h[p] == s_x2 - 1)
-        diag[k] = a * hits
-    return diag
+    if mode not in (BAND_MODE, HEIGHT_MODE):
+        raise ValueError(f"mode must be '{BAND_MODE}' or '{HEIGHT_MODE}'")
+    band, rows, cols, vals = _rule_entries(basis, range(1, basis.n_sites))
+    keep = band <= basis.trunc_x2 if mode == HEIGHT_MODE else band < basis.trunc_x2
+    diag = np.arange(len(basis))
+    shift = np.full(len(basis), -(basis.n_sites - 1) / 2)
+    return (np.concatenate([rows[keep], diag]), np.concatenate([cols[keep], diag]),
+            np.concatenate([vals[keep], shift]))
 
 
 def build_hamiltonian(basis: CsfBasis, mode: str = HEIGHT_MODE,
                       coupling: float = 1.0) -> SparseOperator:
-    """Chain Hamiltonian on the truncated basis, H = (J/2)(sum_s H_s - (N-1)/2).
-
-    mode="band" sums bands strictly below the truncation level (drops the
-    boundary band, sparser but not variational); mode="height" adds the
-    boundary band's surviving diagonal and equals the exact projection of the
-    full Hamiltonian.
-    """
-    if mode not in (BAND_MODE, HEIGHT_MODE):
-        raise ValueError(f"mode must be '{BAND_MODE}' or '{HEIGHT_MODE}'")
-    n = basis.n_sites
-    dim = len(basis)
-    total = sp.csr_matrix((dim, dim))
-    for s_x2 in range(0, basis.trunc_x2):
-        total = total + band_hamiltonian(basis, s_x2).matrix
-    if mode == HEIGHT_MODE:
-        total = total + sp.diags(_boundary_band_diagonal(basis))
-    total = total - (n - 1) / 2 * sp.identity(dim, format="csr")
-    mat = (coupling / 2) * total
-    mat.data[np.abs(mat.data) < PRUNE_TOL] = 0.0
-    mat.eliminate_zeros()
-    return SparseOperator(basis, mat.tocsr())
+    """Chain Hamiltonian on the truncated basis, H = (J/2)(sum_s H_s - (N-1)/2),
+    over the bands that mode ("band" or "height") keeps."""
+    rows, cols, vals = _hamiltonian_entries(basis, mode)
+    return SparseOperator(basis, _matrix(basis, rows, cols, (coupling / 2) * vals))
 
 
 def apply_hamiltonian(basis: CsfBasis, mode: str, vector: np.ndarray,
                       coupling: float = 1.0) -> np.ndarray:
     """Matrix-free product with build_hamiltonian(basis, mode)'s matrix."""
-    if mode not in (BAND_MODE, HEIGHT_MODE):
-        raise ValueError(f"mode must be '{BAND_MODE}' or '{HEIGHT_MODE}'")
-    n = basis.n_sites
-    trunc = basis.trunc_x2
+    rows, cols, vals = _hamiltonian_entries(basis, mode)
     out = np.zeros_like(vector, dtype=np.result_type(vector, float))
-    boundary = band_coefficients(trunc).a if mode == HEIGHT_MODE else 0.0
-    for k, path in enumerate(basis):
-        v = vector[k]
-        if v == 0:
-            continue
-        h = path.heights
-        for p in range(1, n):
-            hm, hc, hp_ = h[p - 1], h[p], h[p + 1]
-            if hm != hp_:
-                if hc < trunc:
-                    out[k] += v
-                continue
-            s_x2 = hm
-            if s_x2 < trunc:
-                coeff = band_coefficients(s_x2)
-                a, b = coeff.a, coeff.b
-                if hc == s_x2 + 1:
-                    out[k] -= a * v
-                    flip = s_x2 - 1
-                else:
-                    out[k] += a * v
-                    flip = s_x2 + 1
-                if b > 0 and 0 <= flip <= trunc:
-                    f = list(h)
-                    f[p] = flip
-                    out[basis.index[tuple(f)]] += b * v
-            elif s_x2 == trunc and hc == s_x2 - 1 and mode == HEIGHT_MODE:
-                out[k] += boundary * v
-    out -= (n - 1) / 2 * vector
-    return (coupling / 2) * out
+    np.add.at(out, rows, (coupling / 2) * vals * vector[cols])
+    return out
 
 
 def ground_state(op: SparseOperator, n_values: int = 1):

@@ -20,8 +20,8 @@ from .basis import CsfBasis, SpinPath, enumerate_paths, singlet_pair_path, \
     triplet_reference_path
 from .circuits import Circuit, csf_trotter_step, sz_trotter_step
 from .encode import PauliSum, QubitLayout, build_layout
-from .errors import InvalidQuantumNumbersError
-from .sga import SparseOperator, apply_elementary_permutation
+from .errors import InvalidQuantumNumbersError, ResourceLimitError
+from .sga import SparseOperator, build_hamiltonian, permutation_matrix
 
 DENSE_EVOLVE_MAX_DIM = 4096
 
@@ -142,7 +142,7 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
     """Dense unitary, column by column; test-scale only."""
     dim = 1 << circuit.n_qubits
     if dim > 4096:
-        raise InvalidQuantumNumbersError("unitary build capped at 12 qubits")
+        raise ResourceLimitError("unitary build capped at 12 qubits")
     cols = []
     for k in range(dim):
         cols.append(simulate(circuit, basis_state(circuit.n_qubits, k)).amplitudes)
@@ -216,22 +216,6 @@ def physical_weight(state: StateVector, basis: CsfBasis,
     return float(np.vdot(vec, vec).real)
 
 
-def _bond_operators_csf(basis: CsfBasis) -> list[sp.csr_matrix]:
-    """Truncated transposition matrices for every bond, built once."""
-    mats = []
-    dim = len(basis)
-    for p in range(1, basis.n_sites):
-        rows, cols, vals = [], [], []
-        for c, path in enumerate(basis):
-            for q, v in apply_elementary_permutation(
-                    path, p, trunc_x2=basis.trunc_x2):
-                rows.append(basis.index[q.heights])
-                cols.append(c)
-                vals.append(v)
-        mats.append(sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim)))
-    return mats
-
-
 def bond_energies_csf(path_vector: np.ndarray, bond_ops,
                       coupling: float = 1.0) -> np.ndarray:
     """(J/2)(<pi_{p,p+1}> - 1/2) per bond on a spin-path coefficient vector."""
@@ -260,6 +244,8 @@ class EvolutionRecord:
     total_energy: np.ndarray
     bond_energies: np.ndarray            # shape (len(times), n_bonds)
     aux: dict[str, np.ndarray] = field(default_factory=dict)
+    # decoded spin-path coefficients per time (encoded runs); not exported
+    path_vectors: np.ndarray | None = field(default=None, repr=False)
 
     def to_csv(self) -> str:
         cols = ["t", "total_energy"]
@@ -335,26 +321,20 @@ def trotter_comparison_csf(n_sites: int, total_spin_x2: int, trunc_x2: int,
     if initial_path is None:
         initial_path = singlet_pair_path(n_sites) if total_spin_x2 == 0 \
             else triplet_reference_path(n_sites)
-    record, state, basis, layout = trotter_evolve_csf(
+    record, state, basis, _ = trotter_evolve_csf(
         n_sites, total_spin_x2, trunc_x2, duration, n_layers, order,
         coupling, initial_path)
     ref_record, _ = trotter_evolve_sz(n_sites, duration, n_layers, order,
                                       coupling, sz_reference_state(initial_path))
-    from .sga import build_hamiltonian
     ham = build_hamiltonian(basis, "band", coupling)
     exact = np.zeros(len(basis), dtype=complex)
     exact[basis.position(initial_path)] = 1.0
     dt = duration / n_layers if n_layers else 0.0
     fids = [1.0]
     psi = exact
-    # re-run layer by layer only for the overlap series
-    step = csf_trotter_step(n_sites, total_spin_x2, trunc_x2, dt, order,
-                            coupling=coupling, layout=layout)
-    walker = csf_path_state(layout, initial_path)
-    for _ in range(n_layers):
+    for vec in record.path_vectors[1:]:
         psi = exact_evolve(ham, psi, dt)
-        walker = simulate(step, walker)
-        fids.append(fidelity(psi, decode_to_path_vector(walker, basis, layout)))
+        fids.append(fidelity(psi, vec))
     err = np.abs(record.bond_energies - ref_record.bond_energies).mean(axis=1)
     aux = {"avg_abs_bond_error": err, "fidelity": np.array(fids)}
     return EvolutionRecord(record.times, record.total_energy,
@@ -376,15 +356,17 @@ def trotter_evolve_csf(n_sites: int, total_spin_x2: int, trunc_x2: int,
             else triplet_reference_path(n_sites)
     basis = enumerate_paths(n_sites, total_spin_x2, trunc_x2)
     layout = build_layout(n_sites, total_spin_x2, trunc_x2)
-    bond_ops = _bond_operators_csf(basis)
+    bond_ops = [permutation_matrix(basis, p, p + 1).matrix
+                for p in range(1, n_sites)]
     dt = duration / n_layers if n_layers else 0.0
     step = csf_trotter_step(n_sites, total_spin_x2, trunc_x2, dt, order,
                             coupling=coupling, layout=layout)
     state = csf_path_state(layout, initial_path)
-    times, bonds, weights = [0.0], [], []
+    times, bonds, weights, vectors = [0.0], [], [], []
 
     def measure():
         vec = decode_to_path_vector(state, basis, layout)
+        vectors.append(vec)
         weights.append(float(np.vdot(vec, vec).real))
         bonds.append(bond_energies_csf(vec, bond_ops, coupling))
 
@@ -395,5 +377,6 @@ def trotter_evolve_csf(n_sites: int, total_spin_x2: int, trunc_x2: int,
         measure()
     bonds = np.array(bonds)
     record = EvolutionRecord(np.array(times), bonds.sum(axis=1), bonds,
-                             {"physical_weight": np.array(weights)})
+                             {"physical_weight": np.array(weights)},
+                             np.array(vectors))
     return record, state, basis, layout

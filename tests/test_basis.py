@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from spinadapt import (InvalidQuantumNumbersError, SpinPath,
                        UnphysicalPathError, cardinality, enumerate_paths,
-                       height_to_step, singlet_pair_path, step_to_height,
+                       singlet_pair_path, step_to_height,
                        triplet_reference_path)
 from spinadapt.basis import allowed_heights, is_valid_heights, parse_paths_csv
 
@@ -70,13 +70,16 @@ def test_lexicographic_order():
     assert hts == sorted(hts)
 
 
-def test_index_lookup():
-    basis = enumerate_paths(8, 0)
+@given(st.integers(min_value=1, max_value=6), st.sampled_from([0, 2]),
+       st.integers(min_value=1, max_value=12))
+@settings(max_examples=40, deadline=None)
+def test_index_lookup(n_half, ts, trunc):
+    basis = enumerate_paths(2 * n_half, ts, trunc)
     for k, p in enumerate(basis):
         assert basis.position(p) == k
         assert p in basis
     with pytest.raises(KeyError):
-        basis.position(singlet_pair_path(10))
+        basis.position(singlet_pair_path(2 * n_half + 2))
 
 
 def test_step_height_round_trip_examples():
@@ -85,7 +88,7 @@ def test_step_height_round_trip_examples():
     with pytest.raises(UnphysicalPathError):
         step_to_height((1, -1, -1, 1, 1, -1, 1, -1))
     for path in enumerate_paths(8, 0, 4):
-        assert step_to_height(height_to_step(path)) == path
+        assert step_to_height(path.steps()) == path
 
 
 def test_spin_path_validation():
@@ -123,7 +126,7 @@ def test_random_bitstrings_in_basis_iff_valid(n_half, data):
         heights.append(heights[-1] + s)
     trunc = data.draw(st.integers(min_value=1, max_value=n))
     basis = enumerate_paths(n, 0, trunc)
-    member = tuple(heights) in basis.index
+    member = heights in basis
     valid = is_valid_heights(heights, trunc) and heights[-1] == 0
     assert member == valid
 

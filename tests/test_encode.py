@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from spinadapt import (UnsupportedConfigurationError, build_layout,
-                       decode_bitstring, encode_hamiltonian, enumerate_paths,
-                       qubit_count, singlet_pair_path)
+                       encode_hamiltonian, enumerate_paths, qubit_count,
+                       singlet_pair_path)
 from spinadapt.encode import parse_pauli_text
 from spinadapt.sga import build_hamiltonian
 
@@ -30,17 +32,21 @@ def test_unsupported_configurations():
         encode_hamiltonian(8, 0, 5)
 
 
-def test_layout_round_trip_all_paths():
-    for n, ts, trunc in [(8, 0, 2), (8, 0, 3), (8, 0, 4), (10, 2, 3),
-                         (10, 2, 4), (12, 0, 4)]:
-        layout = build_layout(n, ts, trunc)
-        basis = enumerate_paths(n, ts, trunc)
-        seen = set()
-        for path in basis:
-            bits = layout.encode_path(path)
-            assert bits not in seen
-            seen.add(bits)
-            assert layout.decode_bits(bits) == path
+@given(st.integers(min_value=1, max_value=6), st.sampled_from([0, 2]),
+       st.integers(min_value=1, max_value=4))
+@settings(max_examples=40, deadline=None)
+def test_layout_round_trip_all_paths(n_half, ts, trunc):
+    assume(trunc >= ts)   # below 2S the sector is empty and has no layout
+    layout = build_layout(2 * n_half, ts, trunc)
+    basis = enumerate_paths(2 * n_half, ts, trunc)
+    seen = set()
+    for path in basis:
+        bits = layout.encode_path(path)
+        assert bits not in seen
+        seen.add(bits)
+        assert layout.decode_bits(bits) == path
+    assert layout.physical_bitstrings(basis).tolist() == \
+        [layout.encode_path(p) for p in basis]
 
 
 def test_decode_examples():
@@ -58,7 +64,7 @@ def test_decode_examples():
     pos = next(pos for pos in range(17) if path.heights[pos] == 4)
     # corrupt the Gray pair to the unused 10 pattern: ext=1 main=0
     bits_bad = bits ^ (1 << (gray.n_qubits - 1 - gray.main_qubit[pos]))
-    assert decode_bitstring(gray, bits_bad) is None
+    assert gray.decode_bits(bits_bad) is None
 
 
 def test_decode_rejects_invalid_paths():

@@ -89,11 +89,19 @@ def test_permutation_involution_and_trace_constancy():
     assert len(traces) == 1  # transpositions share one character
 
 
-def test_band_resummation_identity():
-    basis = enumerate_paths(8, 0)
-    total = sum(band_hamiltonian(basis, s).toarray() for s in range(0, 9))
-    perms = sum(permutation_matrix(basis, p, p + 1).toarray() for p in range(1, 8))
-    assert np.abs(total - perms).max() < 1e-12
+# even N <= 12, 2S in {0, 2}, any truncation up to N
+SECTORS = (st.integers(min_value=1, max_value=6), st.sampled_from([0, 2]),
+           st.integers(min_value=1, max_value=12))
+
+
+@given(*SECTORS)
+@settings(max_examples=40, deadline=None)
+def test_band_resummation_identity(n_half, ts, trunc):
+    n = 2 * n_half
+    basis = enumerate_paths(n, ts, trunc)
+    total = sum(band_hamiltonian(basis, s).toarray() for s in range(0, n + 1))
+    perms = sum(permutation_matrix(basis, p, p + 1).toarray() for p in range(1, n))
+    assert np.abs(total - perms).max(initial=0.0) < 1e-12
 
 
 def test_band0_is_diagonal_with_pair_counts():
@@ -120,14 +128,15 @@ def test_hamiltonian_matches_oracle():
         assert np.abs(lhs - rhs).max() < 1e-10
 
 
-def test_height_truncation_is_exact_projection():
-    full = enumerate_paths(12, 0)
+@given(*SECTORS)
+@settings(max_examples=40, deadline=None)
+def test_height_truncation_is_exact_projection(n_half, ts, trunc):
+    full = enumerate_paths(2 * n_half, ts)
     hfull = build_hamiltonian(full, "height").toarray()
-    for trunc in (2, 3, 4):
-        sub = enumerate_paths(12, 0, trunc)
-        hsub = build_hamiltonian(sub, "height").toarray()
-        sel = [full.position(p) for p in sub]
-        assert np.abs(hsub - hfull[np.ix_(sel, sel)]).max() < 1e-12
+    sub = enumerate_paths(2 * n_half, ts, trunc)
+    hsub = build_hamiltonian(sub, "height").toarray()
+    sel = [full.position(p) for p in sub]
+    assert np.abs(hsub - hfull[np.ix_(sel, sel)]).max(initial=0.0) < 1e-12
 
 
 def test_scalar_levels():
@@ -166,18 +175,19 @@ def test_spectrum_embedding_in_sz_spectrum(n):
             assert np.min(np.abs(full_spec - e)) < 1e-9
 
 
-def test_matrix_free_apply_matches_matrix():
-    for n, ts, trunc, mode in [(10, 0, 10, "height"), (10, 0, 3, "band"),
-                               (10, 0, 3, "height"), (8, 2, 4, "band")]:
-        basis = enumerate_paths(n, ts, trunc)
+@given(*SECTORS)
+@settings(max_examples=40, deadline=None)
+def test_matrix_free_apply_matches_matrix(n_half, ts, trunc):
+    basis = enumerate_paths(2 * n_half, ts, trunc)
+    dim = len(basis)
+    for mode in ("height", "band"):
         mat = build_hamiltonian(basis, mode).toarray()
-        dim = len(basis)
         for k in range(dim):
             e = np.zeros(dim)
             e[k] = 1.0
             assert np.abs(apply_hamiltonian(basis, mode, e) - mat[:, k]).max() < 1e-12
         zero = apply_hamiltonian(basis, mode, np.zeros(dim))
-        assert np.abs(zero).max() == 0.0
+        assert np.abs(zero).max(initial=0.0) == 0.0
 
 
 def test_rayleigh_quotient_singlet_pairs():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
-from spinadapt import encode_hamiltonian, enumerate_paths, singlet_pair_path
+from spinadapt import (ResourceLimitError, encode_hamiltonian, enumerate_paths,
+                       singlet_pair_path)
 from spinadapt.circuits import Circuit, Gate, sz_trotter_step
 from spinadapt.oracle import sz_hamiltonian_matrix
 from spinadapt.sga import build_hamiltonian
@@ -43,6 +44,11 @@ def test_rotation_gates_match_matrices():
         theta = 0.734
         u = circuit_unitary(Circuit(1, (Gate(kind, 0, angle=theta),)))
         assert np.abs(u - mat(theta)).max() < 1e-12
+
+
+def test_unitary_guard_is_a_resource_limit():
+    with pytest.raises(ResourceLimitError):
+        circuit_unitary(Circuit(13, ()))
 
 
 def test_norm_preserved_through_deep_circuit():
