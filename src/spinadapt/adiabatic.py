@@ -1,58 +1,46 @@
 """Adiabatic ground-state preparation in truncated spin-path subspaces.
 
-The zeroth band pins the singlet-pair product as its unique ground state, so
-ramping the remaining bands from zero to one interpolates between a trivially
-prepared state and the band-truncated chain Hamiltonian.  The Trotterized
-schedule scales each band's time step by its ramp value sampled at the layer
-midpoint; the exact reference integrates the same midpoint-sampled
+The zeroth band pins the sector's start path (singlet pairs, or the triplet
+reference for 2S=2) as its unique ground state, so switching every higher
+band on linearly, H(t) = H_start + (t/T) H_ramp, interpolates between a
+trivially prepared state and the band-truncated chain Hamiltonian.  The
+Trotterized schedule scales the higher bands' time step by t/T sampled at
+each layer midpoint; the exact reference integrates the same midpoint-sampled
 Hamiltonian piecewise-constantly with enough sub-steps per layer that another
 refinement no longer moves the final state.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .basis import (CsfBasis, SpinPath, enumerate_paths, singlet_pair_path,
-                    triplet_reference_path)
-from .circuits import csf_trotter_step
-from .encode import build_layout
-from .errors import UnsupportedConfigurationError
-from .sga import (BAND_MODE, HEIGHT_MODE, band_hamiltonian, build_hamiltonian,
-                  ground_state)
-from .sim import csf_path_state, decode_to_path_vector, simulate
+# initial_path and simulate are re-exported: callers take the start path
+# from here, and bench/spans.py patches every module's copy of simulate and
+# checks the copy here.
+from .basis import CsfBasis, enumerate_paths, initial_path  # noqa: F401
+from .errors import ResourceLimitError
+from .sga import HEIGHT_MODE, SparseOperator, band_hamiltonian, \
+    build_hamiltonian, ground_state
+from .sim import simulate, trotter_evolve_csf  # noqa: F401
 
 REFINE_START = 16
 REFINE_TOL = 1e-8
 REFINE_MAX = 512
 
 
-def linear_ramp(t: float, duration: float) -> float:
-    return t / duration
-
-
 @dataclass(frozen=True)
 class Schedule:
-    """Band-ramped interpolation plan for one symmetry sector."""
+    """Linear band ramp over one duration for one symmetry sector."""
 
     total_spin_x2: int
     trunc_x2: int
     duration: float
     n_layers: int
     order: int = 2
-    ramps: dict[int, Callable[[float, float], float]] = field(
-        default_factory=dict, compare=False)
-
-    def ramp_value(self, s_x2: int, t: float) -> float:
-        if s_x2 == 0:
-            return 1.0
-        fn = self.ramps.get(s_x2, linear_ramp)
-        return fn(t, self.duration)
 
 
 @dataclass
@@ -75,50 +63,53 @@ class ScheduleResult:
         return "\n".join(lines) + "\n"
 
 
-def initial_path(n_sites: int, total_spin_x2: int) -> SpinPath:
-    if total_spin_x2 == 0:
-        return singlet_pair_path(n_sites)
-    if total_spin_x2 == 2:
-        return triplet_reference_path(n_sites)
-    raise UnsupportedConfigurationError("schedules cover 2S in (0, 2) only")
+def schedule_hamiltonians(basis: CsfBasis, coupling: float = 1.0):
+    """CSR matrices (H_start, H_ramp), with H(t) = H_start + (t/T) H_ramp.
+
+    H_start is the zeroth band with the identity shift, (J/2)(H_0 - (N-1)/2);
+    H_ramp = (J/2) sum_{1 <= s < trunc} H_s.  At t = T they sum to the
+    band-mode Hamiltonian.
+    """
+    dim = len(basis)
+    shift = (basis.n_sites - 1) / 2 * sp.identity(dim, format="csr")
+    h_start = (coupling / 2) * (band_hamiltonian(basis, 0).matrix - shift)
+    h_ramp = sp.csr_matrix((dim, dim))
+    for s_x2 in range(1, basis.trunc_x2):
+        h_ramp = h_ramp + band_hamiltonian(basis, s_x2).matrix
+    return h_start, (coupling / 2) * h_ramp
 
 
-def _band_matrices(basis: CsfBasis, trunc_x2: int):
-    return {s: band_hamiltonian(basis, s).matrix.tocsr()
-            for s in range(0, trunc_x2)}
+def _ground_energy(basis: CsfBasis, matrix: sp.csr_matrix) -> float:
+    return float(ground_state(SparseOperator(basis, matrix))[0][0])
 
 
-def _instantaneous_matrix(bands, schedule, t, n_sites, coupling):
-    dim = bands[0].shape[0]
-    total = sp.csr_matrix((dim, dim))
-    for s, mat in bands.items():
-        total = total + schedule.ramp_value(s, t) * mat
-    total = total - (n_sites - 1) / 2 * sp.identity(dim, format="csr")
-    return (coupling / 2) * total
+def _exact_reference(schedule: Schedule, h_start, h_ramp,
+                     start: np.ndarray) -> list[np.ndarray]:
+    """Layer-boundary snapshots of the refined piecewise-constant evolution.
 
-
-def _exact_reference(schedule: Schedule, bands, start: np.ndarray,
-                     n_sites: int, coupling: float):
-    """Layer-boundary snapshots of the refined piecewise-constant evolution."""
+    Raises ResourceLimitError if REFINE_MAX sub-steps per layer still move
+    the final state by more than REFINE_TOL.
+    """
     dt = schedule.duration / schedule.n_layers
     refine = REFINE_START
     prev_final = None
     while True:
-        states = [start.astype(complex)]
-        psi = states[0]
+        states = [start]
+        psi = start
         sub = dt / refine
         for k in range(schedule.n_layers):
             for r in range(refine):
-                tm = k * dt + (r + 0.5) * sub
-                ham = _instantaneous_matrix(bands, schedule, tm, n_sites,
-                                            coupling)
-                psi = spla.expm_multiply((-1j * sub) * ham, psi)
+                lam = (k * dt + (r + 0.5) * sub) / schedule.duration
+                psi = spla.expm_multiply((-1j * sub) * (h_start + lam * h_ramp),
+                                         psi)
             states.append(psi)
         if prev_final is not None and \
                 abs(abs(np.vdot(prev_final, psi)) - 1.0) < REFINE_TOL:
-            return states, refine
+            return states
         if refine >= REFINE_MAX:
-            return states, refine
+            raise ResourceLimitError(
+                f"exact schedule reference not converged to {REFINE_TOL:g} "
+                f"at {refine} sub-steps per layer")
         prev_final = psi
         refine *= 2
 
@@ -132,71 +123,36 @@ def run_schedule(schedule: Schedule, n_sites: int,
     fidelities are instantaneous overlaps with the refined exact evolution,
     both computed on the decoded spin-path coefficients.
     """
-    basis = enumerate_paths(n_sites, schedule.total_spin_x2, schedule.trunc_x2)
-    layout = build_layout(n_sites, schedule.total_spin_x2, schedule.trunc_x2)
-    start = initial_path(n_sites, schedule.total_spin_x2)
-    bands = _band_matrices(basis, schedule.trunc_x2)
-    start_vec = np.zeros(len(basis), dtype=complex)
-    start_vec[basis.position(start)] = 1.0
-    refs, _ = _exact_reference(schedule, bands, start_vec, n_sites, coupling)
-
-    dt = schedule.duration / schedule.n_layers
-    state = csf_path_state(layout, start)
-    times, energies, fids = [0.0], [], []
-
-    def measure(k: int) -> np.ndarray:
-        vec = decode_to_path_vector(state, basis, layout)
-        ham = _instantaneous_matrix(bands, schedule, k * dt, n_sites, coupling)
-        energies.append(float(np.vdot(vec, ham @ vec).real))
-        fids.append(float(abs(np.vdot(refs[k], vec))))
-        return vec
-
-    measure(0)
-    for k in range(schedule.n_layers):
-        t_mid = (k + 0.5) * dt
-        weights = {s: schedule.ramp_value(s, t_mid) for s in bands}
-        step = csf_trotter_step(n_sites, schedule.total_spin_x2,
-                                schedule.trunc_x2, dt, schedule.order,
-                                band_weights=weights, coupling=coupling,
-                                layout=layout)
-        state = simulate(step, state)
-        times.append((k + 1) * dt)
-        vec = measure(k + 1)
-    target = build_hamiltonian(basis, BAND_MODE, coupling)
-    e_target = float(ground_state(target)[0][0]) if len(basis) > 1 \
-        else float(target.toarray()[0, 0])
-    return ScheduleResult(np.array(times), np.array(energies), np.array(fids),
-                          e_target, vec)
+    n_layers = schedule.n_layers
+    record, _, basis, _ = trotter_evolve_csf(
+        n_sites, schedule.total_spin_x2, schedule.trunc_x2, schedule.duration,
+        n_layers, schedule.order, coupling,
+        ramps=[(k + 0.5) / n_layers for k in range(n_layers)])
+    vecs = record.path_vectors           # vecs[0] is the start path
+    h_start, h_ramp = schedule_hamiltonians(basis, coupling)
+    refs = _exact_reference(schedule, h_start, h_ramp, vecs[0])
+    energies = [np.vdot(vec, (h_start + k / n_layers * h_ramp) @ vec).real
+                for k, vec in enumerate(vecs)]
+    fids = [abs(np.vdot(ref, vec)) for ref, vec in zip(refs, vecs)]
+    return ScheduleResult(record.times, np.array(energies), np.array(fids),
+                          _ground_energy(basis, h_start + h_ramp), vecs[-1])
 
 
 def target_ground_truth(schedule: Schedule, n_sites: int,
                         coupling: float = 1.0):
     """(E_init, E_target, E_exact_full) for the schedule's sector.
 
-    E_init: ground energy of the dressed zeroth band on the truncated basis;
-    E_target: ground energy of the band-truncated Hamiltonian;
+    E_init: ground energy of H_start on the truncated basis;
+    E_target: ground energy of H_start + H_ramp, the band-truncated Hamiltonian;
     E_exact_full: untruncated ground energy in the same (N, S) sector.
     """
     basis = enumerate_paths(n_sites, schedule.total_spin_x2, schedule.trunc_x2)
-    bands = _band_matrices(basis, schedule.trunc_x2)
-    dim = len(basis)
-    h_init = (coupling / 2) * (bands[0]
-                               - (n_sites - 1) / 2 * sp.identity(dim, format="csr"))
-    if dim == 1:
-        e_init = float(h_init.toarray()[0, 0])
-        e_target = float(build_hamiltonian(basis, BAND_MODE,
-                                           coupling).toarray()[0, 0])
-    else:
-        e_init = float(np.sort(spla.eigsh(
-            h_init, k=1, which="SA",
-            v0=np.full(dim, 1.0 / np.sqrt(dim)))[0])[0]) if dim > 64 else \
-            float(np.linalg.eigvalsh(h_init.toarray())[0])
-        e_target = float(ground_state(
-            build_hamiltonian(basis, BAND_MODE, coupling))[0][0])
+    h_start, h_ramp = schedule_hamiltonians(basis, coupling)
     full = enumerate_paths(n_sites, schedule.total_spin_x2)
     e_exact = float(ground_state(
         build_hamiltonian(full, HEIGHT_MODE, coupling))[0][0])
-    return e_init, e_target, e_exact
+    return (_ground_energy(basis, h_start),
+            _ground_energy(basis, h_start + h_ramp), e_exact)
 
 
 def sweep(n_sites: int, total_spin_x2: int, trunc_x2: int,

@@ -17,7 +17,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import (InvalidQuantumNumbersError, ResourceLimitError,
-                     UnphysicalPathError)
+                     UnphysicalPathError, UnsupportedConfigurationError)
 
 STEP_UP = 1
 STEP_DOWN = -1
@@ -103,6 +103,16 @@ def triplet_reference_path(n_sites: int) -> SpinPath:
         raise InvalidQuantumNumbersError("triplet reference needs even N")
     heights = [i % 2 for i in range(n_sites)] + [2]
     return SpinPath(tuple(heights), n_sites)
+
+
+def initial_path(n_sites: int, total_spin_x2: int) -> SpinPath:
+    """Product start path of a sector: singlet pairs (2S=0) or the triplet
+    reference (2S=2)."""
+    if total_spin_x2 == 0:
+        return singlet_pair_path(n_sites)
+    if total_spin_x2 == 2:
+        return triplet_reference_path(n_sites)
+    raise UnsupportedConfigurationError("start paths cover 2S in (0, 2) only")
 
 
 def step_to_height(steps: Sequence[int], n_sites: int | None = None) -> SpinPath:

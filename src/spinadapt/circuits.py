@@ -204,14 +204,13 @@ def _emit_band_term(term: BandTerm, phi: float, gates: list[Gate]) -> None:
 
 
 def csf_trotter_step(n_sites: int, total_spin_x2: int, trunc_x2: int,
-                     dt: float, order: int = 1,
-                     band_weights: dict[int, float] | None = None,
+                     dt: float, order: int = 1, ramp: float = 1.0,
                      coupling: float = 1.0, boundary: bool = True,
                      layout: QubitLayout | None = None) -> Circuit:
     """One Trotter step of the band-truncated Hamiltonian on the qubit register.
 
-    band_weights maps the doubled band label to a multiplier on that band's
-    effective time step (adiabatic ramps); absent bands default to 1.  The
+    ramp multiplies the effective time step of every band s >= 1 (the
+    adiabatic schedule's t/T); the zeroth band always runs at 1.  The
     identity shift -(N-1)J/4 is carried as an explicit PHASE so the circuit
     unitary equals the exponential of the encoded Hamiltonian, phase included.
     boundary=False emits the pre-projection register with every chain position
@@ -227,7 +226,6 @@ def csf_trotter_step(n_sites: int, total_spin_x2: int, trunc_x2: int,
                         "order": order, "scalar_energy": energy})
     if layout is None:
         layout = build_layout(n_sites, total_spin_x2, trunc_x2, boundary)
-    weights = dict(band_weights or {})
     terms_by_parity: dict[int, list[BandTerm]] = {0: [], 1: []}
     for s_x2 in range(0, trunc_x2):
         for term in band_terms(layout, s_x2):
@@ -243,7 +241,7 @@ def csf_trotter_step(n_sites: int, total_spin_x2: int, trunc_x2: int,
 
     def emit_layer(parity: int, step_dt: float) -> None:
         for term in terms_by_parity[parity]:
-            lam = weights.get(term.s_x2, 1.0)
+            lam = ramp if term.s_x2 else 1.0
             _emit_band_term(term, (coupling / 2) * step_dt * lam, gates)
 
     if order == 1:
@@ -255,7 +253,7 @@ def csf_trotter_step(n_sites: int, total_spin_x2: int, trunc_x2: int,
         emit_layer(0, dt / 2)
     meta = {"basis": "csf", "n_sites": n_sites, "total_spin_x2": total_spin_x2,
             "trunc_x2": trunc_x2, "dt": dt, "order": order,
-            "band_weights": dict(weights), "layout": layout}
+            "ramp": ramp, "layout": layout}
     return Circuit(layout.n_qubits, tuple(gates), meta)
 
 

@@ -90,13 +90,15 @@ def cmd_ham(args, parser) -> int:
 
 def cmd_diag(args, parser) -> int:
     lines = ["trunc,mode,dim,ground_energy,gap"]
-    if args.trunc is None:
-        levels = [1, 2, 3, 4, untruncated_level(args.sites)]
-        labels = ["0.5", "1", "1.5", "2", "full"]
-    else:
-        levels = [_trunc_x2(args) or untruncated_level(args.sites)]
-        labels = [args.trunc]
-    for label, trunc in zip(labels, levels):
+    labels = list(TRUNC_CHOICES) if args.trunc is None else [args.trunc]
+    for label in labels:
+        trunc = TRUNC_CHOICES[label] or untruncated_level(args.sites)
+        if trunc < args.total_spin_x2:
+            if args.trunc is not None:
+                raise InvalidQuantumNumbersError(
+                    f"--trunc {label} is below the total spin "
+                    f"{args.total_spin_x2 / 2:g}: the sector is empty")
+            continue   # the default ladder starts where the sector has paths
         basis = enumerate_paths(args.sites, args.total_spin_x2, trunc)
         k = min(2, len(basis))
         vals = sga.ground_energy_matrix_free(basis, args.mode, args.coupling,

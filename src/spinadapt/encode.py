@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .basis import CsfBasis, SpinPath, allowed_heights, is_valid_heights
 from .errors import (InvalidQuantumNumbersError, ResourceLimitError,
@@ -365,20 +364,6 @@ class PauliSum:
                 f"dense matrix refused above {DENSE_MATRIX_MAX_QUBITS} qubits")
         allbits = np.arange(1 << self.n_qubits, dtype=np.int64)
         return self.matrix_elements(allbits, allbits)
-
-    def to_sparse(self) -> sp.csr_matrix:
-        dim = 1 << self.n_qubits
-        cols = np.arange(dim, dtype=np.int64)
-        blocks = []
-        for term in self.terms:
-            images, vals = self._term_action(term, cols)
-            blocks.append(sp.csr_matrix((vals, (images, cols)), shape=(dim, dim)))
-        if not blocks:
-            return sp.csr_matrix((dim, dim), dtype=complex)
-        total = blocks[0]
-        for b in blocks[1:]:
-            total = total + b
-        return total.tocsr()
 
     def export_text(self) -> str:
         lines = [f"qubits {self.n_qubits}"]

@@ -292,9 +292,6 @@ def ground_energy_matrix_free(basis: CsfBasis, mode: str,
                               coupling: float = 1.0, n_values: int = 1):
     """Lanczos on the rule-application operator, no matrix materialized."""
     dim = len(basis)
-    if dim == 1:
-        e = apply_hamiltonian(basis, mode, np.ones(1), coupling)[0]
-        return np.array([e] * n_values)[:n_values]
     if dim <= max(2 * n_values + 2, 64):
         mat = np.column_stack([
             apply_hamiltonian(basis, mode, col, coupling)

@@ -10,16 +10,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import cos, sin
+from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import oracle
-from .basis import CsfBasis, SpinPath, enumerate_paths, singlet_pair_path, \
-    triplet_reference_path
+from .basis import CsfBasis, SpinPath, enumerate_paths, initial_path
 from .circuits import Circuit, csf_trotter_step, sz_trotter_step
-from .encode import PauliSum, QubitLayout, build_layout
+from .encode import QubitLayout, build_layout
 from .errors import InvalidQuantumNumbersError, ResourceLimitError
 from .sga import SparseOperator, build_hamiltonian, permutation_matrix
 
@@ -151,17 +151,11 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
 
 # --- exact propagation ---
 
-def _as_matrix(hamiltonian):
-    if isinstance(hamiltonian, SparseOperator):
-        return hamiltonian.matrix
-    if isinstance(hamiltonian, PauliSum):
-        return hamiltonian.to_sparse()
-    return hamiltonian
-
-
 def exact_evolve(hamiltonian, amplitudes: np.ndarray, duration: float) -> np.ndarray:
-    """exp(-i T H) applied to a vector."""
-    mat = _as_matrix(hamiltonian)
+    """exp(-i T H) applied to a vector; H is a SparseOperator, a scipy
+    sparse matrix or a dense array."""
+    mat = hamiltonian.matrix if isinstance(hamiltonian, SparseOperator) \
+        else hamiltonian
     dim = amplitudes.size
     if duration == 0.0:
         return amplitudes.copy()
@@ -288,50 +282,41 @@ def trotter_evolve_sz(n_sites: int, duration: float, n_layers: int,
     return record, state
 
 
-def sz_reference_state(path: SpinPath) -> StateVector:
-    """Computational-basis vector of a spin path.
+def sz_reference_state(n_sites: int, total_spin_x2: int) -> StateVector:
+    """Computational-basis vector of the sector's start path (M = S).
 
-    The two schedule start states are products (singlet pairs, optionally with
-    a stretched pair at the end), built directly at any size; anything else
-    falls back to the expansion oracle and inherits its size guard.
+    Both start paths are products, singlet pairs optionally closed by a
+    stretched pair, so they are built directly at any size.
     """
-    n = path.n_sites
-    if path == singlet_pair_path(n):
-        return singlet_pair_state_sz(n)
-    if n >= 2 and path == triplet_reference_path(n):
-        base = singlet_pair_state_sz(n - 2).amplitudes if n > 2 \
-            else np.array([1.0], dtype=complex)
-        up_pair = np.zeros(4, complex)
-        up_pair[0b00] = 1.0
-        return StateVector(n, np.kron(base, up_pair), "sz")
-    dense = oracle.expand_csf(path)
-    return StateVector(n, dense.amplitudes.copy(), "sz")
+    initial_path(n_sites, total_spin_x2)   # refuses other sectors
+    if total_spin_x2 == 0:
+        return singlet_pair_state_sz(n_sites)
+    base = singlet_pair_state_sz(n_sites - 2).amplitudes if n_sites > 2 \
+        else np.array([1.0], dtype=complex)
+    up_pair = np.zeros(4, complex)
+    up_pair[0b00] = 1.0
+    return StateVector(n_sites, np.kron(base, up_pair), "sz")
 
 
 def trotter_comparison_csf(n_sites: int, total_spin_x2: int, trunc_x2: int,
                            duration: float, n_layers: int, order: int = 1,
-                           coupling: float = 1.0,
-                           initial_path: SpinPath | None = None):
-    """Encoded-register evolution scored against two references.
+                           coupling: float = 1.0):
+    """Encoded-register evolution from the sector's start path, scored
+    against two references.
 
     avg_abs_bond_error: bond energies vs the same-shaped Trotter run in the
     computational basis; fidelity: overlap with the exact evolution under the
     truncated Hamiltonian, both per recorded time.
     """
-    if initial_path is None:
-        initial_path = singlet_pair_path(n_sites) if total_spin_x2 == 0 \
-            else triplet_reference_path(n_sites)
     record, state, basis, _ = trotter_evolve_csf(
-        n_sites, total_spin_x2, trunc_x2, duration, n_layers, order,
-        coupling, initial_path)
-    ref_record, _ = trotter_evolve_sz(n_sites, duration, n_layers, order,
-                                      coupling, sz_reference_state(initial_path))
+        n_sites, total_spin_x2, trunc_x2, duration, n_layers, order, coupling)
+    ref_record, _ = trotter_evolve_sz(
+        n_sites, duration, n_layers, order, coupling,
+        sz_reference_state(n_sites, total_spin_x2))
     ham = build_hamiltonian(basis, "band", coupling)
-    exact = np.zeros(len(basis), dtype=complex)
-    exact[basis.position(initial_path)] = 1.0
     dt = duration / n_layers if n_layers else 0.0
     fids = [1.0]
-    psi = exact
+    psi = record.path_vectors[0]         # the start path
     for vec in record.path_vectors[1:]:
         psi = exact_evolve(ham, psi, dt)
         fids.append(fidelity(psi, vec))
@@ -344,24 +329,26 @@ def trotter_comparison_csf(n_sites: int, total_spin_x2: int, trunc_x2: int,
 def trotter_evolve_csf(n_sites: int, total_spin_x2: int, trunc_x2: int,
                        duration: float, n_layers: int, order: int = 1,
                        coupling: float = 1.0,
-                       initial_path: SpinPath | None = None):
-    """Layered evolution on the encoded register, observables per layer.
+                       ramps: Sequence[float] | None = None):
+    """Layered evolution on the encoded register from the sector's start
+    path, observables per layer.
 
-    Bond energies use the truncated transposition operators on the decoded
-    spin-path amplitudes; the recorded physical weight stays at 1 because the
-    encoded terms never map the physical sector out of itself.
+    ramps[k] scales bands s >= 1 in layer k (see csf_trotter_step); the
+    default runs every layer at full weight.  A layer's circuit is emitted
+    when its ramp differs from the previous layer's.  Bond energies use the
+    truncated transposition operators on the decoded spin-path amplitudes;
+    the recorded physical weight stays at 1 because the encoded terms never
+    map the physical sector out of itself.
     """
-    if initial_path is None:
-        initial_path = singlet_pair_path(n_sites) if total_spin_x2 == 0 \
-            else triplet_reference_path(n_sites)
+    ramps = [1.0] * n_layers if ramps is None else list(ramps)
+    if len(ramps) != n_layers:
+        raise ValueError(f"{len(ramps)} ramp values for {n_layers} layers")
     basis = enumerate_paths(n_sites, total_spin_x2, trunc_x2)
     layout = build_layout(n_sites, total_spin_x2, trunc_x2)
     bond_ops = [permutation_matrix(basis, p, p + 1).matrix
                 for p in range(1, n_sites)]
     dt = duration / n_layers if n_layers else 0.0
-    step = csf_trotter_step(n_sites, total_spin_x2, trunc_x2, dt, order,
-                            coupling=coupling, layout=layout)
-    state = csf_path_state(layout, initial_path)
+    state = csf_path_state(layout, initial_path(n_sites, total_spin_x2))
     times, bonds, weights, vectors = [0.0], [], [], []
 
     def measure():
@@ -371,7 +358,12 @@ def trotter_evolve_csf(n_sites: int, total_spin_x2: int, trunc_x2: int,
         bonds.append(bond_energies_csf(vec, bond_ops, coupling))
 
     measure()
-    for k in range(n_layers):
+    step, step_ramp = None, None
+    for k, ramp in enumerate(ramps):
+        if ramp != step_ramp:
+            step, step_ramp = csf_trotter_step(
+                n_sites, total_spin_x2, trunc_x2, dt, order, ramp, coupling,
+                layout=layout), ramp
         state = simulate(step, state)
         times.append((k + 1) * dt)
         measure()

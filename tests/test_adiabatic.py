@@ -1,26 +1,12 @@
 import numpy as np
 import pytest
 
-from spinadapt.adiabatic import (Schedule, initial_path, linear_ramp,
-                                 run_schedule, sweep, sweep_csv,
-                                 target_ground_truth)
+from spinadapt import adiabatic
+from spinadapt.adiabatic import (Schedule, initial_path, run_schedule, sweep,
+                                 sweep_csv, target_ground_truth)
 from spinadapt.basis import singlet_pair_path, triplet_reference_path
-
-
-def test_linear_ramp_endpoints():
-    assert linear_ramp(0.0, 10.0) == 0.0
-    assert linear_ramp(10.0, 10.0) == 1.0
-    assert linear_ramp(5.0, 10.0) == 0.5
-
-
-def test_schedule_ramp_defaults():
-    sched = Schedule(0, 3, 10.0, 20)
-    assert sched.ramp_value(0, 3.0) == 1.0           # zeroth band always on
-    assert sched.ramp_value(1, 5.0) == pytest.approx(0.5)
-    assert sched.ramp_value(2, 10.0) == pytest.approx(1.0)
-    custom = Schedule(0, 3, 10.0, 20, ramps={1: lambda t, T: (t / T) ** 2})
-    assert custom.ramp_value(1, 5.0) == pytest.approx(0.25)
-    assert custom.ramp_value(2, 5.0) == pytest.approx(0.5)
+from spinadapt.cli import main
+from spinadapt.errors import ResourceLimitError
 
 
 def test_initial_paths():
@@ -98,3 +84,11 @@ def test_trajectory_csv():
     lines = res.to_csv().splitlines()
     assert lines[0] == "t,energy,fidelity"
     assert len(lines) == 6
+
+
+def test_unconverged_reference_raises(monkeypatch):
+    monkeypatch.setattr(adiabatic, "REFINE_MAX", adiabatic.REFINE_START)
+    with pytest.raises(ResourceLimitError):
+        run_schedule(Schedule(0, 2, 2.0, 4, order=2), 8)
+    assert main(["adiabatic", "--sites", "8", "--trunc", "1",
+                 "--duration", "2", "--layers", "4"]) == 3

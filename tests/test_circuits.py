@@ -124,8 +124,7 @@ def test_csf_step_error_scaling(order, expected):
 def test_band_weights_scale_band_angles():
     n, ts, trunc = 8, 0, 2
     lam = 0.37
-    circ = csf_trotter_step(n, ts, trunc, 0.4, order=1,
-                            band_weights={0: 1.0, 1: lam})
+    circ = csf_trotter_step(n, ts, trunc, 0.4, order=1, ramp=lam)
     u = circuit_unitary(circ)
     # reference: exponentials of weighted layer Hamiltonians
     from spinadapt.encode import PauliString, PauliSum, band_terms, _expand_term

@@ -53,6 +53,20 @@ def test_diag_command(capsys):
     assert float(out.strip().splitlines()[1].split(",")[3]) == -0.75
 
 
+def test_diag_ladder_starts_at_total_spin(capsys):
+    code, out = run(["diag", "--sites", "10", "--total-spin", "1"], capsys)
+    assert code == 0
+    labels = [line.split(",")[0] for line in out.strip().splitlines()[1:]]
+    assert labels == ["1", "1.5", "2", "full"]
+
+    code = main(["diag", "--sites", "10", "--total-spin", "1",
+                 "--trunc", "0.5"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
 def test_diag_band_vs_height_differ(capsys):
     _, height = run(["diag", "--sites", "8", "--trunc", "1",
                      "--mode", "height"], capsys)

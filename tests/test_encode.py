@@ -140,19 +140,21 @@ def test_term_count_linear_in_sites():
         assert counts[20] - counts[16] == d1
 
 
-def test_no_leakage_from_physical_sector():
-    for n, ts, trunc in [(8, 0, 3), (8, 0, 4), (8, 2, 4)]:
-        pauli = encode_hamiltonian(n, ts, trunc)
-        layout = pauli.metadata["layout"]
-        basis = enumerate_paths(n, ts, trunc)
-        phys = set(int(b) for b in layout.physical_bitstrings(basis))
-        unphys = np.array([b for b in range(1 << pauli.n_qubits)
-                           if b not in phys], dtype=np.int64)
-        if unphys.size == 0:
-            continue
-        cross = pauli.matrix_elements(unphys,
-                                      np.array(sorted(phys), dtype=np.int64))
-        assert np.abs(cross).max() < 1e-12
+@given(st.integers(min_value=1, max_value=5), st.sampled_from([0, 2]),
+       st.integers(min_value=2, max_value=4))
+@settings(max_examples=30, deadline=None)
+def test_no_leakage_from_physical_sector(n_half, ts, trunc):
+    assume(trunc >= ts)
+    pauli = encode_hamiltonian(2 * n_half, ts, trunc)
+    layout = pauli.metadata["layout"]
+    basis = enumerate_paths(2 * n_half, ts, trunc)
+    phys = set(int(b) for b in layout.physical_bitstrings(basis))
+    unphys = np.array([b for b in range(1 << pauli.n_qubits)
+                       if b not in phys], dtype=np.int64)
+    assume(unphys.size > 0)
+    cross = pauli.matrix_elements(unphys,
+                                  np.array(sorted(phys), dtype=np.int64))
+    assert np.abs(cross).max() < 1e-12
 
 
 def test_export_parse_round_trip():

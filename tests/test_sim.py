@@ -99,7 +99,7 @@ def test_exact_evolve_accepts_operator_types():
     layout = pauli.metadata["layout"]
     qvec = np.zeros(1 << pauli.n_qubits, complex)
     qvec[layout.encode_path(basis.paths[0])] = 1.0
-    out_q = exact_evolve(pauli, qvec, 0.7)
+    out_q = exact_evolve(pauli.to_dense(), qvec, 0.7)
     dec = out_q[layout.physical_bitstrings(basis)]
     assert np.abs(np.abs(np.vdot(out_op, dec)) - 1.0) < 1e-10
 
