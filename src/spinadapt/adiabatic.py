@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 # initial_path and simulate are re-exported: callers take the start path
 # from here, and bench/spans.py patches every module's copy of simulate and
@@ -25,7 +24,7 @@ from .basis import CsfBasis, enumerate_paths, initial_path  # noqa: F401
 from .errors import ResourceLimitError
 from .sga import HEIGHT_MODE, SparseOperator, band_hamiltonian, \
     build_hamiltonian, ground_state
-from .sim import simulate, trotter_evolve_csf  # noqa: F401
+from .sim import exact_evolve, simulate, trotter_evolve_csf  # noqa: F401
 
 REFINE_START = 16
 REFINE_TOL = 1e-8
@@ -100,8 +99,7 @@ def _exact_reference(schedule: Schedule, h_start, h_ramp,
         for k in range(schedule.n_layers):
             for r in range(refine):
                 lam = (k * dt + (r + 0.5) * sub) / schedule.duration
-                psi = spla.expm_multiply((-1j * sub) * (h_start + lam * h_ramp),
-                                         psi)
+                psi = exact_evolve(h_start + lam * h_ramp, psi, sub)
             states.append(psi)
         if prev_final is not None and \
                 abs(abs(np.vdot(prev_final, psi)) - 1.0) < REFINE_TOL:

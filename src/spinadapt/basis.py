@@ -46,10 +46,6 @@ class SpinPath:
     def total_spin_x2(self) -> int:
         return self.heights[-1]
 
-    @property
-    def max_height(self) -> int:
-        return max(self.heights)
-
     def steps(self) -> tuple[int, ...]:
         """Per-site coupling direction, +1 (up) or -1 (down)."""
         return tuple(self.heights[i + 1] - self.heights[i] for i in range(self.n_sites))
@@ -153,10 +149,6 @@ class CsfBasis:
     trunc_x2: int
     heights: np.ndarray = field(repr=False, compare=False)
     walks: np.ndarray = field(repr=False, compare=False)
-
-    @property
-    def magnetization_x2(self) -> int:
-        return self.total_spin_x2
 
     @property
     def paths(self) -> tuple[SpinPath, ...]:

@@ -218,14 +218,14 @@ def csf_trotter_step(n_sites: int, total_spin_x2: int, trunc_x2: int,
     """
     if order not in (1, 2):
         raise UnsupportedConfigurationError("Trotter order must be 1 or 2")
+    if layout is None:
+        layout = build_layout(n_sites, total_spin_x2, trunc_x2, boundary)
     if trunc_x2 == 1 and boundary:
         # scalar subspace: a single global phase
         energy = (coupling / 2) * (-n_sites / 2 - (n_sites - 1) / 2)
         return Circuit(0, (_phase(-dt * energy),),
                        {"basis": "csf", "trunc_x2": 1, "dt": dt,
                         "order": order, "scalar_energy": energy})
-    if layout is None:
-        layout = build_layout(n_sites, total_spin_x2, trunc_x2, boundary)
     terms_by_parity: dict[int, list[BandTerm]] = {0: [], 1: []}
     for s_x2 in range(0, trunc_x2):
         for term in band_terms(layout, s_x2):

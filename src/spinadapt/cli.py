@@ -47,6 +47,13 @@ def _require_finite_trunc(args, what: str) -> int:
     return trunc
 
 
+def _refuse_trunc_on_sz(args) -> None:
+    if args.trunc is not None:
+        raise InvalidQuantumNumbersError(
+            "--trunc applies to --basis csf only; --basis sz runs the "
+            "untruncated chain")
+
+
 def _basis_for(args):
     trunc = _trunc_x2(args)
     if trunc is None:
@@ -112,9 +119,10 @@ def cmd_diag(args, parser) -> int:
 
 def cmd_evolve(args, parser) -> int:
     if args.basis == "sz":
+        _refuse_trunc_on_sz(args)
         record, _ = sim.trotter_evolve_sz(
-            args.sites, args.duration, args.layers, args.order,
-            args.coupling, track_symmetry=True)
+            args.sites, args.total_spin_x2, args.duration, args.layers,
+            args.order, args.coupling, track_symmetry=True)
     else:
         trunc = _require_finite_trunc(args, "csf evolution")
         record, _ = sim.trotter_comparison_csf(
@@ -141,6 +149,7 @@ def cmd_adiabatic(args, parser) -> int:
 
 def cmd_circuit(args, parser) -> int:
     if args.basis == "sz":
+        _refuse_trunc_on_sz(args)
         circ = circuits.sz_trotter_step(args.sites, args.duration,
                                         args.order, args.coupling)
     else:

@@ -58,12 +58,6 @@ class QubitLayout:
     ext_qubit: dict[int, int] = field(compare=False)
     n_qubits: int = 0
 
-    def is_fixed(self, position: int) -> bool:
-        return len(self.site_values[position]) == 1
-
-    def fixed_value(self, position: int) -> int:
-        return self.site_values[position][0]
-
     def encode_path(self, path: SpinPath) -> int:
         """Bit-string index of a path; qubit 0 is the most significant bit."""
         bits = 0

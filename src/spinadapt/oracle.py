@@ -2,8 +2,11 @@
 
 Every spin path can be expanded over the 2^N tensor-product basis by coupling
 one spin-1/2 at a time with standard Condon-Shortley Clebsch-Gordan factors.
-This scales exponentially and exists purely to validate the permutation-rule
-machinery on small chains; nothing in the production path depends on it.
+This scales exponentially and exists to validate the permutation-rule
+machinery on small chains.  The computational-basis operators
+apply_permutation, apply_total_s2 and apply_total_sz are also the observables
+of the computational-basis Trotter run (`evolve --basis sz`, and the bond-error
+reference of the encoded `evolve`).
 
 Bit convention: bit i holds site i (1-based site i+1), site 0 is the most
 significant bit of the amplitude index; alpha=0, beta=1.
@@ -30,12 +33,6 @@ class DenseStateSz:
 
     n_sites: int
     amplitudes: np.ndarray
-
-    def inner(self, other: "DenseStateSz") -> complex:
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
 
 
 def expand_csf(path: SpinPath, magnetization_x2: int | None = None) -> DenseStateSz:

@@ -2,8 +2,8 @@
 
 Amplitude indexing: qubit 0 is the most significant bit, so reshaping to
 [2]*n puts qubit q on axis q.  All gate kernels preserve the norm to float
-round-off; exact propagation goes through an eigendecomposition below 4096
-dimensions and a Krylov exponential-times-vector product above.
+round-off; exact propagation is the action of the matrix exponential on a
+vector (scipy's expm_multiply, Al-Mohy & Higham 2011) at every dimension.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from math import cos, sin
 from typing import Sequence
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import oracle
@@ -23,51 +22,46 @@ from .encode import QubitLayout, build_layout
 from .errors import InvalidQuantumNumbersError, ResourceLimitError
 from .sga import SparseOperator, build_hamiltonian, permutation_matrix
 
-DENSE_EVOLVE_MAX_DIM = 4096
-
 
 @dataclass
 class StateVector:
     n_qubits: int
     amplitudes: np.ndarray
-    basis: str = "sz"                       # "sz" | "csf"
-    layout: QubitLayout | None = field(default=None, repr=False)
 
     def copy(self) -> "StateVector":
-        return StateVector(self.n_qubits, self.amplitudes.copy(),
-                           self.basis, self.layout)
+        return StateVector(self.n_qubits, self.amplitudes.copy())
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
 
-def zero_state(n_qubits: int, basis: str = "sz",
-               layout: QubitLayout | None = None) -> StateVector:
+def zero_state(n_qubits: int) -> StateVector:
     amps = np.zeros(1 << n_qubits, dtype=complex)
     amps[0] = 1.0
-    return StateVector(n_qubits, amps, basis, layout)
+    return StateVector(n_qubits, amps)
 
 
-def basis_state(n_qubits: int, bits: int, basis: str = "sz",
-                layout=None) -> StateVector:
+def basis_state(n_qubits: int, bits: int) -> StateVector:
     amps = np.zeros(1 << n_qubits, dtype=complex)
     amps[bits] = 1.0
-    return StateVector(n_qubits, amps, basis, layout)
+    return StateVector(n_qubits, amps)
 
 
 def singlet_pair_state_sz(n_sites: int) -> StateVector:
     """Product of nearest-neighbor singlets in the computational basis."""
+    if n_sites % 2 != 0:
+        raise InvalidQuantumNumbersError("singlet-pair product needs even N")
     pair = np.zeros(4, dtype=complex)
     pair[0b01] = 1 / np.sqrt(2)
     pair[0b10] = -1 / np.sqrt(2)
     amps = np.array([1.0], dtype=complex)
     for _ in range(n_sites // 2):
         amps = np.kron(amps, pair)
-    return StateVector(n_sites, amps, "sz")
+    return StateVector(n_sites, amps)
 
 
 def csf_path_state(layout: QubitLayout, path: SpinPath) -> StateVector:
-    return basis_state(layout.n_qubits, layout.encode_path(path), "csf", layout)
+    return basis_state(layout.n_qubits, layout.encode_path(path))
 
 
 # --- gate kernels ---
@@ -152,19 +146,14 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
 # --- exact propagation ---
 
 def exact_evolve(hamiltonian, amplitudes: np.ndarray, duration: float) -> np.ndarray:
-    """exp(-i T H) applied to a vector; H is a SparseOperator, a scipy
-    sparse matrix or a dense array."""
+    """exp(-i T H) applied to a vector without forming the exponential; H is
+    a SparseOperator, a scipy sparse matrix or a dense array."""
     mat = hamiltonian.matrix if isinstance(hamiltonian, SparseOperator) \
         else hamiltonian
-    dim = amplitudes.size
     if duration == 0.0:
         return amplitudes.copy()
-    if dim <= DENSE_EVOLVE_MAX_DIM:
-        dense = mat.toarray() if sp.issparse(mat) else np.asarray(mat)
-        w, v = np.linalg.eigh(dense)
-        return (v * np.exp(-1j * duration * w)) @ (v.conj().T @ amplitudes)
-    op = sp.csr_matrix(mat) * (-1j * duration)
-    return spla.expm_multiply(op, amplitudes.astype(complex))
+    return spla.expm_multiply((-1j * duration) * mat,
+                              amplitudes.astype(complex))
 
 
 # --- observables ---
@@ -255,30 +244,24 @@ class EvolutionRecord:
         return "\n".join(lines) + "\n"
 
 
-def trotter_evolve_sz(n_sites: int, duration: float, n_layers: int,
-                      order: int = 1, coupling: float = 1.0,
-                      initial: StateVector | None = None,
-                      track_symmetry: bool = False):
-    """Layered evolution in the computational basis, observables per layer."""
-    state = singlet_pair_state_sz(n_sites) if initial is None else initial.copy()
-    dt = duration / n_layers if n_layers else 0.0
-    step = sz_trotter_step(n_sites, dt, order, coupling)
-    times = [0.0]
-    bonds = [bond_energies_sz(state, coupling)]
-    aux: dict[str, list] = {}
-    if track_symmetry:
-        aux["s_squared"] = [s2_expectation_sz(state)]
-        aux["total_sz"] = [sz_expectation_sz(state)]
-    for k in range(n_layers):
+def _trotter_loop(state: StateVector, steps, dt: float, observe):
+    """Apply each layer circuit of `steps` in turn, observing the state at
+    t=0 and after every layer.
+
+    observe(state) returns (bond energies, {aux column: value}, decoded
+    spin-path vector or None); the record keeps the vectors when given.
+    """
+    times, rows = [0.0], [observe(state)]
+    for k, step in enumerate(steps):
         state = simulate(step, state)
         times.append((k + 1) * dt)
-        bonds.append(bond_energies_sz(state, coupling))
-        if track_symmetry:
-            aux["s_squared"].append(s2_expectation_sz(state))
-            aux["total_sz"].append(sz_expectation_sz(state))
+        rows.append(observe(state))
+    bonds, aux, vectors = zip(*rows)
     bonds = np.array(bonds)
-    record = EvolutionRecord(np.array(times), bonds.sum(axis=1), bonds,
-                             {k: np.array(v) for k, v in aux.items()})
+    record = EvolutionRecord(
+        np.array(times), bonds.sum(axis=1), bonds,
+        {name: np.array([row[name] for row in aux]) for name in aux[0]},
+        None if vectors[0] is None else np.array(vectors))
     return record, state
 
 
@@ -295,7 +278,24 @@ def sz_reference_state(n_sites: int, total_spin_x2: int) -> StateVector:
         else np.array([1.0], dtype=complex)
     up_pair = np.zeros(4, complex)
     up_pair[0b00] = 1.0
-    return StateVector(n_sites, np.kron(base, up_pair), "sz")
+    return StateVector(n_sites, np.kron(base, up_pair))
+
+
+def trotter_evolve_sz(n_sites: int, total_spin_x2: int, duration: float,
+                      n_layers: int, order: int = 1, coupling: float = 1.0,
+                      track_symmetry: bool = False):
+    """Layered evolution in the computational basis from the sector's start
+    path (M = S), observables per layer."""
+    state = sz_reference_state(n_sites, total_spin_x2)
+    dt = duration / n_layers if n_layers else 0.0
+    step = sz_trotter_step(n_sites, dt, order, coupling)
+
+    def observe(state):
+        aux = {"s_squared": s2_expectation_sz(state),
+               "total_sz": sz_expectation_sz(state)} if track_symmetry else {}
+        return bond_energies_sz(state, coupling), aux, None
+
+    return _trotter_loop(state, [step] * n_layers, dt, observe)
 
 
 def trotter_comparison_csf(n_sites: int, total_spin_x2: int, trunc_x2: int,
@@ -311,8 +311,7 @@ def trotter_comparison_csf(n_sites: int, total_spin_x2: int, trunc_x2: int,
     record, state, basis, _ = trotter_evolve_csf(
         n_sites, total_spin_x2, trunc_x2, duration, n_layers, order, coupling)
     ref_record, _ = trotter_evolve_sz(
-        n_sites, duration, n_layers, order, coupling,
-        sz_reference_state(n_sites, total_spin_x2))
+        n_sites, total_spin_x2, duration, n_layers, order, coupling)
     ham = build_hamiltonian(basis, "band", coupling)
     dt = duration / n_layers if n_layers else 0.0
     fids = [1.0]
@@ -349,26 +348,20 @@ def trotter_evolve_csf(n_sites: int, total_spin_x2: int, trunc_x2: int,
                 for p in range(1, n_sites)]
     dt = duration / n_layers if n_layers else 0.0
     state = csf_path_state(layout, initial_path(n_sites, total_spin_x2))
-    times, bonds, weights, vectors = [0.0], [], [], []
 
-    def measure():
+    def observe(state):
         vec = decode_to_path_vector(state, basis, layout)
-        vectors.append(vec)
-        weights.append(float(np.vdot(vec, vec).real))
-        bonds.append(bond_energies_csf(vec, bond_ops, coupling))
+        return (bond_energies_csf(vec, bond_ops, coupling),
+                {"physical_weight": float(np.vdot(vec, vec).real)}, vec)
 
-    measure()
-    step, step_ramp = None, None
-    for k, ramp in enumerate(ramps):
-        if ramp != step_ramp:
-            step, step_ramp = csf_trotter_step(
-                n_sites, total_spin_x2, trunc_x2, dt, order, ramp, coupling,
-                layout=layout), ramp
-        state = simulate(step, state)
-        times.append((k + 1) * dt)
-        measure()
-    bonds = np.array(bonds)
-    record = EvolutionRecord(np.array(times), bonds.sum(axis=1), bonds,
-                             {"physical_weight": np.array(weights)},
-                             np.array(vectors))
+    def steps():
+        step, step_ramp = None, None
+        for ramp in ramps:
+            if ramp != step_ramp:
+                step, step_ramp = csf_trotter_step(
+                    n_sites, total_spin_x2, trunc_x2, dt, order, ramp,
+                    coupling, layout=layout), ramp
+            yield step
+
+    record, state = _trotter_loop(state, steps(), dt, observe)
     return record, state, basis, layout

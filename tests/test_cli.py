@@ -1,3 +1,4 @@
+import pytest
 from spinadapt.cli import main
 
 
@@ -91,6 +92,19 @@ def test_evolve_commands(capsys):
     assert len(out.strip().splitlines()) == 2  # header + t=0 row
 
 
+def test_sz_evolution_follows_total_spin(capsys):
+    code, out = run(["evolve", "--sites", "8", "--basis", "sz",
+                     "--total-spin", "1", "--duration", "1", "--layers", "2"],
+                    capsys)
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert lines[0].split(",")[:4] == ["t", "total_energy", "s_squared",
+                                       "total_sz"]
+    first = [float(v) for v in lines[1].split(",")]
+    assert first[2] == pytest.approx(2.0, abs=1e-12)
+    assert first[3] == pytest.approx(1.0, abs=1e-12)
+
+
 def test_adiabatic_command(capsys):
     code, out = run(["adiabatic", "--sites", "8", "--trunc", "1",
                      "--duration", "4", "--layers", "8"], capsys)
@@ -117,6 +131,21 @@ def test_circuit_command_and_determinism(capsys):
 def test_exit_code_invalid_config(capsys):
     assert main(["diag", "--sites", "8", "--total-spin", "0.7"]) == 2
     assert main(["basis", "--sites", "7", "--total-spin", "0"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["circuit", "--sites", "10", "--total-spin", "1", "--trunc", "0.5"],
+    ["circuit", "--sites", "7", "--trunc", "0.5"],
+    ["evolve", "--sites", "7", "--basis", "sz"],
+    ["evolve", "--sites", "8", "--basis", "sz", "--trunc", "1"],
+    ["circuit", "--sites", "8", "--basis", "sz", "--trunc", "1"],
+])
+def test_refused_configuration_prints_error(argv, capsys):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
 
 
 def test_exit_code_resource_guard(capsys):

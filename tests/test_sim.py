@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from spinadapt import (ResourceLimitError, encode_hamiltonian, enumerate_paths,
                        singlet_pair_path)
 from spinadapt.circuits import Circuit, Gate, sz_trotter_step
@@ -77,16 +80,32 @@ def test_exact_evolve_identity_and_phase():
 
 
 def test_exact_evolve_krylov_branch():
-    # force the sparse path by exceeding the dense cutoff
+    # a 2^13-dimensional register, beyond what a dense exponential would allow
     ham = sz_hamiltonian_matrix(13)
     amps = np.zeros(1 << 13, complex)
     amps[0b0101010101010] = 1.0
     out = exact_evolve(ham, amps, 0.2)
     assert abs(np.linalg.norm(out) - 1) < 1e-10
-    # agree with dense on a projected sanity check: energy conserved
+    # energy is conserved
     e0 = np.vdot(amps, ham @ amps).real
     e1 = np.vdot(out, ham @ out).real
     assert abs(e0 - e1) < 1e-8
+
+
+@given(st.integers(min_value=1, max_value=5), st.sampled_from([0, 2]),
+       st.integers(min_value=1, max_value=4), st.sampled_from(["band", "height"]),
+       st.floats(min_value=0.0, max_value=3.0), st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_exact_evolve_matches_dense_exponential(n_half, ts, trunc, mode,
+                                                duration, seed):
+    assume(trunc >= ts)   # below 2S the sector is empty
+    ham = build_hamiltonian(enumerate_paths(2 * n_half, ts, trunc), mode)
+    rng = np.random.default_rng(seed)
+    dim = ham.matrix.shape[0]
+    vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    vec /= np.linalg.norm(vec)
+    expected = scipy.linalg.expm(-1j * duration * ham.toarray()) @ vec
+    assert np.abs(exact_evolve(ham, vec, duration) - expected).max() < 1e-12
 
 
 def test_exact_evolve_accepts_operator_types():
@@ -131,11 +150,14 @@ def test_fidelity_properties():
 
 
 def test_sz_trotter_conserves_symmetry_n8():
-    record, _ = trotter_evolve_sz(8, 4.0, 8, order=2, track_symmetry=True)
-    assert np.abs(record.aux["s_squared"]).max() < 1e-10
-    assert np.abs(record.aux["total_sz"]).max() < 1e-10
-    assert record.times[0] == 0.0 and record.times.size == 9
-    assert np.all(np.diff(record.times) > 0)
+    for total_spin_x2 in (0, 2):
+        spin = total_spin_x2 / 2
+        record, _ = trotter_evolve_sz(8, total_spin_x2, 4.0, 8, order=2,
+                                      track_symmetry=True)
+        assert np.abs(record.aux["s_squared"] - spin * (spin + 1)).max() < 1e-10
+        assert np.abs(record.aux["total_sz"] - spin).max() < 1e-10
+        assert record.times[0] == 0.0 and record.times.size == 9
+        assert np.all(np.diff(record.times) > 0)
 
 
 def test_scalar_truncation_observables_constant():
@@ -194,7 +216,7 @@ def test_order2_drift_scales_inverse_square():
     n, duration = 8, 3.0
     drifts = []
     for layers in (8, 16, 32, 64):
-        record, _ = trotter_evolve_sz(n, duration, layers, order=2)
+        record, _ = trotter_evolve_sz(n, 0, duration, layers, order=2)
         drifts.append(np.abs(record.total_energy - record.total_energy[0]).max())
     slope = np.polyfit(np.log([8, 16, 32, 64]), np.log(drifts), 1)[0]
     assert abs(slope - (-2.0)) < 0.4
