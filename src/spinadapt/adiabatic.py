@@ -67,7 +67,9 @@ def schedule_hamiltonians(basis: CsfBasis, coupling: float = 1.0):
 
     H_start is the zeroth band with the identity shift, (J/2)(H_0 - (N-1)/2);
     H_ramp = (J/2) sum_{1 <= s < trunc} H_s.  At t = T they sum to the
-    band-mode Hamiltonian.
+    band-mode Hamiltonian.  Both share one sorted sparsity pattern (the union
+    of their own), so H(t) is the axpy H_start.data + (t/T) H_ramp.data on
+    that pattern.
     """
     dim = len(basis)
     shift = (basis.n_sites - 1) / 2 * sp.identity(dim, format="csr")
@@ -75,32 +77,73 @@ def schedule_hamiltonians(basis: CsfBasis, coupling: float = 1.0):
     h_ramp = sp.csr_matrix((dim, dim))
     for s_x2 in range(1, basis.trunc_x2):
         h_ramp = h_ramp + band_hamiltonian(basis, s_x2).matrix
-    return h_start, (coupling / 2) * h_ramp
+    h_ramp = (coupling / 2) * h_ramp
+    # absolute values cannot cancel, so the sum keeps every stored position
+    pattern = abs(h_start) + abs(h_ramp)
+    pattern.sort_indices()
+    rows = np.repeat(np.arange(dim), np.diff(pattern.indptr))
+    return tuple(sp.csr_matrix((np.asarray(mat[rows, pattern.indices]).ravel(),
+                                pattern.indices, pattern.indptr),
+                               shape=pattern.shape)
+                 for mat in (h_start, h_ramp))
 
 
 def _ground_energy(basis: CsfBasis, matrix: sp.csr_matrix) -> float:
     return float(ground_state(SparseOperator(basis, matrix))[0][0])
 
 
-def _exact_reference(schedule: Schedule, h_start, h_ramp,
-                     start: np.ndarray) -> list[np.ndarray]:
+class ReferenceRuns:
+    """Refined exact evolutions at one duration, shared by the schedules of
+    several layer counts (one object per sector, coupling and duration).
+
+    Sub-step j of a run with M sub-steps applies H((j + 1/2)/M) for T/M,
+    whatever the layer count, so (N_L = 10, 32 sub-steps per layer) and
+    (N_L = 20, 16 sub-steps per layer) are one evolution: each M is
+    integrated once.  A run keeps only the states at the layer boundaries of
+    every count in `layer_counts` that divides M.
+    """
+
+    def __init__(self, layer_counts):
+        self.layer_counts = tuple(int(n) for n in layer_counts)
+        self.runs: dict[int, dict[int, np.ndarray]] = {}
+
+    def boundaries(self, schedule: Schedule, refine: int, h_start, h_ramp,
+                   start: np.ndarray) -> list[np.ndarray]:
+        """States at the schedule's layer boundaries with `refine` sub-steps
+        per layer."""
+        if schedule.n_layers not in self.layer_counts:
+            raise ValueError(f"{schedule.n_layers} layers is not one of the "
+                             f"shared counts {self.layer_counts}")
+        m = schedule.n_layers * refine
+        if m not in self.runs:
+            keep = {m // n * k for n in self.layer_counts if m % n == 0
+                    for k in range(1, n + 1)}
+            h = h_start.copy()           # H(lambda), rewritten in place
+            psi, states = start, {0: start}
+            for j in range(m):
+                np.add(h_start.data, (j + 0.5) / m * h_ramp.data, out=h.data)
+                psi = exact_evolve(h, psi, schedule.duration / m)
+                if j + 1 in keep:
+                    states[j + 1] = psi
+            self.runs[m] = states
+        states = self.runs[m]
+        return [states[k * refine] for k in range(schedule.n_layers + 1)]
+
+
+def _exact_reference(schedule: Schedule, h_start, h_ramp, start: np.ndarray,
+                     runs: ReferenceRuns | None = None) -> list[np.ndarray]:
     """Layer-boundary snapshots of the refined piecewise-constant evolution.
 
     Raises ResourceLimitError if REFINE_MAX sub-steps per layer still move
     the final state by more than REFINE_TOL.
     """
-    dt = schedule.duration / schedule.n_layers
+    if runs is None:
+        runs = ReferenceRuns([schedule.n_layers])
     refine = REFINE_START
     prev_final = None
     while True:
-        states = [start]
-        psi = start
-        sub = dt / refine
-        for k in range(schedule.n_layers):
-            for r in range(refine):
-                lam = (k * dt + (r + 0.5) * sub) / schedule.duration
-                psi = exact_evolve(h_start + lam * h_ramp, psi, sub)
-            states.append(psi)
+        states = runs.boundaries(schedule, refine, h_start, h_ramp, start)
+        psi = states[-1]
         if prev_final is not None and \
                 abs(abs(np.vdot(prev_final, psi)) - 1.0) < REFINE_TOL:
             return states
@@ -112,14 +155,16 @@ def _exact_reference(schedule: Schedule, h_start, h_ramp,
         refine *= 2
 
 
-def run_schedule(schedule: Schedule, n_sites: int,
-                 coupling: float = 1.0) -> ScheduleResult:
+def run_schedule(schedule: Schedule, n_sites: int, coupling: float = 1.0,
+                 runs: ReferenceRuns | None = None) -> ScheduleResult:
     """Trotterized schedule on the encoded register vs the exact schedule.
 
     Energies are measured against the instantaneous interpolated Hamiltonian
     (the t=0 row therefore sits exactly at the initial ground energy);
     fidelities are instantaneous overlaps with the refined exact evolution,
-    both computed on the decoded spin-path coefficients.
+    both computed on the decoded spin-path coefficients.  `runs` shares the
+    exact reference with other schedules of the same sector, coupling and
+    duration (see sweep).
     """
     n_layers = schedule.n_layers
     record, _, basis, _ = trotter_evolve_csf(
@@ -128,7 +173,7 @@ def run_schedule(schedule: Schedule, n_sites: int,
         ramps=[(k + 0.5) / n_layers for k in range(n_layers)])
     vecs = record.path_vectors           # vecs[0] is the start path
     h_start, h_ramp = schedule_hamiltonians(basis, coupling)
-    refs = _exact_reference(schedule, h_start, h_ramp, vecs[0])
+    refs = _exact_reference(schedule, h_start, h_ramp, vecs[0], runs)
     energies = [np.vdot(vec, (h_start + k / n_layers * h_ramp) @ vec).real
                 for k, vec in enumerate(vecs)]
     fids = [abs(np.vdot(ref, vec)) for ref, vec in zip(refs, vecs)]
@@ -156,13 +201,15 @@ def target_ground_truth(schedule: Schedule, n_sites: int,
 def sweep(n_sites: int, total_spin_x2: int, trunc_x2: int,
           durations, layer_counts, order: int = 2,
           coupling: float = 1.0) -> list[dict]:
-    """Final energy and fidelity over a (duration, layers) grid."""
+    """Final energy and fidelity over a (duration, layers) grid; the layer
+    counts of one duration share their exact reference runs."""
     rows = []
     for duration in durations:
+        runs = ReferenceRuns(layer_counts)
         for n_layers in layer_counts:
             sched = Schedule(total_spin_x2, trunc_x2, float(duration),
                              int(n_layers), order)
-            res = run_schedule(sched, n_sites, coupling)
+            res = run_schedule(sched, n_sites, coupling, runs)
             rows.append({
                 "trunc_x2": trunc_x2,
                 "duration": float(duration),

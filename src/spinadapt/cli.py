@@ -58,7 +58,12 @@ def _basis_for(args):
     trunc = _trunc_x2(args)
     if trunc is None:
         trunc = untruncated_level(args.sites)
-    return enumerate_paths(args.sites, args.total_spin_x2, trunc)
+    basis = enumerate_paths(args.sites, args.total_spin_x2, trunc)
+    if len(basis) == 0:
+        raise InvalidQuantumNumbersError(
+            f"the sector N={args.sites}, S={args.total_spin_x2 / 2:g} has no "
+            f"spin paths at --trunc {args.trunc or 'full'}")
+    return basis
 
 
 def _oracle_check(args, parser) -> None:
@@ -142,6 +147,9 @@ def cmd_adiabatic(args, parser) -> int:
                                args.order, args.coupling)
         _write(adiabatic.sweep_csv(rows), args.out)
     else:
+        if args.layers < 1:
+            raise InvalidQuantumNumbersError(
+                "adiabatic schedules need --layers >= 1")
         res = adiabatic.run_schedule(sched, args.sites, args.coupling)
         _write(res.to_csv(), args.out)
     return EXIT_OK
@@ -150,6 +158,10 @@ def cmd_adiabatic(args, parser) -> int:
 def cmd_circuit(args, parser) -> int:
     if args.basis == "sz":
         _refuse_trunc_on_sz(args)
+        if args.total_spin_x2:
+            raise InvalidQuantumNumbersError(
+                "--total-spin applies to --basis csf circuits only; the "
+                "computational-basis step is the same in every sector")
         circ = circuits.sz_trotter_step(args.sites, args.duration,
                                         args.order, args.coupling)
     else:

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from spinadapt import adiabatic
-from spinadapt.adiabatic import (Schedule, initial_path, run_schedule, sweep,
-                                 sweep_csv, target_ground_truth)
-from spinadapt.basis import singlet_pair_path, triplet_reference_path
+from spinadapt.adiabatic import (Schedule, initial_path, run_schedule,
+                                 schedule_hamiltonians, sweep, sweep_csv,
+                                 target_ground_truth)
+from spinadapt.basis import (enumerate_paths, singlet_pair_path,
+                             triplet_reference_path)
+from spinadapt.sga import build_hamiltonian
 from spinadapt.cli import main
 from spinadapt.errors import ResourceLimitError
 
@@ -70,13 +74,36 @@ def test_fidelity_improves_with_layers_small():
 
 
 def test_sweep_rows_and_csv():
-    rows = sweep(8, 0, 2, [2.0, 4.0], [4, 8], order=2)
-    assert len(rows) == 4
+    # 4 x 32 and 8 x 16 sub-steps (8 x 32 and 16 x 16) are one shared
+    # reference run; each row must equal its schedule run on its own
+    rows = sweep(8, 0, 2, [2.0, 4.0], [4, 8, 16], order=2)
+    assert len(rows) == 6
+    for row in rows:
+        res = run_schedule(Schedule(0, 2, row["duration"], row["n_layers"],
+                                    order=2), 8)
+        assert abs(row["final_energy"] - res.energy[-1]) < 1e-12
+        assert abs(row["final_fidelity"] - res.final_fidelity) < 1e-12
     text = sweep_csv(rows)
     lines = text.splitlines()
     assert lines[0] == "trunc,T,n_layers,order,final_energy,final_fidelity"
-    assert len(lines) == 5
+    assert len(lines) == 7
     assert lines[1].startswith("1,2")
+
+
+def test_schedule_hamiltonians_share_one_pattern():
+    basis = enumerate_paths(10, 2, 4)
+    h_start, h_ramp = schedule_hamiltonians(basis, 1.3)
+    assert h_start.has_sorted_indices and h_ramp.has_sorted_indices
+    assert np.array_equal(h_start.indices, h_ramp.indices)
+    assert np.array_equal(h_start.indptr, h_ramp.indptr)
+    for lam in (0.0, 0.37, 1.0):
+        axpy = sp.csr_matrix((h_start.data + lam * h_ramp.data,
+                              h_start.indices, h_start.indptr),
+                             shape=h_start.shape)
+        assert abs(axpy - (h_start + lam * h_ramp)).max() == 0.0
+    # at t = T: the band-mode Hamiltonian built from its bands
+    full = build_hamiltonian(basis, "band", 1.3).matrix
+    assert abs(h_start + h_ramp - full).max() < 1e-13
 
 
 def test_trajectory_csv():
@@ -90,5 +117,7 @@ def test_unconverged_reference_raises(monkeypatch):
     monkeypatch.setattr(adiabatic, "REFINE_MAX", adiabatic.REFINE_START)
     with pytest.raises(ResourceLimitError):
         run_schedule(Schedule(0, 2, 2.0, 4, order=2), 8)
+    with pytest.raises(ResourceLimitError):
+        sweep(8, 0, 2, [2.0], [4, 8], order=2)
     assert main(["adiabatic", "--sites", "8", "--trunc", "1",
                  "--duration", "2", "--layers", "4"]) == 3

@@ -139,6 +139,11 @@ def test_exit_code_invalid_config(capsys):
     ["evolve", "--sites", "7", "--basis", "sz"],
     ["evolve", "--sites", "8", "--basis", "sz", "--trunc", "1"],
     ["circuit", "--sites", "8", "--basis", "sz", "--trunc", "1"],
+    ["basis", "--sites", "10", "--total-spin", "1", "--trunc", "0.5"],
+    ["ham", "--sites", "10", "--total-spin", "1", "--trunc", "0.5",
+     "--format", "matrix"],
+    ["circuit", "--sites", "8", "--basis", "sz", "--total-spin", "1"],
+    ["adiabatic", "--sites", "4", "--trunc", "1", "--layers", "0"],
 ])
 def test_refused_configuration_prints_error(argv, capsys):
     code = main(argv)
