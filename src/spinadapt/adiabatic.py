@@ -24,7 +24,8 @@ from .basis import CsfBasis, enumerate_paths, initial_path  # noqa: F401
 from .errors import ResourceLimitError
 from .sga import HEIGHT_MODE, SparseOperator, band_hamiltonian, \
     build_hamiltonian, ground_state
-from .sim import exact_evolve, simulate, trotter_evolve_csf  # noqa: F401
+from .encode import build_layout
+from .sim import exact_evolve, path_trotter_run, simulate  # noqa: F401
 
 REFINE_START = 16
 REFINE_TOL = 1e-8
@@ -157,27 +158,26 @@ def _exact_reference(schedule: Schedule, h_start, h_ramp, start: np.ndarray,
 
 def run_schedule(schedule: Schedule, n_sites: int, coupling: float = 1.0,
                  runs: ReferenceRuns | None = None) -> ScheduleResult:
-    """Trotterized schedule on the encoded register vs the exact schedule.
+    """Trotterized schedule on the spin-path vector vs the exact schedule.
 
     Energies are measured against the instantaneous interpolated Hamiltonian
     (the t=0 row therefore sits exactly at the initial ground energy);
-    fidelities are instantaneous overlaps with the refined exact evolution,
-    both computed on the decoded spin-path coefficients.  `runs` shares the
-    exact reference with other schedules of the same sector, coupling and
-    duration (see sweep).
+    fidelities are instantaneous overlaps with the refined exact evolution.
+    `runs` shares the exact reference with other schedules of the same
+    sector, coupling and duration (see sweep).
     """
     n_layers = schedule.n_layers
-    record, _, basis, _ = trotter_evolve_csf(
-        n_sites, schedule.total_spin_x2, schedule.trunc_x2, schedule.duration,
-        n_layers, schedule.order, coupling,
+    basis = enumerate_paths(n_sites, schedule.total_spin_x2, schedule.trunc_x2)
+    times, vecs = path_trotter_run(
+        basis, build_layout(n_sites, schedule.total_spin_x2, schedule.trunc_x2),
+        schedule.duration, n_layers, schedule.order, coupling,
         ramps=[(k + 0.5) / n_layers for k in range(n_layers)])
-    vecs = record.path_vectors           # vecs[0] is the start path
     h_start, h_ramp = schedule_hamiltonians(basis, coupling)
     refs = _exact_reference(schedule, h_start, h_ramp, vecs[0], runs)
     energies = [np.vdot(vec, (h_start + k / n_layers * h_ramp) @ vec).real
                 for k, vec in enumerate(vecs)]
     fids = [abs(np.vdot(ref, vec)) for ref, vec in zip(refs, vecs)]
-    return ScheduleResult(record.times, np.array(energies), np.array(fids),
+    return ScheduleResult(times, np.array(energies), np.array(fids),
                           _ground_energy(basis, h_start + h_ramp), vecs[-1])
 
 

@@ -92,6 +92,18 @@ def heisenberg_bond_block(q0: int, q1: int, theta: float) -> list[Gate]:
     ]
 
 
+def sublayers(order: int) -> tuple[tuple[int, float], ...]:
+    """(parity, fraction of dt) of each sub-layer of one Trotter step.
+
+    Parity 0 holds the transpositions (1,2), (3,4), ..., parity 1 the rest;
+    order 2 symmetrizes by halving the first layer around the second.
+    """
+    if order not in (1, 2):
+        raise UnsupportedConfigurationError("Trotter order must be 1 or 2")
+    return ((0, 1.0), (1, 1.0)) if order == 1 else \
+        ((0, 0.5), (1, 1.0), (0, 0.5))
+
+
 def sz_trotter_step(n_sites: int, dt: float, order: int = 1,
                     coupling: float = 1.0) -> Circuit:
     """One Trotter step for the chain in the computational basis.
@@ -100,21 +112,11 @@ def sz_trotter_step(n_sites: int, dt: float, order: int = 1,
     (2,3); order 2 symmetrizes by halving the first layer around the second.
     Bond angle theta = J*dt/4 because each bond operator is J(XX+YY+ZZ)/4.
     """
-    if order not in (1, 2):
-        raise UnsupportedConfigurationError("Trotter order must be 1 or 2")
     gates: list[Gate] = []
-
-    def layer(parity: int, step_dt: float) -> None:
+    for parity, fraction in sublayers(order):
+        theta = coupling * (fraction * dt) / 4
         for p in range(1 + parity, n_sites, 2):
-            gates.extend(heisenberg_bond_block(p - 1, p, coupling * step_dt / 4))
-
-    if order == 1:
-        layer(0, dt)
-        layer(1, dt)
-    else:
-        layer(0, dt / 2)
-        layer(1, dt)
-        layer(0, dt / 2)
+            gates.extend(heisenberg_bond_block(p - 1, p, theta))
     return Circuit(n_sites, tuple(gates),
                    {"basis": "sz", "dt": dt, "order": order})
 
@@ -203,6 +205,50 @@ def _emit_band_term(term: BandTerm, phi: float, gates: list[Gate]) -> None:
         _emit_mix_exp(term, phi, gates)
 
 
+def _term_key(term: BandTerm):
+    units = tuple((u.qubits, u.sign, u.projector) for u in term.units)
+    return (term.s_x2, term.perm, term.mix_qubit is None, units)
+
+
+def band_layers(layout: QubitLayout, order: int):
+    """The band terms of one encoded Trotter step, in the order it applies
+    them: [(fraction of dt, terms), ...], one entry per sub-layer.
+
+    Each sub-layer holds the terms of bands 0 .. trunc-1 whose transposition
+    has its parity, sorted by band, transposition, mixing before diagonal,
+    then units.  The step opens with the identity-shift phase
+    (identity_shift_angle) and rotates each term by band_angle.  This is the
+    one definition of that order: csf_trotter_step emits it as gates and
+    sim.PathStep compiles it onto the spin-path vector.
+    """
+    layers = sublayers(order)
+    by_parity: dict[int, list[BandTerm]] = {0: [], 1: []}
+    for s_x2 in range(0, layout.trunc_x2):
+        for term in band_terms(layout, s_x2):
+            by_parity[(term.perm - 1) % 2].append(term)
+    for terms in by_parity.values():
+        terms.sort(key=_term_key)
+    return [(fraction, by_parity[parity]) for parity, fraction in layers]
+
+
+def band_angle(term: BandTerm, step_dt: float, ramp: float,
+               coupling: float) -> float:
+    """phi in exp(-i phi H_term) for a sub-layer of length step_dt; ramp
+    scales every band s >= 1, the zeroth band always runs at 1."""
+    return (coupling / 2) * step_dt * (ramp if term.s_x2 else 1.0)
+
+
+def identity_shift_angle(n_sites: int, dt: float, coupling: float) -> float:
+    """The step's global phase exp(i angle) from the -(N-1)J/4 identity shift."""
+    return dt * coupling * (n_sites - 1) / 4
+
+
+def scalar_energy(n_sites: int, coupling: float) -> float:
+    """Energy of the trunc-1/2 sector's single path; the whole step there is
+    the phase exp(-i dt E)."""
+    return (coupling / 2) * (-n_sites / 2 - (n_sites - 1) / 2)
+
+
 def csf_trotter_step(n_sites: int, total_spin_x2: int, trunc_x2: int,
                      dt: float, order: int = 1, ramp: float = 1.0,
                      coupling: float = 1.0, boundary: bool = True,
@@ -214,7 +260,7 @@ def csf_trotter_step(n_sites: int, total_spin_x2: int, trunc_x2: int,
     identity shift -(N-1)J/4 is carried as an explicit PHASE so the circuit
     unitary equals the exponential of the encoded Hamiltonian, phase included.
     boundary=False emits the pre-projection register with every chain position
-    dynamical.
+    dynamical.  Terms are emitted in band_layers order.
     """
     if order not in (1, 2):
         raise UnsupportedConfigurationError("Trotter order must be 1 or 2")
@@ -222,35 +268,15 @@ def csf_trotter_step(n_sites: int, total_spin_x2: int, trunc_x2: int,
         layout = build_layout(n_sites, total_spin_x2, trunc_x2, boundary)
     if trunc_x2 == 1 and boundary:
         # scalar subspace: a single global phase
-        energy = (coupling / 2) * (-n_sites / 2 - (n_sites - 1) / 2)
+        energy = scalar_energy(n_sites, coupling)
         return Circuit(0, (_phase(-dt * energy),),
                        {"basis": "csf", "trunc_x2": 1, "dt": dt,
                         "order": order, "scalar_energy": energy})
-    terms_by_parity: dict[int, list[BandTerm]] = {0: [], 1: []}
-    for s_x2 in range(0, trunc_x2):
-        for term in band_terms(layout, s_x2):
-            terms_by_parity[(term.perm - 1) % 2].append(term)
-    def term_key(t: BandTerm):
-        units = tuple((u.qubits, u.sign, u.projector) for u in t.units)
-        return (t.s_x2, t.perm, t.mix_qubit is None, units)
-
-    for par in (0, 1):
-        terms_by_parity[par].sort(key=term_key)
-    gates: list[Gate] = []
-    gates.append(_phase(dt * coupling * (n_sites - 1) / 4))
-
-    def emit_layer(parity: int, step_dt: float) -> None:
-        for term in terms_by_parity[parity]:
-            lam = ramp if term.s_x2 else 1.0
-            _emit_band_term(term, (coupling / 2) * step_dt * lam, gates)
-
-    if order == 1:
-        emit_layer(0, dt)
-        emit_layer(1, dt)
-    else:
-        emit_layer(0, dt / 2)
-        emit_layer(1, dt)
-        emit_layer(0, dt / 2)
+    gates = [_phase(identity_shift_angle(n_sites, dt, coupling))]
+    for fraction, terms in band_layers(layout, order):
+        for term in terms:
+            _emit_band_term(term, band_angle(term, fraction * dt, ramp,
+                                             coupling), gates)
     meta = {"basis": "csf", "n_sites": n_sites, "total_spin_x2": total_spin_x2,
             "trunc_x2": trunc_x2, "dt": dt, "order": order,
             "ramp": ramp, "layout": layout}

@@ -9,6 +9,7 @@ byte-identical outputs.  Exit codes: 0 success, 2 invalid configuration,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -24,6 +25,38 @@ EXIT_RESOURCE = 3
 
 TRUNC_CHOICES = {"0.5": 1, "1": 2, "1.5": 3, "2": 4, "full": None}
 ORACLE_CHECK_MAX_SITES = 10
+ADIABATIC_DURATION = 20.0
+ADIABATIC_LAYERS = 40
+SWEEP_DURATIONS = (5.0, 10.0, 15.0, 20.0)
+SWEEP_LAYERS = (10, 20, 30, 40)
+
+
+def _number(convert, accept, what: str):
+    """argparse type: convert the text, refusing what `accept` rejects."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not accept(value):
+            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+        return value
+    return parse
+
+
+FINITE = _number(float, math.isfinite, "a finite number")
+POSITIVE = _number(float, lambda v: math.isfinite(v) and v > 0,
+                   "a positive finite number")
+COUNT = _number(int, lambda v: v >= 0, "a non-negative integer")
+POSITIVE_COUNT = _number(int, lambda v: v >= 1, "a positive integer")
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed command line as an invalid configuration (exit 2
+    with an error: line), like every other refusal, instead of exiting."""
+
+    def error(self, message):
+        raise SpinAdaptError(f"{self.prog}: {message}")
 
 
 def _write(text: str, out: str | None) -> None:
@@ -89,6 +122,10 @@ def cmd_basis(args, parser) -> int:
 
 def cmd_ham(args, parser) -> int:
     if args.format == "pauli":
+        if args.mode != "band":
+            raise InvalidQuantumNumbersError(
+                "--format pauli encodes the band-truncated Hamiltonian only; "
+                "--mode height needs --format matrix")
         trunc = _require_finite_trunc(args, "--format pauli")
         pauli = encode.encode_hamiltonian(args.sites, args.total_spin_x2,
                                           trunc, args.coupling)
@@ -139,17 +176,21 @@ def cmd_evolve(args, parser) -> int:
 
 def cmd_adiabatic(args, parser) -> int:
     trunc = _require_finite_trunc(args, "adiabatic schedules")
-    sched = adiabatic.Schedule(args.total_spin_x2, trunc, args.duration,
-                               args.layers, args.order)
     if args.sweep:
+        if args.duration is not None or args.layers is not None:
+            raise InvalidQuantumNumbersError(
+                "--sweep runs its own grid of durations and layer counts; "
+                "drop --duration and --layers")
         rows = adiabatic.sweep(args.sites, args.total_spin_x2, trunc,
-                               [5.0, 10.0, 15.0, 20.0], [10, 20, 30, 40],
+                               SWEEP_DURATIONS, SWEEP_LAYERS,
                                args.order, args.coupling)
         _write(adiabatic.sweep_csv(rows), args.out)
     else:
-        if args.layers < 1:
-            raise InvalidQuantumNumbersError(
-                "adiabatic schedules need --layers >= 1")
+        sched = adiabatic.Schedule(
+            args.total_spin_x2, trunc,
+            ADIABATIC_DURATION if args.duration is None else args.duration,
+            ADIABATIC_LAYERS if args.layers is None else args.layers,
+            args.order)
         res = adiabatic.run_schedule(sched, args.sites, args.coupling)
         _write(res.to_csv(), args.out)
     return EXIT_OK
@@ -176,26 +217,26 @@ def cmd_circuit(args, parser) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="spinadapt",
         description="Heisenberg chains in truncated total-spin eigenbases")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, trunc_default=None):
+    def common(p, coupling=True):
         p.add_argument("--sites", type=int, required=True)
-        p.add_argument("--total-spin", type=float, default=0.0,
+        p.add_argument("--total-spin", type=FINITE, default=0.0,
                        help="total spin S (0 or 1)")
         p.add_argument("--trunc", choices=sorted(TRUNC_CHOICES),
-                       default=trunc_default,
                        help="height truncation: 0.5, 1, 1.5, 2 or full")
-        p.add_argument("--coupling", type=float, default=1.0,
-                       help="exchange constant J (rescales outputs)")
+        if coupling:
+            p.add_argument("--coupling", type=FINITE, default=1.0,
+                           help="exchange constant J (rescales outputs)")
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument("--oracle-check", action="store_true",
                        help=argparse.SUPPRESS)
 
     p = sub.add_parser("basis", help="enumerate spin paths as CSV")
-    common(p)
+    common(p, coupling=False)
     p.set_defaults(func=cmd_basis)
 
     p = sub.add_parser("ham", help="export the Hamiltonian")
@@ -213,24 +254,27 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--basis", choices=["sz", "csf"], default="csf")
     p.add_argument("--order", type=int, choices=[1, 2], default=1)
-    p.add_argument("--duration", type=float, default=5.0)
-    p.add_argument("--layers", type=int, default=10)
+    p.add_argument("--duration", type=FINITE, default=5.0)
+    p.add_argument("--layers", type=COUNT, default=10)
     p.set_defaults(func=cmd_evolve)
 
     p = sub.add_parser("adiabatic", help="adiabatic schedule or sweep CSV")
     common(p)
     p.add_argument("--order", type=int, choices=[1, 2], default=2)
-    p.add_argument("--duration", type=float, default=20.0)
-    p.add_argument("--layers", type=int, default=40)
+    p.add_argument("--duration", type=POSITIVE, default=None,
+                   help=f"ramp duration T (default {ADIABATIC_DURATION:g})")
+    p.add_argument("--layers", type=POSITIVE_COUNT, default=None,
+                   help=f"Trotter layers (default {ADIABATIC_LAYERS})")
     p.add_argument("--sweep", action="store_true",
-                   help="run the full duration x layers grid")
+                   help="run the full duration x layers grid instead of "
+                        "one schedule")
     p.set_defaults(func=cmd_adiabatic)
 
     p = sub.add_parser("circuit", help="export one Trotter step as gates")
     common(p)
     p.add_argument("--basis", choices=["sz", "csf"], default="csf")
     p.add_argument("--order", type=int, choices=[1, 2], default=1)
-    p.add_argument("--duration", type=float, default=0.1,
+    p.add_argument("--duration", type=FINITE, default=0.1,
                    help="time step dt of the exported layer")
     p.add_argument("--format", choices=["gates", "qasm"], default="gates")
     p.set_defaults(func=cmd_circuit)
@@ -248,8 +292,8 @@ def _validate(args, parser) -> None:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         _validate(args, parser)
         if args.oracle_check:
             _oracle_check(args, parser)

@@ -1,4 +1,13 @@
-"""Statevector simulation and the observable suite.
+"""Trotter evolution, exact propagation and the observable suite.
+
+Encoded runs (trotter_evolve_csf, trotter_comparison_csf and the adiabatic
+schedules) evolve the spin-path vector itself: PathStep compiles the encoded
+Trotter step, term by term in the order csf_trotter_step emits it, into
+phases and 2x2 rotations on the basis rows, so no 2^q register is built.
+The gate-level statevector simulator (simulate, circuit_unitary) runs the
+computational-basis reference of `evolve --basis sz` and is the reference
+the tests check the path-basis step against; emitted encoded circuits serve
+export, the golden files and gate counts.
 
 Amplitude indexing: qubit 0 is the most significant bit, so reshaping to
 [2]*n puts qubit q on axis q.  All gate kernels preserve the norm to float
@@ -17,11 +26,14 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import oracle
-from .basis import CsfBasis, SpinPath, enumerate_paths, initial_path
-from .circuits import Circuit, csf_trotter_step, sz_trotter_step
+from .basis import CsfBasis, enumerate_paths, initial_path
+from .circuits import (Circuit, band_angle, band_layers, identity_shift_angle,
+                       scalar_energy, sublayers, sz_trotter_step)
 from .encode import QubitLayout, build_layout
-from .errors import InvalidQuantumNumbersError, ResourceLimitError
-from .sga import SparseOperator, build_hamiltonian, permutation_matrix
+from .errors import (InvalidQuantumNumbersError, ResourceLimitError,
+                     UnsupportedConfigurationError)
+from .sga import (SparseOperator, band_coefficients, build_hamiltonian,
+                  permutation_matrix)
 
 
 @dataclass
@@ -61,8 +73,7 @@ def singlet_pair_state_sz(n_sites: int) -> StateVector:
     return StateVector(n_sites, amps)
 
 
-def csf_path_state(layout: QubitLayout, path: SpinPath) -> StateVector:
-    return basis_state(layout.n_qubits, layout.encode_path(path))
+REGISTER_MAX_QUBITS = 26    # 2^26 amplitudes, 1 GiB
 
 
 # --- gate kernels ---
@@ -247,6 +258,19 @@ def decode_to_path_vector(state: StateVector, basis: CsfBasis,
     return state.amplitudes[bits]
 
 
+def embed_path_vector(path_vector: np.ndarray, basis: CsfBasis,
+                      layout: QubitLayout) -> StateVector:
+    """The encoded register holding a spin-path vector (inverse of
+    decode_to_path_vector); refused above REGISTER_MAX_QUBITS."""
+    if layout.n_qubits > REGISTER_MAX_QUBITS:
+        raise ResourceLimitError(
+            f"a {layout.n_qubits}-qubit register is refused above "
+            f"{REGISTER_MAX_QUBITS} qubits")
+    amps = np.zeros(1 << layout.n_qubits, dtype=complex)
+    amps[layout.physical_bitstrings(basis)] = path_vector
+    return StateVector(layout.n_qubits, amps)
+
+
 def physical_weight(state: StateVector, basis: CsfBasis,
                     layout: QubitLayout) -> float:
     vec = decode_to_path_vector(state, basis, layout)
@@ -273,6 +297,137 @@ def fidelity(a, b) -> float:
     return float(abs(np.vdot(va, vb)))
 
 
+# --- the encoded Trotter step on the spin-path vector ---
+
+def _unit_values(units, bits: np.ndarray, n_qubits: int) -> np.ndarray:
+    """Product of diagonal units on each bit-string: (1 + sign Z_S)/2 for a
+    projector (0 or 1), sign Z_S for a bare parity (+-1)."""
+    out = np.ones(bits.size)
+    for unit in units:
+        z = np.ones(bits.size)
+        for q in unit.qubits:
+            z = z * (1 - 2 * ((bits >> (n_qubits - 1 - q)) & 1))
+        out = out * ((1 + unit.sign * z) / 2 if unit.projector
+                     else unit.sign * z)
+    return out
+
+
+class PathStep:
+    """One encoded Trotter step compiled onto the spin-path vector.
+
+    Every band term maps the physical sector into itself, so its exponential
+    restricted to the basis rows (their bit-strings from
+    layout.physical_bitstrings) is one of two things.  A diagonal term is a
+    value per row, coeff times its units, and its exponential a phase per
+    row; consecutive diagonal terms commute and merge into one phase.  A
+    mixing term pairs each row whose controls hold with the row that has
+    mix_qubit flipped, and its exponential is the rotation
+    exp(-i phi coeff (cos(theta) Z + sin(theta) X)) on every pair, theta
+    being the band's mixing angle.  A mixing term that would map a row out
+    of the basis is refused.  The terms, their order and their angles are
+    circuits.band_layers and circuits.band_angle, which csf_trotter_step
+    emits as gates; on the trunc-1/2 sector the step is one phase, as there.
+
+    Compiled once per sector and order; layer(dt, ramp, coupling) returns
+    one layer's action on a path vector.
+    """
+
+    def __init__(self, basis: CsfBasis, layout: QubitLayout, order: int):
+        self.n_sites = basis.n_sites
+        self.scalar = layout.trunc_x2 == 1
+        if self.scalar:
+            sublayers(order)             # refuses other orders
+            self.sublayers = []
+            return
+        bits = layout.physical_bitstrings(basis)
+        rows_by_bits = np.argsort(bits)
+        sorted_bits = bits[rows_by_bits]
+        compiled = {}                    # order 2 repeats its parity-0 terms
+        self.sublayers = []
+        for fraction, terms in band_layers(layout, order):
+            if id(terms) not in compiled:
+                compiled[id(terms)] = self._compile(
+                    terms, bits, sorted_bits, rows_by_bits, layout.n_qubits)
+            self.sublayers.append((fraction, compiled[id(terms)]))
+
+    @staticmethod
+    def _compile(terms, bits, sorted_bits, rows_by_bits, n_qubits):
+        """Ops of one sub-layer: ('diag', [(term, values), ...]) with one
+        summed value vector per ramp class (zeroth band, bands s >= 1), or
+        ('mix', term, rows, partners, cos(theta), sin(theta)); rows hold the
+        mix qubit at 0 (Z = +1), partners at 1."""
+        ops = []
+        for term in terms:
+            values = term.coeff * _unit_values(term.units, bits, n_qubits)
+            if term.mix_qubit is None:
+                if not ops or ops[-1][0] != "diag":
+                    ops.append(("diag", []))
+                classes = ops[-1][1]
+                for k, (first, total) in enumerate(classes):
+                    if (first.s_x2 > 0) == (term.s_x2 > 0):
+                        classes[k] = (first, total + values)
+                        break
+                else:
+                    classes.append((term, values))
+                continue
+            rows = np.flatnonzero(values)
+            if not rows.size:
+                continue
+            flip = 1 << (n_qubits - 1 - term.mix_qubit)
+            partner_bits = bits[rows] ^ flip
+            where = np.minimum(np.searchsorted(sorted_bits, partner_bits),
+                               sorted_bits.size - 1)
+            leaks = sorted_bits[where] != partner_bits
+            if leaks.any():
+                raise UnsupportedConfigurationError(
+                    f"band term {term} maps {int(leaks.sum())} spin paths "
+                    f"out of the basis")
+            low = (bits[rows] & flip) == 0
+            theta = band_coefficients(term.s_x2).theta
+            ops.append(("mix", term, rows[low], rows_by_bits[where[low]],
+                         cos(theta), sin(theta)))
+        return ops
+
+    def layer(self, dt: float, ramp: float = 1.0, coupling: float = 1.0):
+        """One layer of time step dt, bands s >= 1 scaled by ramp, as a
+        callable path vector -> new path vector."""
+        if not np.isfinite([dt, ramp, coupling]).all():
+            raise ValueError(f"time step {dt}, ramp {ramp} and coupling "
+                             f"{coupling} must be finite")
+        if self.scalar:
+            phase = np.exp(-1j * dt * scalar_energy(self.n_sites, coupling))
+            return lambda vec: phase * vec
+        shift = np.exp(1j * identity_shift_angle(self.n_sites, dt, coupling))
+        factors = []
+        for fraction, ops in self.sublayers:
+            step_dt = fraction * dt
+            for op in ops:
+                if op[0] == "diag":
+                    angles = sum(band_angle(term, step_dt, ramp, coupling)
+                                 * values for term, values in op[1])
+                    factors.append((np.exp(-1j * angles),))
+                    continue
+                _, term, rows, partners, c, s = op
+                alpha = band_angle(term, step_dt, ramp, coupling) * term.coeff
+                ca, sa = cos(alpha), sin(alpha)
+                factors.append((rows, partners, complex(ca, -sa * c),
+                                complex(0.0, -sa * s), complex(ca, sa * c)))
+
+        def apply(vec: np.ndarray) -> np.ndarray:
+            vec = shift * vec
+            for factor in factors:
+                if len(factor) == 1:
+                    vec *= factor[0]
+                    continue
+                rows, partners, u00, u01, u11 = factor
+                lo, hi = vec[rows], vec[partners]
+                vec[rows] = u00 * lo + u01 * hi
+                vec[partners] = u01 * lo + u11 * hi
+            return vec
+
+        return apply
+
+
 # --- Trotter evolution drivers ---
 
 @dataclass
@@ -281,7 +436,7 @@ class EvolutionRecord:
     total_energy: np.ndarray
     bond_energies: np.ndarray            # shape (len(times), n_bonds)
     aux: dict[str, np.ndarray] = field(default_factory=dict)
-    # decoded spin-path coefficients per time (encoded runs); not exported
+    # spin-path coefficients per time (encoded runs); not exported
     path_vectors: np.ndarray | None = field(default=None, repr=False)
 
     def to_csv(self) -> str:
@@ -298,25 +453,18 @@ class EvolutionRecord:
         return "\n".join(lines) + "\n"
 
 
-def _trotter_loop(state: StateVector, steps, dt: float, observe):
-    """Apply each layer circuit of `steps` in turn, observing the state at
-    t=0 and after every layer.
+def _trotter_loop(state, layers, dt: float, observe):
+    """Apply each layer action of `layers` (state -> new state) in turn,
+    observing the state at t=0 and after every layer.
 
-    observe(state) returns (bond energies, {aux column: value}, decoded
-    spin-path vector or None); the record keeps the vectors when given.
+    Returns the times, the observations and the final state.
     """
-    times, rows = [0.0], [observe(state)]
-    for k, step in enumerate(steps):
-        state = simulate(step, state)
+    times, seen = [0.0], [observe(state)]
+    for k, layer in enumerate(layers):
+        state = layer(state)
         times.append((k + 1) * dt)
-        rows.append(observe(state))
-    bonds, aux, vectors = zip(*rows)
-    bonds = np.array(bonds)
-    record = EvolutionRecord(
-        np.array(times), bonds.sum(axis=1), bonds,
-        {name: np.array([row[name] for row in aux]) for name in aux[0]},
-        None if vectors[0] is None else np.array(vectors))
-    return record, state
+        seen.append(observe(state))
+    return np.array(times), seen, state
 
 
 def sz_reference_state(n_sites: int, total_spin_x2: int) -> StateVector:
@@ -347,22 +495,56 @@ def trotter_evolve_sz(n_sites: int, total_spin_x2: int, duration: float,
     def observe(state):
         aux = {"s_squared": s2_expectation_sz(state),
                "total_sz": sz_expectation_sz(state)} if track_symmetry else {}
-        return bond_energies_sz(state, coupling), aux, None
+        return bond_energies_sz(state, coupling), aux
 
-    return _trotter_loop(state, [step] * n_layers, dt, observe)
+    times, seen, state = _trotter_loop(
+        state, [lambda state: simulate(step, state)] * n_layers, dt, observe)
+    bonds = np.array([row[0] for row in seen])
+    aux = {name: np.array([row[1][name] for row in seen]) for name in seen[0][1]}
+    return EvolutionRecord(times, bonds.sum(axis=1), bonds, aux), state
+
+
+def path_trotter_run(basis: CsfBasis, layout: QubitLayout, duration: float,
+                     n_layers: int, order: int = 1, coupling: float = 1.0,
+                     ramps: Sequence[float] | None = None):
+    """Layered evolution of the spin-path vector from the sector's start path.
+
+    ramps[k] scales bands s >= 1 in layer k (see circuits.band_angle); the
+    default runs every layer at full weight.  A layer is rebuilt when its
+    ramp differs from the previous layer's.  Returns the times and the path
+    vectors at t=0 and after every layer, shape (n_layers + 1, dim).
+    """
+    ramps = [1.0] * n_layers if ramps is None else list(ramps)
+    if len(ramps) != n_layers:
+        raise ValueError(f"{len(ramps)} ramp values for {n_layers} layers")
+    step = PathStep(basis, layout, order)
+    dt = duration / n_layers if n_layers else 0.0
+    start = np.zeros(len(basis), dtype=complex)
+    start[basis.position(initial_path(basis.n_sites,
+                                      basis.total_spin_x2))] = 1.0
+
+    def layers():
+        layer, layer_ramp = None, None
+        for ramp in ramps:
+            if ramp != layer_ramp:
+                layer, layer_ramp = step.layer(dt, ramp, coupling), ramp
+            yield layer
+
+    times, vectors, _ = _trotter_loop(start, layers(), dt, lambda vec: vec)
+    return times, np.array(vectors)
 
 
 def trotter_comparison_csf(n_sites: int, total_spin_x2: int, trunc_x2: int,
                            duration: float, n_layers: int, order: int = 1,
                            coupling: float = 1.0):
-    """Encoded-register evolution from the sector's start path, scored
-    against two references.
+    """Encoded evolution from the sector's start path, scored against two
+    references, and the encoded register holding its final state.
 
     avg_abs_bond_error: bond energies vs the same-shaped Trotter run in the
     computational basis; fidelity: overlap with the exact evolution under the
     truncated Hamiltonian, both per recorded time.
     """
-    record, state, basis, _ = trotter_evolve_csf(
+    record, basis, layout = trotter_evolve_csf(
         n_sites, total_spin_x2, trunc_x2, duration, n_layers, order, coupling)
     ref_record, _ = trotter_evolve_sz(
         n_sites, total_spin_x2, duration, n_layers, order, coupling)
@@ -375,47 +557,29 @@ def trotter_comparison_csf(n_sites: int, total_spin_x2: int, trunc_x2: int,
         fids.append(fidelity(psi, vec))
     err = np.abs(record.bond_energies - ref_record.bond_energies).mean(axis=1)
     aux = {"avg_abs_bond_error": err, "fidelity": np.array(fids)}
-    return EvolutionRecord(record.times, record.total_energy,
-                           record.bond_energies, aux), state
+    return (EvolutionRecord(record.times, record.total_energy,
+                            record.bond_energies, aux),
+            embed_path_vector(record.path_vectors[-1], basis, layout))
 
 
 def trotter_evolve_csf(n_sites: int, total_spin_x2: int, trunc_x2: int,
                        duration: float, n_layers: int, order: int = 1,
                        coupling: float = 1.0,
                        ramps: Sequence[float] | None = None):
-    """Layered evolution on the encoded register from the sector's start
-    path, observables per layer.
+    """Layered encoded evolution from the sector's start path, run on the
+    spin-path vector (path_trotter_run), observables per layer.
 
-    ramps[k] scales bands s >= 1 in layer k (see csf_trotter_step); the
-    default runs every layer at full weight.  A layer's circuit is emitted
-    when its ramp differs from the previous layer's.  Bond energies use the
-    truncated transposition operators on the decoded spin-path amplitudes;
-    the recorded physical weight stays at 1 because the encoded terms never
-    map the physical sector out of itself.
+    Bond energies use the truncated transposition operators on the recorded
+    path vectors.  Returns (record, basis, layout); the final state is
+    record.path_vectors[-1].
     """
-    ramps = [1.0] * n_layers if ramps is None else list(ramps)
-    if len(ramps) != n_layers:
-        raise ValueError(f"{len(ramps)} ramp values for {n_layers} layers")
     basis = enumerate_paths(n_sites, total_spin_x2, trunc_x2)
     layout = build_layout(n_sites, total_spin_x2, trunc_x2)
+    times, vectors = path_trotter_run(basis, layout, duration, n_layers,
+                                      order, coupling, ramps)
     bond_ops = [permutation_matrix(basis, p, p + 1).matrix
                 for p in range(1, n_sites)]
-    dt = duration / n_layers if n_layers else 0.0
-    state = csf_path_state(layout, initial_path(n_sites, total_spin_x2))
-
-    def observe(state):
-        vec = decode_to_path_vector(state, basis, layout)
-        return (bond_energies_csf(vec, bond_ops, coupling),
-                {"physical_weight": float(np.vdot(vec, vec).real)}, vec)
-
-    def steps():
-        step, step_ramp = None, None
-        for ramp in ramps:
-            if ramp != step_ramp:
-                step, step_ramp = csf_trotter_step(
-                    n_sites, total_spin_x2, trunc_x2, dt, order, ramp,
-                    coupling, layout=layout), ramp
-            yield step
-
-    record, state = _trotter_loop(state, steps(), dt, observe)
-    return record, state, basis, layout
+    bonds = np.array([bond_energies_csf(vec, bond_ops, coupling)
+                      for vec in vectors])
+    return (EvolutionRecord(times, bonds.sum(axis=1), bonds,
+                            path_vectors=vectors), basis, layout)

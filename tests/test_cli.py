@@ -144,6 +144,17 @@ def test_exit_code_invalid_config(capsys):
      "--format", "matrix"],
     ["circuit", "--sites", "8", "--basis", "sz", "--total-spin", "1"],
     ["adiabatic", "--sites", "4", "--trunc", "1", "--layers", "0"],
+    ["evolve", "--sites", "8", "--trunc", "1", "--duration", "nan"],
+    ["evolve", "--sites", "8", "--trunc", "1", "--coupling", "nan"],
+    ["adiabatic", "--sites", "4", "--trunc", "1", "--duration", "inf"],
+    ["evolve", "--sites", "8", "--trunc", "1", "--layers", "-1"],
+    ["adiabatic", "--sites", "4", "--trunc", "1", "--duration", "-3"],
+    ["adiabatic", "--sites", "4", "--trunc", "1", "--sweep", "--duration",
+     "3"],
+    ["adiabatic", "--sites", "4", "--trunc", "1", "--sweep", "--layers", "5"],
+    ["ham", "--sites", "8", "--trunc", "1", "--format", "pauli", "--mode",
+     "height"],
+    ["basis", "--sites", "8", "--coupling", "7"],
 ])
 def test_refused_configuration_prints_error(argv, capsys):
     code = main(argv)

@@ -3,14 +3,18 @@ import pytest
 import scipy.linalg
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from spinadapt import (ResourceLimitError, encode_hamiltonian, enumerate_paths,
-                       singlet_pair_path)
-from spinadapt.circuits import Circuit, Gate, sz_trotter_step
+from spinadapt import (ResourceLimitError, UnsupportedConfigurationError,
+                       encode_hamiltonian, enumerate_paths, singlet_pair_path)
+from spinadapt import circuits
+from spinadapt.basis import initial_path
+from spinadapt.circuits import Circuit, Gate, csf_trotter_step, sz_trotter_step
+from spinadapt.encode import BandTerm, build_layout
 from spinadapt.oracle import sz_hamiltonian_matrix
 from spinadapt.sga import build_hamiltonian
 from spinadapt.sim import (EvolutionRecord, StateVector, basis_state,
-                           bond_energies_sz, circuit_unitary, csf_path_state,
-                           decode_to_path_vector, exact_evolve, fidelity,
+                           bond_energies_sz, circuit_unitary,
+                           decode_to_path_vector, embed_path_vector,
+                           exact_evolve, fidelity,
                            s2_expectation_sz, simulate, singlet_pair_state_sz,
                            total_energy_sz, trotter_evolve_csf,
                            trotter_evolve_sz, zero_state)
@@ -165,14 +169,17 @@ def test_sz_trotter_conserves_symmetry_n8():
 
 
 def test_scalar_truncation_observables_constant():
-    record, state, basis, layout = trotter_evolve_csf(8, 0, 1, 4.0, 6, order=1)
+    record, basis, layout = trotter_evolve_csf(8, 0, 1, 4.0, 6, order=1)
     assert np.abs(record.total_energy - record.total_energy[0]).max() < 1e-12
     assert record.total_energy[0] == pytest.approx(-3.0)  # -3/4 * 4 bonds
 
 
 def test_csf_evolution_stays_physical():
-    record, state, basis, layout = trotter_evolve_csf(8, 0, 3, 3.0, 6, order=1)
-    assert np.abs(record.aux["physical_weight"] - 1.0).max() < 1e-10
+    # unit norm on the paths; test_path_basis_run_matches_register shows
+    # the register holds the same vector, so it keeps no weight outside them
+    record, basis, layout = trotter_evolve_csf(8, 0, 3, 3.0, 6, order=1)
+    assert np.abs(np.linalg.norm(record.path_vectors, axis=1) - 1.0).max() \
+        < 1e-10
 
 
 def test_csf_converges_to_exact_at_full_truncation():
@@ -185,12 +192,66 @@ def test_csf_converges_to_exact_at_full_truncation():
     exact = exact_evolve(ham, start, duration)
     errs = []
     for layers in (8, 16, 32):
-        _, state, bas, layout = trotter_evolve_csf(n, 0, 4, duration, layers,
-                                                   order=2)
-        vec = decode_to_path_vector(state, bas, layout)
-        errs.append(1.0 - abs(np.vdot(exact, vec)))
+        record, *_ = trotter_evolve_csf(n, 0, 4, duration, layers, order=2)
+        errs.append(1.0 - abs(np.vdot(exact, record.path_vectors[-1])))
     assert errs[2] < errs[1] < errs[0]
     assert errs[2] < 1e-5
+
+
+@given(st.integers(min_value=1, max_value=6), st.sampled_from([0, 2]),
+       st.integers(min_value=1, max_value=4), st.sampled_from([1, 2]),
+       st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1,
+                max_size=3))
+@settings(max_examples=30, deadline=None)
+def test_path_basis_run_matches_register(n_half, ts, trunc, order, ramps):
+    # the gate-level register, decoded after every layer, is the reference
+    # for the encoded run on the spin-path vector
+    assume(trunc >= ts)   # below 2S the sector is empty
+    n, duration, coupling = 2 * n_half, 1.3, 0.9
+    record, basis, layout = trotter_evolve_csf(n, ts, trunc, duration,
+                                               len(ramps), order, coupling,
+                                               ramps=ramps)
+    state = basis_state(layout.n_qubits,
+                        layout.encode_path(initial_path(n, ts)))
+    dt = duration / len(ramps)
+    vectors = [decode_to_path_vector(state, basis, layout)]
+    for ramp in ramps:
+        state = simulate(csf_trotter_step(n, ts, trunc, dt, order, ramp,
+                                          coupling, layout=layout), state)
+        vectors.append(decode_to_path_vector(state, basis, layout))
+    assert np.abs(np.array(vectors) - record.path_vectors).max() < 1e-12
+
+
+def test_leaking_mixing_term_is_refused(monkeypatch):
+    # an uncontrolled flip of the first qubit leaves the physical sector
+    original = circuits.band_terms
+
+    def with_leak(layout, s_x2):
+        leak = BandTerm(1, s_x2, 1.0, (), 0)
+        return original(layout, s_x2) + ([leak] if s_x2 == 0 else [])
+
+    monkeypatch.setattr(circuits, "band_terms", with_leak)
+    with pytest.raises(UnsupportedConfigurationError, match="band term"):
+        trotter_evolve_csf(8, 0, 3, 1.0, 2)
+
+
+@pytest.mark.parametrize("duration, coupling, ramp", [
+    (float("nan"), 1.0, 1.0), (np.inf, 1.0, 1.0), (1.0, float("nan"), 1.0),
+    (1.0, 1.0, float("nan")), (1.0, 1.0, np.inf)])
+def test_non_finite_step_raises(duration, coupling, ramp):
+    for trunc in (1, 3):
+        with pytest.raises(ValueError, match="finite"):
+            trotter_evolve_csf(8, 0, trunc, duration, 2, coupling=coupling,
+                               ramps=[ramp, ramp])
+
+
+def test_register_refused_beyond_cap():
+    # N=24 at truncation 2 runs on its 88 574 paths, but its 30-qubit
+    # register would need 16 GiB
+    basis = enumerate_paths(24, 0, 4)
+    layout = build_layout(24, 0, 4)
+    with pytest.raises(ResourceLimitError):
+        embed_path_vector(np.zeros(len(basis), complex), basis, layout)
 
 
 def test_exact_evolve_agrees_with_richardson_trotter():
