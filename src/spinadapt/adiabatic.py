@@ -5,9 +5,11 @@ reference for 2S=2) as its unique ground state, so switching every higher
 band on linearly, H(t) = H_start + (t/T) H_ramp, interpolates between a
 trivially prepared state and the band-truncated chain Hamiltonian.  The
 Trotterized schedule scales the higher bands' time step by t/T sampled at
-each layer midpoint; the exact reference integrates the same midpoint-sampled
-Hamiltonian piecewise-constantly with enough sub-steps per layer that another
-refinement no longer moves the final state.
+each layer midpoint.  The exact reference integrates the continuous ramp with
+the fourth-order commutator-free Magnus integrator CF4 (Blanes & Moan,
+Appl. Numer. Math. 56, 1519 (2006); Alvermann & Fehske, J. Comput. Phys.
+230, 5930 (2011)), doubling its steps per layer until another doubling moves
+the final state by less than REFINE_TOL in norm.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .sga import HEIGHT_MODE, SparseOperator, band_hamiltonian, \
 from .encode import build_layout
 from .sim import exact_evolve, path_trotter_run, simulate  # noqa: F401
 
-REFINE_START = 16
+REFINE_START = 4
 REFINE_TOL = 1e-8
 REFINE_MAX = 512
 
@@ -97,11 +99,11 @@ class ReferenceRuns:
     """Refined exact evolutions at one duration, shared by the schedules of
     several layer counts (one object per sector, coupling and duration).
 
-    Sub-step j of a run with M sub-steps applies H((j + 1/2)/M) for T/M,
-    whatever the layer count, so (N_L = 10, 32 sub-steps per layer) and
-    (N_L = 20, 16 sub-steps per layer) are one evolution: each M is
-    integrated once.  A run keeps only the states at the layer boundaries of
-    every count in `layer_counts` that divides M.
+    Step j of a run with M CF4 steps applies H((j + 1/6)/M) and then
+    H((j + 5/6)/M), each for T/(2M), whatever the layer count, so
+    (N_L = 10, 8 steps per layer) and (N_L = 20, 4 steps per layer) are one
+    evolution: each M is integrated once.  A run keeps only the states at
+    the layer boundaries of every count in `layer_counts` that divides M.
     """
 
     def __init__(self, layer_counts):
@@ -110,7 +112,7 @@ class ReferenceRuns:
 
     def boundaries(self, schedule: Schedule, refine: int, h_start, h_ramp,
                    start: np.ndarray) -> list[np.ndarray]:
-        """States at the schedule's layer boundaries with `refine` sub-steps
+        """States at the schedule's layer boundaries with `refine` CF4 steps
         per layer."""
         if schedule.n_layers not in self.layer_counts:
             raise ValueError(f"{schedule.n_layers} layers is not one of the "
@@ -120,10 +122,20 @@ class ReferenceRuns:
             keep = {m // n * k for n in self.layer_counts if m % n == 0
                     for k in range(1, n + 1)}
             h = h_start.copy()           # H(lambda), rewritten in place
+            half = schedule.duration / (2 * m)
             psi, states = start, {0: start}
+            # CF4 step j, of length tau = T/m, is exp(-i tau (a1 H(c1) +
+            # a2 H(c2))) applied after exp(-i tau (a2 H(c1) + a1 H(c2))),
+            # with Gauss nodes c1,2 = (j + 1/2 -+ sqrt(3)/6) / m and weights
+            # a1,2 = (3 -+ 2 sqrt(3)) / 12.  a1 + a2 = 1/2 and H is linear in
+            # the ramp, so each factor is H(2(a2 c1 + a1 c2)) = H((j + 1/6)/m)
+            # and then H(2(a1 c1 + a2 c2)) = H((j + 5/6)/m) for tau/2.  The
+            # reversed product is only second order.
             for j in range(m):
-                np.add(h_start.data, (j + 0.5) / m * h_ramp.data, out=h.data)
-                psi = exact_evolve(h, psi, schedule.duration / m)
+                for frac in (1 / 6, 5 / 6):
+                    np.add(h_start.data, (j + frac) / m * h_ramp.data,
+                           out=h.data)
+                    psi = exact_evolve(h, psi, half)
                 if j + 1 in keep:
                     states[j + 1] = psi
             self.runs[m] = states
@@ -133,10 +145,14 @@ class ReferenceRuns:
 
 def _exact_reference(schedule: Schedule, h_start, h_ramp, start: np.ndarray,
                      runs: ReferenceRuns | None = None) -> list[np.ndarray]:
-    """Layer-boundary snapshots of the refined piecewise-constant evolution.
+    """Layer-boundary snapshots of the exact schedule, integrated with CF4.
 
-    Raises ResourceLimitError if REFINE_MAX sub-steps per layer still move
-    the final state by more than REFINE_TOL.
+    Doubles the steps per layer from REFINE_START until the final states
+    psi_K and psi_2K of two successive runs satisfy ||psi_K - psi_2K|| <
+    REFINE_TOL, and returns the finer run; its error is then about
+    ||psi_K - psi_2K|| / 15, the method being fourth order.  Raises
+    ResourceLimitError if the run at REFINE_MAX steps per layer has still
+    not converged.
     """
     if runs is None:
         runs = ReferenceRuns([schedule.n_layers])
@@ -146,12 +162,12 @@ def _exact_reference(schedule: Schedule, h_start, h_ramp, start: np.ndarray,
         states = runs.boundaries(schedule, refine, h_start, h_ramp, start)
         psi = states[-1]
         if prev_final is not None and \
-                abs(abs(np.vdot(prev_final, psi)) - 1.0) < REFINE_TOL:
+                np.linalg.norm(psi - prev_final) < REFINE_TOL:
             return states
         if refine >= REFINE_MAX:
             raise ResourceLimitError(
                 f"exact schedule reference not converged to {REFINE_TOL:g} "
-                f"at {refine} sub-steps per layer")
+                f"at {refine} steps per layer")
         prev_final = psi
         refine *= 2
 
@@ -199,7 +215,7 @@ def target_ground_truth(schedule: Schedule, n_sites: int,
 
 
 def sweep(n_sites: int, total_spin_x2: int, trunc_x2: int,
-          durations, layer_counts, order: int = 2,
+          durations, layer_counts, order: int = Schedule.order,
           coupling: float = 1.0) -> list[dict]:
     """Final energy and fidelity over a (duration, layers) grid; the layer
     counts of one duration share their exact reference runs."""

@@ -87,6 +87,13 @@ def _refuse_trunc_on_sz(args) -> None:
             "untruncated chain")
 
 
+def _refuse_order_on_scalar_step(args, trunc_x2: int) -> None:
+    if trunc_x2 == 1 and args.order is not None:
+        raise InvalidQuantumNumbersError(
+            "--order has no effect at --trunc 0.5: the sector has one spin "
+            "path and its Trotter step is one exact phase")
+
+
 def _basis_for(args):
     trunc = _trunc_x2(args)
     if trunc is None:
@@ -176,27 +183,30 @@ def cmd_evolve(args, parser) -> int:
 
 def cmd_adiabatic(args, parser) -> int:
     trunc = _require_finite_trunc(args, "adiabatic schedules")
+    order = adiabatic.Schedule.order if args.order is None else args.order
     if args.sweep:
         if args.duration is not None or args.layers is not None:
             raise InvalidQuantumNumbersError(
                 "--sweep runs its own grid of durations and layer counts; "
                 "drop --duration and --layers")
         rows = adiabatic.sweep(args.sites, args.total_spin_x2, trunc,
-                               SWEEP_DURATIONS, SWEEP_LAYERS,
-                               args.order, args.coupling)
+                               SWEEP_DURATIONS, SWEEP_LAYERS, order,
+                               args.coupling)
         _write(adiabatic.sweep_csv(rows), args.out)
     else:
+        _refuse_order_on_scalar_step(args, trunc)
         sched = adiabatic.Schedule(
             args.total_spin_x2, trunc,
             ADIABATIC_DURATION if args.duration is None else args.duration,
-            ADIABATIC_LAYERS if args.layers is None else args.layers,
-            args.order)
+            ADIABATIC_LAYERS if args.layers is None else args.layers, order)
         res = adiabatic.run_schedule(sched, args.sites, args.coupling)
         _write(res.to_csv(), args.out)
     return EXIT_OK
 
 
 def cmd_circuit(args, parser) -> int:
+    # an unset --order leaves the step builders' own default
+    order = {} if args.order is None else {"order": args.order}
     if args.basis == "sz":
         _refuse_trunc_on_sz(args)
         if args.total_spin_x2:
@@ -204,12 +214,13 @@ def cmd_circuit(args, parser) -> int:
                 "--total-spin applies to --basis csf circuits only; the "
                 "computational-basis step is the same in every sector")
         circ = circuits.sz_trotter_step(args.sites, args.duration,
-                                        args.order, args.coupling)
+                                        coupling=args.coupling, **order)
     else:
         trunc = _require_finite_trunc(args, "csf circuits")
+        _refuse_order_on_scalar_step(args, trunc)
         circ = circuits.csf_trotter_step(args.sites, args.total_spin_x2,
-                                         trunc, args.duration, args.order,
-                                         coupling=args.coupling)
+                                         trunc, args.duration,
+                                         coupling=args.coupling, **order)
     text = circuits.export_qasm(circ) if args.format == "qasm" \
         else circuits.export_gatelist(circ)
     _write(text, args.out)
@@ -260,7 +271,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("adiabatic", help="adiabatic schedule or sweep CSV")
     common(p)
-    p.add_argument("--order", type=int, choices=[1, 2], default=2)
+    # --order defaults to None so that an explicit one can be refused where
+    # it changes nothing (--trunc 0.5)
+    p.add_argument("--order", type=int, choices=[1, 2], default=None,
+                   help=f"Trotter order (default {adiabatic.Schedule.order})")
     p.add_argument("--duration", type=POSITIVE, default=None,
                    help=f"ramp duration T (default {ADIABATIC_DURATION:g})")
     p.add_argument("--layers", type=POSITIVE_COUNT, default=None,
@@ -273,7 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("circuit", help="export one Trotter step as gates")
     common(p)
     p.add_argument("--basis", choices=["sz", "csf"], default="csf")
-    p.add_argument("--order", type=int, choices=[1, 2], default=1)
+    p.add_argument("--order", type=int, choices=[1, 2], default=None,
+                   help="Trotter order of the exported step")
     p.add_argument("--duration", type=FINITE, default=0.1,
                    help="time step dt of the exported layer")
     p.add_argument("--format", choices=["gates", "qasm"], default="gates")

@@ -14,7 +14,7 @@ from scipy.linalg import expm
 
 from spinadapt import (build_hamiltonian, cardinality, encode_hamiltonian,
                        enumerate_paths, qubit_count, singlet_pair_path)
-from spinadapt.adiabatic import Schedule, run_schedule
+from spinadapt.adiabatic import sweep
 from spinadapt.circuits import csf_trotter_step, export_gatelist, \
     parse_gatelist, sz_trotter_step
 from spinadapt.encode import PauliString, PauliSum, _expand_term, band_terms
@@ -49,32 +49,25 @@ def fig8_runs():
     return sz_record, csf_records
 
 
+def _fidelity_grid(rows):
+    return {(row["duration"], row["n_layers"]): row["final_fidelity"]
+            for row in rows}
+
+
+# The layer counts of one duration share one exact reference (sweep).
 @pytest.fixture(scope="module")
 def singlet_sweeps():
-    grids = {}
-    for trunc in (2, 3):
-        grid = {}
-        for duration in DURATIONS:
-            for layers in LAYERS:
-                res = run_schedule(Schedule(0, trunc, duration, layers, 2), 16)
-                grid[(duration, layers)] = res.final_fidelity
-        grids[trunc] = grid
-    return grids
+    return {trunc: _fidelity_grid(sweep(16, 0, trunc, DURATIONS, LAYERS, 2))
+            for trunc in (2, 3)}
 
 
 @pytest.fixture(scope="module")
 def triplet_sweeps():
-    grids = {}
-    for trunc in (2, 3):
-        grid = {}
-        for duration in DURATIONS:
-            grid[(duration, 40)] = run_schedule(
-                Schedule(2, trunc, duration, 40, 2), 16).final_fidelity
-        for layers in LAYERS[:-1]:
-            grid[(20.0, layers)] = run_schedule(
-                Schedule(2, trunc, 20.0, layers, 2), 16).final_fidelity
-        grids[trunc] = grid
-    return grids
+    # T = 20 over every layer count, N_L = 40 over the shorter durations
+    return {trunc: _fidelity_grid(
+                sweep(16, 2, trunc, [20.0], LAYERS, 2)
+                + sweep(16, 2, trunc, DURATIONS[:-1], [40], 2))
+            for trunc in (2, 3)}
 
 
 # --- criteria ---

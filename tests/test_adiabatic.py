@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.integrate import solve_ivp
 
 from spinadapt import adiabatic
 from spinadapt.adiabatic import (Schedule, initial_path, run_schedule,
@@ -74,7 +75,7 @@ def test_fidelity_improves_with_layers_small():
 
 
 def test_sweep_rows_and_csv():
-    # 4 x 32 and 8 x 16 sub-steps (8 x 32 and 16 x 16) are one shared
+    # 4 x 8, 8 x 4 (and 4 x 16, 8 x 8, 16 x 4) CF4 steps are one shared
     # reference run; each row must equal its schedule run on its own
     rows = sweep(8, 0, 2, [2.0, 4.0], [4, 8, 16], order=2)
     assert len(rows) == 6
@@ -88,6 +89,50 @@ def test_sweep_rows_and_csv():
     assert lines[0] == "trunc,T,n_layers,order,final_energy,final_fidelity"
     assert len(lines) == 7
     assert lines[1].startswith("1,2")
+
+
+def _reference_inputs(sched, n_sites):
+    basis = enumerate_paths(n_sites, sched.total_spin_x2, sched.trunc_x2)
+    h_start, h_ramp = schedule_hamiltonians(basis)
+    start = np.zeros(len(basis), dtype=complex)
+    start[basis.position(initial_path(n_sites, sched.total_spin_x2))] = 1.0
+    return h_start, h_ramp, start
+
+
+def test_reference_is_fourth_order():
+    # the reversed CF4 product is second order: its error falls 4x per doubling
+    sched = Schedule(0, 3, 4.0, 1)
+    inputs = _reference_inputs(sched, 8)
+    runs = adiabatic.ReferenceRuns([1])
+    fine = runs.boundaries(sched, 256, *inputs)[-1]
+    errors = [np.linalg.norm(runs.boundaries(sched, m, *inputs)[-1] - fine)
+              for m in (4, 8, 16)]
+    assert errors[0] / errors[1] >= 12 and errors[1] / errors[2] >= 12
+
+
+def test_reference_within_tolerance_of_finer_run():
+    sched = Schedule(0, 3, 20.0, 10)
+    inputs = _reference_inputs(sched, 8)
+    runs = adiabatic.ReferenceRuns([10])
+    refs = adiabatic._exact_reference(sched, *inputs, runs)
+    # the accepted run is the one on the doubling ladder that refs came from
+    ladder = [adiabatic.REFINE_START * 2 ** k for k in range(8)]
+    refine = next(r for r in ladder if np.array_equal(
+        runs.boundaries(sched, r, *inputs)[-1], refs[-1]))
+    finer = runs.boundaries(sched, 8 * refine, *inputs)
+    for ref, state in zip(refs, finer):
+        assert np.linalg.norm(ref - state) < adiabatic.REFINE_TOL
+
+
+def test_reference_matches_independent_ode_solver():
+    # the continuous ramp integrated by an explicit Runge-Kutta method
+    sched = Schedule(0, 3, 20.0, 4)
+    h_start, h_ramp, start = _reference_inputs(sched, 8)
+    final = adiabatic._exact_reference(sched, h_start, h_ramp, start)[-1]
+    sol = solve_ivp(lambda t, y: -1j * ((h_start + t / 20.0 * h_ramp) @ y),
+                    (0.0, 20.0), start, method="DOP853", rtol=1e-13,
+                    atol=1e-13)
+    assert np.linalg.norm(final - sol.y[:, -1]) < adiabatic.REFINE_TOL
 
 
 def test_schedule_hamiltonians_share_one_pattern():

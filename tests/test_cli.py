@@ -155,6 +155,10 @@ def test_exit_code_invalid_config(capsys):
     ["ham", "--sites", "8", "--trunc", "1", "--format", "pauli", "--mode",
      "height"],
     ["basis", "--sites", "8", "--coupling", "7"],
+    ["circuit", "--sites", "8", "--trunc", "0.5", "--order", "1"],
+    ["circuit", "--sites", "8", "--trunc", "0.5", "--order", "2"],
+    ["adiabatic", "--sites", "8", "--trunc", "0.5", "--duration", "2",
+     "--layers", "4", "--order", "2"],
 ])
 def test_refused_configuration_prints_error(argv, capsys):
     code = main(argv)
