@@ -157,8 +157,8 @@ def cmd_diag(args, parser) -> int:
             continue   # the default ladder starts where the sector has paths
         basis = enumerate_paths(args.sites, args.total_spin_x2, trunc)
         k = min(2, len(basis))
-        vals = sga.ground_energy_matrix_free(basis, args.mode, args.coupling,
-                                             n_values=k)
+        vals, _ = sga.ground_state(
+            sga.build_hamiltonian(basis, args.mode, args.coupling), n_values=k)
         gap = vals[1] - vals[0] if k == 2 else 0.0
         lines.append(f"{label},{args.mode},{len(basis)},"
                      f"{vals[0]:.17g},{gap:.17g}")

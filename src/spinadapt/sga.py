@@ -266,7 +266,13 @@ def build_hamiltonian(basis: CsfBasis, mode: str = HEIGHT_MODE,
 
 def apply_hamiltonian(basis: CsfBasis, mode: str, vector: np.ndarray,
                       coupling: float = 1.0) -> np.ndarray:
-    """Matrix-free product with build_hamiltonian(basis, mode)'s matrix."""
+    """Matrix-free product with build_hamiltonian(basis, mode)'s matrix.
+
+    Cross-check route only: it re-derives every rule entry on each call, so
+    it stores as many entries as the assembled matrix.  Every
+    diagonalization runs on that matrix; the tests check this product
+    against it.
+    """
     rows, cols, vals = _hamiltonian_entries(basis, mode)
     out = np.zeros_like(vector, dtype=np.result_type(vector, float))
     np.add.at(out, rows, (coupling / 2) * vals * vector[cols])
@@ -290,7 +296,11 @@ def ground_state(op: SparseOperator, n_values: int = 1):
 
 def ground_energy_matrix_free(basis: CsfBasis, mode: str,
                               coupling: float = 1.0, n_values: int = 1):
-    """Lanczos on the rule-application operator, no matrix materialized."""
+    """Lanczos on apply_hamiltonian, no matrix materialized.
+
+    Cross-check route only: ground_state(build_hamiltonian(...)) is the
+    eigensolve every caller uses, and the tests check that both agree.
+    """
     dim = len(basis)
     if dim <= max(2 * n_values + 2, 64):
         mat = np.column_stack([

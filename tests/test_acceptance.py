@@ -19,8 +19,7 @@ from spinadapt.circuits import csf_trotter_step, export_gatelist, \
     parse_gatelist, sz_trotter_step
 from spinadapt.encode import PauliString, PauliSum, _expand_term, band_terms
 from spinadapt.oracle import (oracle_operator_matrix, sz_hamiltonian_matrix)
-from spinadapt.sga import (band_coefficients, ground_energy_matrix_free,
-                           ground_state, permutation_matrix)
+from spinadapt.sga import band_coefficients, ground_state, permutation_matrix
 from spinadapt.sim import circuit_unitary, trotter_evolve_csf, trotter_evolve_sz
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -109,15 +108,15 @@ def test_criterion_2_oracle_equivalence():
 def test_criterion_3_variational_hierarchy():
     start = time.perf_counter()
     full = enumerate_paths(16, 0)
-    e_exact = float(ground_energy_matrix_free(full, "height")[0])
+    e_exact = float(ground_state(build_hamiltonian(full, "height"))[0][0])
     heights = []
     for trunc in (1, 2, 3, 4):
         basis = enumerate_paths(16, 0, trunc)
-        heights.append(float(ground_energy_matrix_free(basis, "height")[0]))
+        heights.append(float(ground_state(build_hamiltonian(basis, "height"))[0][0]))
     assert all(a > b for a, b in zip(heights, heights[1:]))
     assert heights[-1] - e_exact < 1e-6
-    band32 = float(ground_energy_matrix_free(
-        enumerate_paths(16, 0, 3), "band")[0])
+    band32 = float(ground_state(build_hamiltonian(
+        enumerate_paths(16, 0, 3), "band"))[0][0])
     gap = abs(band32 - e_exact)
     assert gap <= 5e-5
     elapsed = time.perf_counter() - start

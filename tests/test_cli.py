@@ -1,5 +1,7 @@
 import pytest
-from spinadapt.cli import main
+from spinadapt import sga
+from spinadapt.basis import enumerate_paths
+from spinadapt.cli import TRUNC_CHOICES, main
 
 
 def run(argv, capsys):
@@ -66,6 +68,31 @@ def test_diag_ladder_starts_at_total_spin(capsys):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error:")
+
+
+@pytest.mark.parametrize("mode", ["height", "band"])
+def test_diag_diagonalizes_assembled_matrix(mode, capsys, monkeypatch):
+    expected = {}
+    for label, trunc in TRUNC_CHOICES.items():
+        basis = enumerate_paths(12, 0, trunc)
+        k = min(2, len(basis))
+        vals = sga.ground_energy_matrix_free(basis, mode, n_values=k)
+        expected[label] = (vals[0], vals[1] - vals[0] if k == 2 else 0.0)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("diag must not use the matrix-free route")
+
+    monkeypatch.setattr(sga, "apply_hamiltonian", refuse)
+    monkeypatch.setattr(sga, "ground_energy_matrix_free", refuse)
+    code, out = run(["diag", "--sites", "12", "--mode", mode], capsys)
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert lines[0] == "trunc,mode,dim,ground_energy,gap"
+    assert [line.split(",")[0] for line in lines[1:]] == list(expected)
+    for line in lines[1:]:
+        label, _, _, energy, gap = line.split(",")
+        assert abs(float(energy) - expected[label][0]) < 1e-12
+        assert abs(float(gap) - expected[label][1]) < 1e-12
 
 
 def test_diag_band_vs_height_differ(capsys):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spinadapt import (SpinPath, apply_elementary_permutation, apply_hamiltonian,
@@ -152,8 +152,8 @@ def test_variational_hierarchy_and_band_convergence():
     heights, bands = [], []
     for trunc in (1, 2, 3, 4):
         basis = enumerate_paths(16, 0, trunc)
-        heights.append(ground_energy_matrix_free(basis, "height")[0])
-        bands.append(ground_energy_matrix_free(basis, "band")[0])
+        heights.append(ground_state(build_hamiltonian(basis, "height"))[0][0])
+        bands.append(ground_state(build_hamiltonian(basis, "band"))[0][0])
     assert all(a > b for a, b in zip(heights, heights[1:]))
     assert all(e >= e_exact - 1e-9 for e in heights)
     band_err = [abs(e - e_exact) for e in bands]
@@ -188,6 +188,20 @@ def test_matrix_free_apply_matches_matrix(n_half, ts, trunc):
             assert np.abs(apply_hamiltonian(basis, mode, e) - mat[:, k]).max() < 1e-12
         zero = apply_hamiltonian(basis, mode, np.zeros(dim))
         assert np.abs(zero).max(initial=0.0) == 0.0
+
+
+@given(*SECTORS)
+@example(6, 0, 12)   # dim 132: the Lanczos branch, not the dense fallback
+@settings(max_examples=40, deadline=None)
+def test_matrix_free_eigensolve_matches_assembled(n_half, ts, trunc):
+    basis = enumerate_paths(2 * n_half, ts, trunc)
+    k = min(2, len(basis))
+    if k == 0:
+        return
+    for mode in ("height", "band"):
+        free = ground_energy_matrix_free(basis, mode, n_values=k)
+        assembled = ground_state(build_hamiltonian(basis, mode), k)[0]
+        assert np.abs(free - assembled).max() < 1e-10
 
 
 def test_rayleigh_quotient_singlet_pairs():
