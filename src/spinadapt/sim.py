@@ -13,7 +13,8 @@ Amplitude indexing: qubit 0 is the most significant bit, so reshaping to
 [2]*n puts qubit q on axis q.  All gate kernels preserve the norm to float
 round-off.  Exact propagation applies the matrix exponential to a vector
 with an in-package truncated Taylor series (Al-Mohy & Higham, SIAM J. Sci.
-Comput. 33, 488 (2011)) at every dimension, without forming the exponential.
+Comput. 33, 488 (2011)) at every dimension, without forming the exponential;
+given a slope, the same series integrates a Hamiltonian linear in time.
 """
 
 from __future__ import annotations
@@ -184,40 +185,69 @@ def _trace_and_norm1(mat) -> tuple[complex, float]:
     return mat.diagonal().sum(), float(col_sums.max(initial=0.0))
 
 
-def exact_evolve(hamiltonian, amplitudes: np.ndarray, duration: float) -> np.ndarray:
-    """exp(-i T H) applied to a vector without forming the exponential; H is
-    a SparseOperator, a scipy sparse matrix or a dense array.
+def exact_evolve(hamiltonian, amplitudes: np.ndarray, duration: float,
+                 slope=None) -> np.ndarray:
+    """Solve i psi' = (H + t slope) psi on [0, T] without forming an
+    exponential: exp(-i T H) psi when slope is None.  H and slope are each a
+    SparseOperator, a scipy sparse matrix or a dense array.
 
     Truncated Taylor series with scaling (Al-Mohy & Higham 2011, Algorithm
-    3.2) on H shifted by mu = tr(H)/n.  The degree m and the number s of
-    steps minimise m*s subject to |T| (||H||_1 + |mu|) / s <= theta_m, where
-    the left side bounds the 1-norm of one shifted step; a step stops adding
-    terms once two successive terms are below the tolerance.
+    3.2) on H shifted by mu = tr(H)/n and slope shifted by nu =
+    tr(slope)/n.  On a step of length h from t_a the series of the linear
+    ramp has the two-term recursion (Jorba & Zou, Exp. Math. 14, 99 (2005))
+    d_0 = psi, d_j = (-i h / j) [(H + t_a slope - mu_a) d_{j-1}
+    + h (slope - nu) d_{j-2}] with mu_a = mu + t_a nu, and the step ends
+    with the phase exp(-i (mu_a h + nu h^2 / 2)); each term costs one
+    product with H and, on a ramp, one with slope.  The number s of steps
+    minimises m*s subject to b_m / s <= theta_m, where, with beta =
+    ||slope||_1 + |nu|, b_m = |T| (||H||_1 + |mu|) + T^2 beta + |T| sqrt(m
+    beta).  The first two terms bound the 1-norm of the shifted generator
+    on any step; the last keeps ||d_j|| below (b_m / s)^j / j! up to degree
+    m + 1 although the slope's part of the series decays only like that of
+    exp(beta h^2 tau^2 / 2).  A step stops adding terms once two successive
+    terms are below the tolerance; a series that has not met that test by
+    the largest tabulated degree raises ResourceLimitError.
     """
-    mat = hamiltonian.matrix if isinstance(hamiltonian, SparseOperator) \
-        else hamiltonian
+    mat, slope = (op.matrix if isinstance(op, SparseOperator) else op
+                  for op in (hamiltonian, slope))
     psi = amplitudes.astype(complex)
     if duration == 0.0:
         return psi
     trace, norm1 = _trace_and_norm1(mat)
-    mu = trace / mat.shape[0]
+    mu, nu = trace / mat.shape[0], 0.0
     bound = abs(duration) * (norm1 + abs(mu))
+    if slope is not None:
+        trace, norm1 = _trace_and_norm1(slope)
+        nu = trace / mat.shape[0]
+        norm1 += abs(nu)
+        bound = bound + abs(duration) * (abs(duration) * norm1
+                                         + np.sqrt(_DEGREES * norm1))
     steps = np.maximum(1.0, np.ceil(bound / _THETAS))
-    best = int(np.argmin(_DEGREES * steps))
-    m, s = int(_DEGREES[best]), int(steps[best])
+    s = int(steps[np.argmin(_DEGREES * steps)])
+    h = duration / s
     step = -1j * duration / s
-    eta = np.exp(step * mu)
-    for _ in range(s):
-        term = psi
+    for i in range(s):
+        t_a = i * h
+        mu_a = mu + t_a * nu
+        term, corr = psi, 0.0
         c1 = np.abs(term).max()
-        for j in range(1, m + 1):
-            term = (step / j) * (mat @ term - mu * term)
+        for j in range(1, _DEGREES[-1] + 1):
+            shifted = mat @ term - mu_a * term
+            if slope is not None:
+                ramp = slope @ term
+                shifted = shifted + t_a * ramp + corr
+                corr = h * (ramp - nu * term)
+            term = (step / j) * shifted
             c2 = np.abs(term).max()
             psi = psi + term
             if c1 + c2 <= _TAYLOR_TOL * np.abs(psi).max():
                 break
             c1 = c2
-        psi = eta * psi
+        else:
+            raise ResourceLimitError(
+                f"Taylor series not converged to {_TAYLOR_TOL:g} in "
+                f"{_DEGREES[-1]} terms")
+        psi = np.exp(step * (mu_a + nu * h / 2)) * psi
     return psi
 
 

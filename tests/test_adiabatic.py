@@ -1,15 +1,18 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.integrate import solve_ivp
 
-from spinadapt import adiabatic
+from spinadapt import adiabatic, sim
 from spinadapt.adiabatic import (Schedule, initial_path, run_schedule,
                                  schedule_hamiltonians, sweep, sweep_csv,
                                  target_ground_truth)
 from spinadapt.basis import (enumerate_paths, singlet_pair_path,
                              triplet_reference_path)
 from spinadapt.sga import build_hamiltonian
+from spinadapt.sim import exact_evolve
 from spinadapt.cli import main
 from spinadapt.errors import ResourceLimitError
 
@@ -75,8 +78,8 @@ def test_fidelity_improves_with_layers_small():
 
 
 def test_sweep_rows_and_csv():
-    # 4 x 8, 8 x 4 (and 4 x 16, 8 x 8, 16 x 4) CF4 steps are one shared
-    # reference run; each row must equal its schedule run on its own
+    # the layer counts of one duration share one reference run; each row
+    # must equal its schedule run on its own
     rows = sweep(8, 0, 2, [2.0, 4.0], [4, 8, 16], order=2)
     assert len(rows) == 6
     for row in rows:
@@ -99,29 +102,39 @@ def _reference_inputs(sched, n_sites):
     return h_start, h_ramp, start
 
 
-def test_reference_is_fourth_order():
-    # the reversed CF4 product is second order: its error falls 4x per doubling
-    sched = Schedule(0, 3, 4.0, 1)
-    inputs = _reference_inputs(sched, 8)
-    runs = adiabatic.ReferenceRuns([1])
-    fine = runs.boundaries(sched, 256, *inputs)[-1]
-    errors = [np.linalg.norm(runs.boundaries(sched, m, *inputs)[-1] - fine)
-              for m in (4, 8, 16)]
-    assert errors[0] / errors[1] >= 12 and errors[1] / errors[2] >= 12
-
-
 def test_reference_within_tolerance_of_finer_run():
     sched = Schedule(0, 3, 20.0, 10)
     inputs = _reference_inputs(sched, 8)
-    runs = adiabatic.ReferenceRuns([10])
-    refs = adiabatic._exact_reference(sched, *inputs, runs)
-    # the accepted run is the one on the doubling ladder that refs came from
-    ladder = [adiabatic.REFINE_START * 2 ** k for k in range(8)]
-    refine = next(r for r in ladder if np.array_equal(
-        runs.boundaries(sched, r, *inputs)[-1], refs[-1]))
-    finer = runs.boundaries(sched, 8 * refine, *inputs)
-    for ref, state in zip(refs, finer):
-        assert np.linalg.norm(ref - state) < adiabatic.REFINE_TOL
+    refs = adiabatic._exact_reference(sched, *inputs)
+    # the same ramp through 4x finer intervals, and through the union of
+    # the boundaries of 10, 20, 30 and 40 layers
+    finer = adiabatic.ReferenceRuns([40]).boundaries(
+        replace(sched, n_layers=40), *inputs)
+    mixed = adiabatic.ReferenceRuns([10, 20, 30, 40]).boundaries(
+        sched, *inputs)
+    for k, ref in enumerate(refs):
+        assert np.linalg.norm(ref - finer[4 * k]) < 1e-12
+        assert np.linalg.norm(ref - mixed[k]) < 1e-12
+
+
+def test_sweep_integrates_each_boundary_interval_once(monkeypatch):
+    calls = []
+
+    def counted(hamiltonian, amplitudes, duration, slope=None):
+        calls.append(duration)
+        return exact_evolve(hamiltonian, amplitudes, duration, slope)
+
+    monkeypatch.setattr(adiabatic, "exact_evolve", counted)
+    durations, counts = [2.0, 4.0], [10, 20, 30, 40]
+    sweep(8, 0, 3, durations, counts, order=2)
+    # the boundaries k/n of every count, as multiples of 1/120
+    grid = sorted({120 // n * k for n in counts for k in range(n + 1)})
+    steps = np.diff(grid) / 120
+    assert len(steps) == 60
+    assert len(calls) == len(durations) * len(steps)
+    for k, duration in enumerate(durations):
+        got = calls[k * len(steps):(k + 1) * len(steps)]
+        assert np.allclose(got, duration * steps, rtol=1e-15, atol=0)
 
 
 def test_reference_matches_independent_ode_solver():
@@ -132,7 +145,7 @@ def test_reference_matches_independent_ode_solver():
     sol = solve_ivp(lambda t, y: -1j * ((h_start + t / 20.0 * h_ramp) @ y),
                     (0.0, 20.0), start, method="DOP853", rtol=1e-13,
                     atol=1e-13)
-    assert np.linalg.norm(final - sol.y[:, -1]) < adiabatic.REFINE_TOL
+    assert np.linalg.norm(final - sol.y[:, -1]) < 1e-10
 
 
 def test_schedule_hamiltonians_share_one_pattern():
@@ -159,7 +172,8 @@ def test_trajectory_csv():
 
 
 def test_unconverged_reference_raises(monkeypatch):
-    monkeypatch.setattr(adiabatic, "REFINE_MAX", adiabatic.REFINE_START)
+    # no series meets a zero tolerance
+    monkeypatch.setattr(sim, "_TAYLOR_TOL", 0.0)
     with pytest.raises(ResourceLimitError):
         run_schedule(Schedule(0, 2, 2.0, 4, order=2), 8)
     with pytest.raises(ResourceLimitError):

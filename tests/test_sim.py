@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from spinadapt import (ResourceLimitError, UnsupportedConfigurationError,
@@ -114,6 +115,31 @@ def test_exact_evolve_matches_dense_exponential(n_half, ts, trunc, mode,
     vec /= np.linalg.norm(vec)
     expected = scipy.linalg.expm(-1j * duration * ham.toarray()) @ vec
     assert np.abs(exact_evolve(ham, vec, duration) - expected).max() < 1e-12
+
+
+# diagonal H and slope commute, so the ramp's propagator is the phase
+# exp(-i (a T + b T^2 / 2)) per row; durations reach T^2 ||slope||_1 = 200.
+# (3, 1.5, 0) needs the slope's sqrt(m beta) term in the step bound: one
+# step without it leaves terms of 1e-16 at degree 55
+@given(st.integers(min_value=1, max_value=12),
+       st.floats(min_value=0.0, max_value=10.0), st.integers(0, 2**32 - 1))
+@example(12, 10.0, 0)
+@example(3, 1.5, 0)
+@example(5, 5e-324, 0)
+@settings(max_examples=40, deadline=None)
+def test_ramp_propagator_matches_closed_form(dim, duration, seed):
+    rng = np.random.default_rng(seed)
+    a, b = rng.uniform(-2.0, 2.0, size=(2, dim))
+    vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    vec /= np.linalg.norm(vec)
+    out = exact_evolve(sp.diags(a), vec, duration, slope=sp.diags(b))
+    expected = np.exp(-1j * (a * duration + b * duration ** 2 / 2)) * vec
+    assert np.abs(out - expected).max() < 1e-12
+    # a zero slope is the constant Hamiltonian
+    ham = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    ham = (ham + ham.conj().T) / 2
+    still = exact_evolve(ham, vec, duration, slope=np.zeros((dim, dim)))
+    assert np.abs(still - exact_evolve(ham, vec, duration)).max() < 1e-14
 
 
 def test_exact_evolve_accepts_operator_types():
