@@ -104,19 +104,30 @@ def sublayers(order: int) -> tuple[tuple[int, float], ...]:
         ((0, 0.5), (1, 1.0), (0, 0.5))
 
 
-def sz_trotter_step(n_sites: int, dt: float, order: int = 1,
-                    coupling: float = 1.0) -> Circuit:
-    """One Trotter step for the chain in the computational basis.
+def sz_bond_layers(n_sites: int, dt: float, order: int = 1,
+                   coupling: float = 1.0) -> list[tuple[range, float]]:
+    """The bonds of one computational-basis Trotter step, in the order it
+    applies them: [(first qubits q of the bonds (q, q+1), theta), ...], one
+    entry per sub-layer, each bond rotated by exp(-i theta (XX+YY+ZZ)).
 
     Bonds split into the layer containing (1,2) and the layer containing
     (2,3); order 2 symmetrizes by halving the first layer around the second.
     Bond angle theta = J*dt/4 because each bond operator is J(XX+YY+ZZ)/4.
+    This is the one definition of that order: sz_trotter_step emits it as
+    gates and sim.sz_trotter_layer applies it to the register.
     """
+    return [(range(parity, n_sites - 1, 2), coupling * (fraction * dt) / 4)
+            for parity, fraction in sublayers(order)]
+
+
+def sz_trotter_step(n_sites: int, dt: float, order: int = 1,
+                    coupling: float = 1.0) -> Circuit:
+    """One Trotter step for the chain in the computational basis: each bond
+    of sz_bond_layers as a three-CX heisenberg_bond_block."""
     gates: list[Gate] = []
-    for parity, fraction in sublayers(order):
-        theta = coupling * (fraction * dt) / 4
-        for p in range(1 + parity, n_sites, 2):
-            gates.extend(heisenberg_bond_block(p - 1, p, theta))
+    for qubits, theta in sz_bond_layers(n_sites, dt, order, coupling):
+        for q in qubits:
+            gates.extend(heisenberg_bond_block(q, q + 1, theta))
     return Circuit(n_sites, tuple(gates),
                    {"basis": "sz", "dt": dt, "order": order})
 

@@ -4,9 +4,11 @@ Every spin path can be expanded over the 2^N tensor-product basis by coupling
 one spin-1/2 at a time with standard Condon-Shortley Clebsch-Gordan factors.
 This scales exponentially and exists to validate the permutation-rule
 machinery on small chains.  The computational-basis operators
-apply_permutation, apply_total_s2 and apply_total_sz are also the observables
-of the computational-basis Trotter run (`evolve --basis sz`, and the bond-error
-reference of the encoded `evolve`).
+apply_permutation (an axis swap of the amplitudes), apply_total_s2 and
+apply_total_sz are also the observables of the computational-basis Trotter
+run (`evolve --basis sz`, and the bond-error reference of the encoded
+`evolve`), which sim.sz_trotter_layer evolves without gates; the gate
+simulator is its cross-check there, as for the encoded runs.
 
 Bit convention: bit i holds site i (1-based site i+1), site 0 is the most
 significant bit of the amplitude index; alpha=0, beta=1.
@@ -84,13 +86,11 @@ def _bit(idx: np.ndarray, n: int, site: int) -> np.ndarray:
 
 
 def apply_permutation(amplitudes: np.ndarray, n_sites: int, i: int, j: int) -> np.ndarray:
-    """Transposition pi_{i,j} of sites i and j (1-based)."""
-    si, sj = i - 1, j - 1
-    idx = np.arange(amplitudes.size)
-    bi, bj = _bit(idx, n_sites, si), _bit(idx, n_sites, sj)
-    diff = bi ^ bj
-    swapped = idx ^ ((diff << (n_sites - 1 - si)) | (diff << (n_sites - 1 - sj)))
-    return amplitudes[swapped]
+    """Transposition pi_{i,j} of sites i and j (1-based): with site s on axis
+    s of the amplitudes reshaped to [2]*N, the swap of axes i-1 and j-1, as a
+    new flat array."""
+    grid = amplitudes.reshape((2,) * n_sites)
+    return np.swapaxes(grid, i - 1, j - 1).reshape(-1)
 
 
 def apply_heisenberg(amplitudes: np.ndarray, n_sites: int,

@@ -4,13 +4,16 @@ Encoded runs (trotter_evolve_csf, trotter_comparison_csf and the adiabatic
 schedules) evolve the spin-path vector itself: PathStep compiles the encoded
 Trotter step, term by term in the order csf_trotter_step emits it, into
 phases and 2x2 rotations on the basis rows, so no 2^q register is built.
-The gate-level statevector simulator (simulate, circuit_unitary) runs the
-computational-basis reference of `evolve --basis sz` and is the reference
-the tests check the path-basis step against; emitted encoded circuits serve
-export, the golden files and gate counts.
+The computational-basis run (trotter_evolve_sz: `evolve --basis sz` and the
+bond-error column of the encoded `evolve`) runs no gates either:
+sz_trotter_layer applies each bond of the step, in the order
+sz_trotter_step emits it, as one update on two slices of the register.
+The gate-level statevector simulator (simulate, circuit_unitary) is the
+cross-check of both kernels in the tests and runs the emitted circuits that
+serve export, the golden files and gate counts.
 
 Amplitude indexing: qubit 0 is the most significant bit, so reshaping to
-[2]*n puts qubit q on axis q.  All gate kernels preserve the norm to float
+[2]*n puts qubit q on axis q.  All kernels preserve the norm to float
 round-off.  Exact propagation applies the matrix exponential to a vector
 with an in-package truncated Taylor series (Al-Mohy & Higham, SIAM J. Sci.
 Comput. 33, 488 (2011)) at every dimension, without forming the exponential;
@@ -29,7 +32,7 @@ import scipy.sparse as sp
 from . import oracle
 from .basis import CsfBasis, enumerate_paths, initial_path
 from .circuits import (Circuit, band_angle, band_layers, identity_shift_angle,
-                       scalar_energy, sublayers, sz_trotter_step)
+                       scalar_energy, sublayers, sz_bond_layers)
 from .encode import QubitLayout, build_layout
 from .errors import (InvalidQuantumNumbersError, ResourceLimitError,
                      UnsupportedConfigurationError)
@@ -61,8 +64,21 @@ def basis_state(n_qubits: int, bits: int) -> StateVector:
     return StateVector(n_qubits, amps)
 
 
+REGISTER_MAX_QUBITS = 26    # 2^26 amplitudes, 1 GiB
+
+
+def _refuse_register(n_qubits: int) -> None:
+    """Refuse a 2^n_qubits register above REGISTER_MAX_QUBITS, before any
+    allocation."""
+    if n_qubits > REGISTER_MAX_QUBITS:
+        raise ResourceLimitError(
+            f"a {n_qubits}-qubit register is refused above "
+            f"{REGISTER_MAX_QUBITS} qubits")
+
+
 def singlet_pair_state_sz(n_sites: int) -> StateVector:
     """Product of nearest-neighbor singlets in the computational basis."""
+    _refuse_register(n_sites)
     if n_sites % 2 != 0:
         raise InvalidQuantumNumbersError("singlet-pair product needs even N")
     pair = np.zeros(4, dtype=complex)
@@ -72,9 +88,6 @@ def singlet_pair_state_sz(n_sites: int) -> StateVector:
     for _ in range(n_sites // 2):
         amps = np.kron(amps, pair)
     return StateVector(n_sites, amps)
-
-
-REGISTER_MAX_QUBITS = 26    # 2^26 amplitudes, 1 GiB
 
 
 # --- gate kernels ---
@@ -292,10 +305,7 @@ def embed_path_vector(path_vector: np.ndarray, basis: CsfBasis,
                       layout: QubitLayout) -> StateVector:
     """The encoded register holding a spin-path vector (inverse of
     decode_to_path_vector); refused above REGISTER_MAX_QUBITS."""
-    if layout.n_qubits > REGISTER_MAX_QUBITS:
-        raise ResourceLimitError(
-            f"a {layout.n_qubits}-qubit register is refused above "
-            f"{REGISTER_MAX_QUBITS} qubits")
+    _refuse_register(layout.n_qubits)
     amps = np.zeros(1 << layout.n_qubits, dtype=complex)
     amps[layout.physical_bitstrings(basis)] = path_vector
     return StateVector(layout.n_qubits, amps)
@@ -501,8 +511,10 @@ def sz_reference_state(n_sites: int, total_spin_x2: int) -> StateVector:
     """Computational-basis vector of the sector's start path (M = S).
 
     Both start paths are products, singlet pairs optionally closed by a
-    stretched pair, so they are built directly at any size.
+    stretched pair, so they are built directly up to REGISTER_MAX_QUBITS
+    sites; above it they are refused before any allocation.
     """
+    _refuse_register(n_sites)
     initial_path(n_sites, total_spin_x2)   # refuses other sectors
     if total_spin_x2 == 0:
         return singlet_pair_state_sz(n_sites)
@@ -513,22 +525,60 @@ def sz_reference_state(n_sites: int, total_spin_x2: int) -> StateVector:
     return StateVector(n_sites, np.kron(base, up_pair))
 
 
+def sz_trotter_layer(n_sites: int, dt: float, order: int = 1,
+                     coupling: float = 1.0):
+    """One computational-basis Trotter step applied to the register directly,
+    as a callable StateVector -> new StateVector.
+
+    Each bond of circuits.sz_bond_layers is exp(-i theta (XX+YY+ZZ)) on its
+    qubits (q, q+1).  With XX+YY+ZZ = 2 SWAP - 1 and SWAP = 1 - 2 P, P the
+    projector on their singlet, that is exp(-i theta) (1 + k P) with
+    k = exp(4i theta) - 1: a phase per bond, gathered into one phase per
+    step, and on the (|01>, |10>) slice pair, views of the amplitudes
+    reshaped to (2^q, 4, rest), the update d = k (a01 - a10) / 2,
+    a01 += d, a10 -= d.  simulate(sz_trotter_step(...)) applies the same
+    operator gate by gate and is its cross-check.
+    """
+    if not np.isfinite([dt, coupling]).all():
+        raise ValueError(f"time step {dt} and coupling {coupling} must be "
+                         f"finite")
+    layers = sz_bond_layers(n_sites, dt, order, coupling)
+    phase = np.exp(-1j * sum(theta * len(qubits) for qubits, theta in layers))
+    bonds = [(q, (np.exp(4j * theta) - 1) / 2)
+             for qubits, theta in layers for q in qubits]
+
+    def apply(state: StateVector) -> StateVector:
+        if state.n_qubits != n_sites:
+            raise InvalidQuantumNumbersError(
+                "state/step qubit count mismatch")
+        amps = phase * state.amplitudes
+        for q, half_k in bonds:
+            a = amps.reshape(1 << q, 4, -1)
+            d = a[:, 1] - a[:, 2]
+            d *= half_k
+            a[:, 1] += d
+            a[:, 2] -= d
+        return StateVector(n_sites, amps)
+
+    return apply
+
+
 def trotter_evolve_sz(n_sites: int, total_spin_x2: int, duration: float,
                       n_layers: int, order: int = 1, coupling: float = 1.0,
                       track_symmetry: bool = False):
     """Layered evolution in the computational basis from the sector's start
-    path (M = S), observables per layer."""
+    path (M = S), each layer a sz_trotter_layer, observables per layer."""
     state = sz_reference_state(n_sites, total_spin_x2)
     dt = duration / n_layers if n_layers else 0.0
-    step = sz_trotter_step(n_sites, dt, order, coupling)
+    layer = sz_trotter_layer(n_sites, dt, order, coupling)
 
     def observe(state):
         aux = {"s_squared": s2_expectation_sz(state),
                "total_sz": sz_expectation_sz(state)} if track_symmetry else {}
         return bond_energies_sz(state, coupling), aux
 
-    times, seen, state = _trotter_loop(
-        state, [lambda state: simulate(step, state)] * n_layers, dt, observe)
+    times, seen, state = _trotter_loop(state, [layer] * n_layers, dt,
+                                       observe)
     bonds = np.array([row[0] for row in seen])
     aux = {name: np.array([row[1][name] for row in seen]) for name in seen[0][1]}
     return EvolutionRecord(times, bonds.sum(axis=1), bonds, aux), state
@@ -574,6 +624,7 @@ def trotter_comparison_csf(n_sites: int, total_spin_x2: int, trunc_x2: int,
     computational basis; fidelity: overlap with the exact evolution under the
     truncated Hamiltonian, both per recorded time.
     """
+    _refuse_register(n_sites)            # the reference's register
     record, basis, layout = trotter_evolve_csf(
         n_sites, total_spin_x2, trunc_x2, duration, n_layers, order, coupling)
     ref_record, _ = trotter_evolve_sz(

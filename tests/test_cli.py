@@ -1,7 +1,9 @@
+import argparse
+
 import pytest
-from spinadapt import sga
+from spinadapt import sga, sim
 from spinadapt.basis import enumerate_paths
-from spinadapt.cli import TRUNC_CHOICES, main
+from spinadapt.cli import TRUNC_CHOICES, build_parser, main
 
 
 def run(argv, capsys):
@@ -219,3 +221,93 @@ def test_coupling_rescales(capsys):
     e1 = float(out1.strip().splitlines()[1].split(",")[3])
     e2 = float(out2.strip().splitlines()[1].split(",")[3])
     assert e2 == 2 * e1
+
+
+def test_sz_register_refused_beyond_cap(monkeypatch, capsys):
+    # a lowered cap, so that a broken guard would allocate only 2^8
+    # amplitudes; the sz run and the sz column of a csf run both exit 3
+    monkeypatch.setattr(sim, "REGISTER_MAX_QUBITS", 6)
+    for argv in (["evolve", "--sites", "8", "--basis", "sz"],
+                 ["evolve", "--sites", "8", "--trunc", "1"]):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.startswith("resource guard:")
+
+
+# One default run per subcommand, and per branch where a subcommand has two
+# (--basis, --sweep); every flag the subcommand takes is checked against it.
+SCENARIOS = {
+    "basis": ["basis", "--sites", "6"],
+    "ham": ["ham", "--sites", "6", "--trunc", "1"],
+    "diag": ["diag", "--sites", "6"],
+    "evolve-csf": ["evolve", "--sites", "6", "--trunc", "1", "--layers", "2"],
+    "evolve-sz": ["evolve", "--sites", "6", "--basis", "sz", "--layers", "2"],
+    "adiabatic": ["adiabatic", "--sites", "6", "--trunc", "1"],
+    "adiabatic-sweep": ["adiabatic", "--sites", "4", "--trunc", "1",
+                        "--sweep"],
+    "circuit-csf": ["circuit", "--sites", "6", "--trunc", "1"],
+    "circuit-sz": ["circuit", "--sites", "6", "--basis", "sz"],
+}
+# a value other than the flag's value in the default run
+FLAG_VALUES = {"--sites": "8", "--total-spin": "1", "--trunc": "0.5",
+               "--coupling": "2", "--order": "2", "--duration": "3",
+               "--layers": "3", "--mode": "height", "--format": "matrix",
+               "--basis": "sz"}
+SCENARIO_VALUES = {
+    "diag": {"--mode": "band"},
+    "evolve-sz": {"--basis": "csf"},
+    "adiabatic": {"--order": "1"},
+    "adiabatic-sweep": {"--order": "1"},
+    "circuit-csf": {"--format": "qasm"},
+    "circuit-sz": {"--basis": "csf", "--format": "qasm"},
+}
+
+
+def _subparsers():
+    parser = build_parser()
+    action = next(a for a in parser._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def _flag_actions(command):
+    return [a for a in _subparsers()[command]._actions
+            if a.option_strings and a.option_strings[0] != "-h"]
+
+
+def test_scenarios_cover_every_subcommand():
+    assert {argv[0] for argv in SCENARIOS.values()} == set(_subparsers())
+
+
+@pytest.mark.parametrize("scenario, flag", [
+    (scenario, action.option_strings[0])
+    for scenario, argv in SCENARIOS.items()
+    for action in _flag_actions(argv[0])])
+def test_every_flag_changes_output_or_is_refused(scenario, flag, capsys,
+                                                 tmp_path):
+    base = SCENARIOS[scenario]
+    assert main(base) == 0
+    default = capsys.readouterr()
+    action = next(a for a in _flag_actions(base[0])
+                  if a.option_strings[0] == flag)
+    if isinstance(action, argparse._StoreTrueAction):
+        argv = [a for a in base if a != flag] if flag in base \
+            else base + [flag]
+    else:
+        value = str(tmp_path / "out") if flag == "--out" else \
+            SCENARIO_VALUES.get(scenario, {}).get(flag, FLAG_VALUES[flag])
+        argv = list(base)
+        if flag in argv:
+            argv[argv.index(flag) + 1] = value
+        else:
+            argv += [flag, value]
+    code = main(argv)
+    captured = capsys.readouterr()
+    if code == 2:
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+    else:
+        assert code == 0
+        assert (captured.out, captured.err) != (default.out, default.err)

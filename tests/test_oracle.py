@@ -142,3 +142,30 @@ def test_oracle_operator_matrix_symmetric():
     basis = enumerate_paths(8, 0)
     mat = oracle_operator_matrix(("perm", 3, 4), basis)
     assert np.abs(mat - mat.T).max() < 1e-12
+
+
+def _bit_index_permutation(amplitudes, n_sites, i, j):
+    """pi_{i,j} as a gather through bit-index arithmetic on every amplitude
+    index: the formula the axis swap of apply_permutation replaced."""
+    si, sj = i - 1, j - 1
+    idx = np.arange(amplitudes.size)
+    bi = (idx >> (n_sites - 1 - si)) & 1
+    bj = (idx >> (n_sites - 1 - sj)) & 1
+    diff = bi ^ bj
+    swapped = idx ^ ((diff << (n_sites - 1 - si))
+                     | (diff << (n_sites - 1 - sj)))
+    return amplitudes[swapped]
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_axis_swap_permutation_matches_bit_index_formula(n):
+    rng = np.random.default_rng(n)
+    vec = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    cols = np.arange(1 << n)             # as sz_hamiltonian_matrix calls it
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            assert np.array_equal(apply_permutation(vec, n, i, j),
+                                  _bit_index_permutation(vec, n, i, j))
+            rows = apply_permutation(cols, n, i, j)
+            assert rows.dtype == cols.dtype
+            assert np.array_equal(rows, _bit_index_permutation(cols, n, i, j))

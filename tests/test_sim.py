@@ -6,7 +6,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from spinadapt import (ResourceLimitError, UnsupportedConfigurationError,
                        encode_hamiltonian, enumerate_paths, singlet_pair_path)
-from spinadapt import circuits
+from spinadapt import circuits, sim
 from spinadapt.basis import initial_path
 from spinadapt.circuits import Circuit, Gate, csf_trotter_step, sz_trotter_step
 from spinadapt.encode import BandTerm, build_layout
@@ -15,9 +15,11 @@ from spinadapt.sga import build_hamiltonian
 from spinadapt.sim import (EvolutionRecord, StateVector, basis_state,
                            bond_energies_sz, circuit_unitary,
                            decode_to_path_vector, embed_path_vector,
-                           exact_evolve, fidelity,
-                           s2_expectation_sz, simulate, singlet_pair_state_sz,
-                           total_energy_sz, trotter_evolve_csf,
+                           exact_evolve, fidelity, s2_expectation_sz,
+                           simulate, singlet_pair_state_sz,
+                           sz_expectation_sz, sz_reference_state,
+                           sz_trotter_layer, total_energy_sz,
+                           trotter_comparison_csf, trotter_evolve_csf,
                            trotter_evolve_sz, zero_state)
 
 
@@ -278,6 +280,79 @@ def test_register_refused_beyond_cap():
     layout = build_layout(24, 0, 4)
     with pytest.raises(ResourceLimitError):
         embed_path_vector(np.zeros(len(basis), complex), basis, layout)
+
+
+@given(st.integers(min_value=2, max_value=10), st.sampled_from([1, 2]),
+       st.floats(min_value=-2.0, max_value=2.0),
+       st.floats(min_value=0.25, max_value=4.0), st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_sz_layer_matches_gate_simulator(n, order, dt, coupling, seed):
+    # the gate-by-gate step is the reference for the register kernel
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    state = StateVector(n, amps / np.linalg.norm(amps))
+    kept = state.amplitudes.copy()
+    out = sz_trotter_layer(n, dt, order, coupling)(state)
+    expected = simulate(sz_trotter_step(n, dt, order, coupling), state)
+    assert np.abs(out.amplitudes - expected.amplitudes).max() < 1e-12
+    assert np.array_equal(state.amplitudes, kept)   # input left as it was
+
+
+@pytest.mark.parametrize("n, ts, order", [(2, 0, 1), (6, 2, 2), (8, 0, 2),
+                                          (10, 2, 1)])
+def test_sz_run_matches_gate_loop(n, ts, order):
+    duration, layers, coupling = 2.3, 5, 0.7
+    record, final = trotter_evolve_sz(n, ts, duration, layers, order,
+                                      coupling, track_symmetry=True)
+    state = sz_reference_state(n, ts)
+    step = sz_trotter_step(n, duration / layers, order, coupling)
+    seen = [state]
+    for _ in range(layers):
+        state = simulate(step, state)
+        seen.append(state)
+    bonds = np.array([bond_energies_sz(s, coupling) for s in seen])
+    assert np.abs(record.bond_energies - bonds).max() < 1e-12
+    assert np.abs(record.total_energy - bonds.sum(axis=1)).max() < 1e-12
+    assert np.abs(record.aux["s_squared"]
+                  - [s2_expectation_sz(s) for s in seen]).max() < 1e-12
+    assert np.abs(record.aux["total_sz"]
+                  - [sz_expectation_sz(s) for s in seen]).max() < 1e-12
+    assert np.abs(final.amplitudes - state.amplitudes).max() < 1e-12
+
+
+def test_sz_layer_norm_drift_bounded():
+    # 200 order-2 steps of the N=12 singlet-pair state; the state is never
+    # renormalised, so this bounds the drift the kernel accumulates
+    layer = sz_trotter_layer(12, 0.1, 2)
+    state = singlet_pair_state_sz(12)
+    for _ in range(200):
+        state = layer(state)
+    assert abs(state.norm() - 1.0) < 1e-12
+
+
+def test_sz_layer_refuses_non_finite_step():
+    for dt, coupling in [(float("nan"), 1.0), (1.0, np.inf)]:
+        with pytest.raises(ValueError, match="finite"):
+            sz_trotter_layer(4, dt, 1, coupling)
+
+
+def test_sz_register_refused_beyond_cap(monkeypatch):
+    # the cap is lowered so that a broken guard would allocate only 2^8
+    # amplitudes; the encoded run must not start either
+    monkeypatch.setattr(sim, "REGISTER_MAX_QUBITS", 6)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the encoded run started above the cap")
+
+    monkeypatch.setattr(sim, "trotter_evolve_csf", refuse)
+    for build in (lambda: sz_reference_state(8, 0),
+                  lambda: sz_reference_state(8, 2),
+                  lambda: singlet_pair_state_sz(8),
+                  lambda: trotter_evolve_sz(8, 0, 1.0, 2),
+                  lambda: trotter_comparison_csf(8, 0, 2, 1.0, 2)):
+        with pytest.raises(ResourceLimitError, match="6 qubits"):
+            build()
+    assert sz_reference_state(6, 2).amplitudes.size == 1 << 6
 
 
 def test_exact_evolve_agrees_with_richardson_trotter():
