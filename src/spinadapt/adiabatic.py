@@ -25,7 +25,7 @@ import scipy.sparse as sp
 # from here, and bench/spans.py patches every module's copy of simulate and
 # checks the copy here.
 from .basis import CsfBasis, enumerate_paths, initial_path  # noqa: F401
-from .sga import HEIGHT_MODE, SparseOperator, band_hamiltonian, \
+from .sga import HEIGHT_MODE, PRUNE_TOL, SparseOperator, _bond_sums, \
     build_hamiltonian, ground_state
 from .encode import build_layout
 from .sim import exact_evolve, path_trotter_run, simulate  # noqa: F401
@@ -64,27 +64,25 @@ class ScheduleResult:
 def schedule_hamiltonians(basis: CsfBasis, coupling: float = 1.0):
     """CSR matrices (H_start, H_ramp), with H(t) = H_start + (t/T) H_ramp.
 
-    H_start is the zeroth band with the identity shift, (J/2)(H_0 - (N-1)/2);
-    H_ramp = (J/2) sum_{1 <= s < trunc} H_s.  At t = T they sum to the
-    band-mode Hamiltonian.  Both share one sorted sparsity pattern (the union
-    of their own), so H(t) is the axpy H_start.data + (t/T) H_ramp.data on
+    H_start is the zeroth band with the identity shift, (J/2)(H_0 - (N-1)/2),
+    which is diagonal; H_ramp = (J/2) sum_{1 <= s < trunc} H_s.  At t = T
+    they sum to the band-mode Hamiltonian.  Both come from one pass over the
+    bonds and share one sorted sparsity pattern, the full diagonal and the
+    ramp's flips, so H(t) is the axpy H_start.data + (t/T) H_ramp.data on
     that pattern.
     """
-    dim = len(basis)
-    shift = (basis.n_sites - 1) / 2 * sp.identity(dim, format="csr")
-    h_start = (coupling / 2) * (band_hamiltonian(basis, 0).matrix - shift)
-    h_ramp = sp.csr_matrix((dim, dim))
-    for s_x2 in range(1, basis.trunc_x2):
-        h_ramp = h_ramp + band_hamiltonian(basis, s_x2).matrix
-    h_ramp = (coupling / 2) * h_ramp
-    # absolute values cannot cancel, so the sum keeps every stored position
-    pattern = abs(h_start) + abs(h_ramp)
-    pattern.sort_indices()
-    rows = np.repeat(np.arange(dim), np.diff(pattern.indptr))
-    return tuple(sp.csr_matrix((np.asarray(mat[rows, pattern.indices]).ravel(),
-                                pattern.indices, pattern.indptr),
-                               shape=pattern.shape)
-                 for mat in (h_start, h_ramp))
+    diag, rows, cols, off = _bond_sums(basis, [range(1), range(1, basis.trunc_x2)])
+    half = coupling / 2
+    ramp_diag = half * diag[1]
+    ramp_diag[np.abs(ramp_diag) <= PRUNE_TOL] = 0.0   # kept in the pattern
+    h_ramp = sp.csr_matrix((np.concatenate([ramp_diag, half * off]), (rows, cols)),
+                           shape=(len(basis),) * 2)
+    h_ramp.sort_indices()
+    row_of = np.repeat(np.arange(len(basis)), np.diff(h_ramp.indptr))
+    start = np.zeros_like(h_ramp.data)
+    start[h_ramp.indices == row_of] = half * (diag[0] - (basis.n_sites - 1) / 2)
+    return sp.csr_matrix((start, h_ramp.indices, h_ramp.indptr),
+                         shape=h_ramp.shape), h_ramp
 
 
 def _ground_energy(basis: CsfBasis, matrix: sp.csr_matrix) -> float:

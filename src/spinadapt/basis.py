@@ -199,14 +199,28 @@ def untruncated_level(n_sites: int) -> int:
     return n_sites
 
 
-def enumerate_paths(n_sites: int, total_spin_x2: int,
-                    trunc_x2: int | None = None) -> CsfBasis:
-    """All spin paths for (N, 2S) with max height <= trunc_x2, in lexicographic order.
+# Byte budget of one sector: its int8 heights, the CSR bound of its
+# Hamiltonian (one diagonal entry and at most N-1 flips per row, float64
+# values and int32 indices) and ARPACK's Lanczos vectors (eigsh keeps 20
+# basis vectors and 4 work vectors of the dimension for a few eigenvalues).
+# Full N=28 (dim 2 674 440) is estimated at 1.4 GiB; full N=30
+# (dim 9 694 845) at 5.3 GiB.
+SECTOR_MAX_BYTES = 3 << 30
 
-    trunc_x2=None enumerates the full (untruncated) basis.  The heights are
-    filled one position at a time: each path prefix with a completion gets its
-    children in the order down, up, so the rows come out lexicographic, and a
-    prefix ending at height h owns walks[i, h] consecutive rows.
+
+def sector_bytes(n_sites: int, dim: int) -> int:
+    """Estimated bytes of a sector's heights, Hamiltonian and eigensolve."""
+    return dim * (n_sites + 1) + dim * n_sites * 12 + (dim + 1) * 4 \
+        + 24 * dim * 8
+
+
+def sector_walks(n_sites: int, total_spin_x2: int,
+                 trunc_x2: int | None = None) -> np.ndarray:
+    """walks[i, h] of the sector (see CsfBasis), after checking that its
+    paths fit the storage types and its estimated footprint (sector_bytes)
+    fits SECTOR_MAX_BYTES; nothing of the basis size is allocated.
+
+    Raises ResourceLimitError for a sector that does not fit.
     """
     _check_quantum_numbers(n_sites, total_spin_x2)
     if trunc_x2 is None:
@@ -224,8 +238,30 @@ def enumerate_paths(n_sites: int, total_spin_x2: int,
     if top > np.iinfo(np.int8).max or walks.max() > np.iinfo(np.int64).max:
         raise ResourceLimitError(
             f"N={n_sites}, trunc {trunc_x2}: paths too tall or too many to store")
-    walks = walks.astype(np.int64)
+    need = sector_bytes(n_sites, walks[0, 0])
+    if need > SECTOR_MAX_BYTES:
+        raise ResourceLimitError(
+            f"N={n_sites}, 2S={total_spin_x2}, trunc {trunc_x2}: "
+            f"{walks[0, 0]} paths need an estimated {need / 2**30:.1f} GiB for "
+            f"heights, Hamiltonian and Lanczos vectors, above the "
+            f"{SECTOR_MAX_BYTES / 2**30:g} GiB budget")
+    return walks.astype(np.int64)
 
+
+def enumerate_paths(n_sites: int, total_spin_x2: int,
+                    trunc_x2: int | None = None) -> CsfBasis:
+    """All spin paths for (N, 2S) with max height <= trunc_x2, in lexicographic order.
+
+    trunc_x2=None enumerates the full (untruncated) basis.  A sector beyond
+    the size guard (sector_walks) is refused before its heights are
+    allocated.  The heights are filled one position at a time: each path
+    prefix with a completion gets its children in the order down, up, so the
+    rows come out lexicographic, and a prefix ending at height h owns
+    walks[i, h] consecutive rows.
+    """
+    walks = sector_walks(n_sites, total_spin_x2, trunc_x2)
+    if trunc_x2 is None:
+        trunc_x2 = untruncated_level(n_sites)
     heights = np.zeros((walks[0, 0], n_sites + 1), dtype=np.int8)
     ends = np.zeros(1, dtype=np.int64)   # last height of each prefix, in order
     for i in range(1, n_sites + 1):

@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import adiabatic, circuits, encode, oracle, sga, sim
-from .basis import enumerate_paths, untruncated_level
+from .basis import enumerate_paths, sector_walks, untruncated_level
 from .errors import (InvalidQuantumNumbersError, ResourceLimitError,
                      SpinAdaptError)
 
@@ -147,6 +147,7 @@ def cmd_ham(args, parser) -> int:
 def cmd_diag(args, parser) -> int:
     lines = ["trunc,mode,dim,ground_energy,gap"]
     labels = list(TRUNC_CHOICES) if args.trunc is None else [args.trunc]
+    rungs = []
     for label in labels:
         trunc = TRUNC_CHOICES[label] or untruncated_level(args.sites)
         if trunc < args.total_spin_x2:
@@ -155,6 +156,10 @@ def cmd_diag(args, parser) -> int:
                     f"--trunc {label} is below the total spin "
                     f"{args.total_spin_x2 / 2:g}: the sector is empty")
             continue   # the default ladder starts where the sector has paths
+        # the size guard of every rung, before the first one runs
+        sector_walks(args.sites, args.total_spin_x2, trunc)
+        rungs.append((label, trunc))
+    for label, trunc in rungs:
         basis = enumerate_paths(args.sites, args.total_spin_x2, trunc)
         k = min(2, len(basis))
         vals, _ = sga.ground_state(

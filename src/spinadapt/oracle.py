@@ -81,8 +81,18 @@ def expand_csf(path: SpinPath, magnetization_x2: int | None = None) -> DenseStat
 
 # --- bitwise operator applications (site 0 = MSB) ---
 
-def _bit(idx: np.ndarray, n: int, site: int) -> np.ndarray:
-    return (idx >> (n - 1 - site)) & 1
+def _down_counts(n_sites: int) -> np.ndarray:
+    """Number of beta (bit 1) sites of every amplitude index, as int8."""
+    down = np.zeros(1, dtype=np.int8)
+    for _ in range(n_sites):
+        down = np.concatenate([down, down + 1])   # one more leading bit
+    return down
+
+
+def _site_view(amplitudes: np.ndarray, site: int) -> np.ndarray:
+    """The amplitudes with 0-based site `site` on the middle axis of three:
+    [:, 0] its alpha slice, [:, 1] its beta slice."""
+    return amplitudes.reshape(1 << site, 2, -1)
 
 
 def apply_permutation(amplitudes: np.ndarray, n_sites: int, i: int, j: int) -> np.ndarray:
@@ -108,19 +118,23 @@ def apply_heisenberg(amplitudes: np.ndarray, n_sites: int,
 
 def apply_total_sz(amplitudes: np.ndarray, n_sites: int) -> np.ndarray:
     """Total S_z (in units of hbar): sum over sites of +-1/2."""
-    idx = np.arange(amplitudes.size)
-    ones = np.zeros(amplitudes.size)
-    for s in range(n_sites):
-        ones += _bit(idx, n_sites, s)
-    return (n_sites / 2 - ones) * amplitudes
+    return (n_sites / 2 - _down_counts(n_sites)) * amplitudes
 
 
 def apply_total_s2(amplitudes: np.ndarray, n_sites: int) -> np.ndarray:
-    """Total S^2 = 3N/4 + sum_{i<j} pi_{ij} - N(N-1)/4."""
-    out = (3 * n_sites / 4 - n_sites * (n_sites - 1) / 4) * amplitudes
-    for i in range(1, n_sites + 1):
-        for j in range(i + 1, n_sites + 1):
-            out = out + apply_permutation(amplitudes, n_sites, i, j)
+    """Total S^2 = S_- S_+ + S_z (S_z + 1), in 2N single-site passes.
+
+    S_+ = sum_i s_+^i adds each site's beta slice into its alpha slice of a
+    zero register, and S_- adds that register's alpha slices back into the
+    beta slices of the result, on the (2^i, 2, rest) view of site i.
+    """
+    sz = n_sites / 2 - _down_counts(n_sites)
+    raised = np.zeros_like(amplitudes)
+    for site in range(n_sites):
+        _site_view(raised, site)[:, 0] += _site_view(amplitudes, site)[:, 1]
+    out = sz * (sz + 1) * amplitudes
+    for site in range(n_sites):
+        _site_view(out, site)[:, 1] += _site_view(raised, site)[:, 0]
     return out
 
 

@@ -15,6 +15,13 @@ band by band it matches the tensor-product operators used for the qubit
 encodings (ZZ pass-through between next-nearest neighbors plus a projected
 tilted field), which is the grouping the truncated Hamiltonians are built on.
 
+Every operator is assembled one bond at a time (_bond_sums): the rules run
+on the bond's three height columns, each row's kept diagonal coefficients
+are added into one vector, and only the flips that stay inside the
+truncation become int32 COO entries.  The diagonal thus has one entry per
+row rather than N-1 summed by the COO -> CSR conversion, and the peak
+allocation of build_hamiltonian stays near 3x the CSR it returns.
+
 All site/permutation indices here are 1-based; heights are twice-integers.
 """
 
@@ -168,29 +175,49 @@ class SparseOperator:
         return "\n".join(lines) + "\n"
 
 
-def _rule_entries(basis: CsfBasis, bonds) -> tuple[np.ndarray, ...]:
-    """The transpositions (p, p+1), p in bonds, on every basis row, as COO
-    entries (band, rows, cols, vals): each row's diagonal entry per bond, then
-    the off-diagonal entries of the flips that stay in the truncation.
+def _bond_sums(basis: CsfBasis, outputs, bonds=None):
+    """The transpositions (p, p+1), p in bonds (default: every bond), on
+    every basis row, taken one bond at a time and sorted into outputs by
+    band.
 
-    A flip changes only the rank terms of steps p and p+1: a valley's partner
-    lies walks[p+1, s] rows later, a peak's that many rows earlier.
+    outputs is a list of band ranges.  For each bond, _height_rule runs on
+    the view heights[:, p-1:p+2]; each row's diagonal coefficients of the
+    bands in outputs[k] are added into diag[k], and the flips that stay in
+    the truncation, of a band in some output, are kept.  A flip changes
+    only the rank terms of steps p and p+1: a valley's partner lies
+    walks[p+1, s] rows later, a peak's that many rows earlier.
+
+    Returns (diag, rows, cols, off): diag of shape (len(outputs), dim); int32
+    rows and cols holding the diagonal positions 0..dim-1 first, then each
+    kept flip as (partner, row); and off, the flips' coefficients b.  The
+    flips carry no output: every caller sends them all to one matrix (band
+    0 has none, its only mixing triple (0, 1, 0) would flip to height -1).
+    int32 holds every row: the size guard of enumerate_paths keeps the
+    dimension far below 2^31.
     """
-    h = basis.heights
-    bonds = np.asarray(bonds, dtype=np.intp)
-    band, diag, flip, off = _height_rule(h[:, bonds[:, None] + np.arange(-1, 2)])
-    rows = np.broadcast_to(np.arange(len(basis))[:, None], band.shape).ravel()
-    hop, bond = np.nonzero((flip >= 0) & (flip <= basis.trunc_x2))
-    p = bonds[bond]
-    shift = basis.walks[p + 1, band[hop, bond]]
-    partner = hop + np.where(flip[hop, bond] > h[hop, p], shift, -shift)
-    return (np.concatenate([band.ravel(), band[hop, bond]]),
-            np.concatenate([rows, partner]), np.concatenate([rows, hop]),
-            np.concatenate([diag.ravel(), off[hop, bond]]))
+    h, walks, dim = basis.heights, basis.walks, len(basis)
+    slot = np.full(walks.shape[1], -1)       # output of each band label
+    for k, bands in enumerate(outputs):
+        slot[bands.start:bands.stop] = k
+    diag = np.zeros((len(outputs), dim))
+    eye = np.arange(dim, dtype=np.int32)
+    rows, cols, off = [eye], [eye], [np.zeros(0)]
+    for p in range(1, basis.n_sites) if bonds is None else bonds:
+        band, coeff, flip, b = _height_rule(h[:, p - 1:p + 2])
+        out = slot[band]
+        for k in range(len(outputs)):
+            diag[k] += np.where(out == k, coeff, 0.0)
+        hop = np.flatnonzero((flip >= 0) & (flip <= basis.trunc_x2) & (out >= 0))
+        shift = walks[p + 1, band[hop]]
+        rows.append((hop + np.where(flip[hop] > h[hop, p], shift, -shift))
+                    .astype(np.int32))
+        cols.append(hop.astype(np.int32))
+        off.append(b[hop])
+    return diag, np.concatenate(rows), np.concatenate(cols), np.concatenate(off)
 
 
-def _matrix(basis: CsfBasis, rows, cols, vals) -> sp.csr_matrix:
-    """COO entries summed into a matrix over the basis."""
+def _csr(basis: CsfBasis, rows, cols, vals) -> sp.csr_matrix:
+    """COO entries as a matrix over the basis, round-off entries dropped."""
     dim = len(basis)
     return _pruned(sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim)))
 
@@ -204,7 +231,8 @@ def _pruned(mat: sp.csr_matrix) -> sp.csr_matrix:
 
 def _bond_matrix(basis: CsfBasis, p: int) -> sp.csr_matrix:
     """pi_{p,p+1} on the basis, flips out of the truncation dropped."""
-    return _matrix(basis, *_rule_entries(basis, [p])[1:])
+    diag, rows, cols, off = _bond_sums(basis, [range(basis.walks.shape[1])], [p])
+    return _csr(basis, rows, cols, np.concatenate([diag[0], off]))
 
 
 def permutation_matrix(basis: CsfBasis, i: int, j: int) -> SparseOperator:
@@ -232,36 +260,36 @@ def permutation_matrix(basis: CsfBasis, i: int, j: int) -> SparseOperator:
 
 def band_hamiltonian(basis: CsfBasis, s_x2: int) -> SparseOperator:
     """Band operator: all transpositions' band-s_x2 pieces, truncated."""
-    band, rows, cols, vals = _rule_entries(basis, range(1, basis.n_sites))
-    keep = band == s_x2
-    return SparseOperator(basis, _matrix(basis, rows[keep], cols[keep], vals[keep]))
+    diag, rows, cols, off = _bond_sums(basis, [range(s_x2, s_x2 + 1)])
+    return SparseOperator(basis, _csr(basis, rows, cols,
+                                      np.concatenate([diag[0], off])))
 
 
-def _hamiltonian_entries(basis: CsfBasis, mode: str):
-    """COO entries (rows, cols, vals) of sum_s H_s - (N-1)/2 over the bands
-    that mode keeps.
+def _hamiltonian_coo(basis: CsfBasis, mode: str, coupling: float):
+    """COO entries (rows, cols, vals) of (J/2)(sum_s H_s - (N-1)/2) over the
+    bands that mode keeps, one entry per diagonal position and per flip.
 
     mode="band" keeps the bands strictly below the truncation level (drops
     the boundary band: sparser, not variational); mode="height" keeps the
     boundary band too, whose valleys keep their diagonal after the flip is
     truncated away, and equals the exact projection of the full Hamiltonian.
+    Every flip that stays in the truncation belongs to a band below it, so
+    the modes differ on the diagonal only.
     """
     if mode not in (BAND_MODE, HEIGHT_MODE):
         raise ValueError(f"mode must be '{BAND_MODE}' or '{HEIGHT_MODE}'")
-    band, rows, cols, vals = _rule_entries(basis, range(1, basis.n_sites))
-    keep = band <= basis.trunc_x2 if mode == HEIGHT_MODE else band < basis.trunc_x2
-    diag = np.arange(len(basis))
-    shift = np.full(len(basis), -(basis.n_sites - 1) / 2)
-    return (np.concatenate([rows[keep], diag]), np.concatenate([cols[keep], diag]),
-            np.concatenate([vals[keep], shift]))
+    top = basis.trunc_x2 + (mode == HEIGHT_MODE)
+    diag, rows, cols, off = _bond_sums(basis, [range(top)])
+    shift = (basis.n_sites - 1) / 2
+    return rows, cols, (coupling / 2) * np.concatenate([diag[0] - shift, off])
 
 
 def build_hamiltonian(basis: CsfBasis, mode: str = HEIGHT_MODE,
                       coupling: float = 1.0) -> SparseOperator:
     """Chain Hamiltonian on the truncated basis, H = (J/2)(sum_s H_s - (N-1)/2),
     over the bands that mode ("band" or "height") keeps."""
-    rows, cols, vals = _hamiltonian_entries(basis, mode)
-    return SparseOperator(basis, _matrix(basis, rows, cols, (coupling / 2) * vals))
+    return SparseOperator(basis, _csr(basis, *_hamiltonian_coo(basis, mode,
+                                                                coupling)))
 
 
 def apply_hamiltonian(basis: CsfBasis, mode: str, vector: np.ndarray,
@@ -273,9 +301,9 @@ def apply_hamiltonian(basis: CsfBasis, mode: str, vector: np.ndarray,
     diagonalization runs on that matrix; the tests check this product
     against it.
     """
-    rows, cols, vals = _hamiltonian_entries(basis, mode)
+    rows, cols, vals = _hamiltonian_coo(basis, mode, coupling)
     out = np.zeros_like(vector, dtype=np.result_type(vector, float))
-    np.add.at(out, rows, (coupling / 2) * vals * vector[cols])
+    np.add.at(out, rows, vals * vector[cols])
     return out
 
 

@@ -1,11 +1,14 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinadapt import (InvalidQuantumNumbersError, SpinPath,
-                       UnphysicalPathError, cardinality, enumerate_paths,
+from spinadapt import (InvalidQuantumNumbersError, ResourceLimitError,
+                       SpinPath, UnphysicalPathError, cardinality, enumerate_paths,
                        singlet_pair_path, step_to_height,
                        triplet_reference_path)
+from spinadapt import basis
 from spinadapt.basis import allowed_heights, is_valid_heights, parse_paths_csv
 
 
@@ -139,3 +142,29 @@ def test_untruncated_equals_cardinality(n_half, s):
     if ts > n:
         return
     assert len(enumerate_paths(n, ts)) == cardinality(n, ts)
+
+
+def test_sector_refused_beyond_budget(monkeypatch):
+    # the budget is lowered to just below the full N=20 sector's estimate,
+    # so a broken guard would allocate only a few MiB
+    dim = cardinality(20, 0)
+    need = basis.sector_bytes(20, dim)
+    monkeypatch.setattr(basis, "SECTOR_MAX_BYTES", need - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="budget"):
+            enumerate_paths(20, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < dim            # the heights alone take dim * 21 bytes
+    assert len(enumerate_paths(20, 0, 4)) < dim   # a smaller sector still fits
+    monkeypatch.setattr(basis, "SECTOR_MAX_BYTES", need)
+    assert len(enumerate_paths(20, 0)) == dim
+
+
+def test_budget_admits_n28_and_refuses_n30():
+    # estimates only: neither sector is enumerated
+    assert basis.sector_walks(28, 0)[0, 0] == cardinality(28, 0)
+    with pytest.raises(ResourceLimitError, match="9694845 paths"):
+        basis.sector_walks(30, 0)

@@ -1,8 +1,8 @@
 import argparse
 
 import pytest
-from spinadapt import sga, sim
-from spinadapt.basis import enumerate_paths
+from spinadapt import basis, sga, sim
+from spinadapt.basis import cardinality, enumerate_paths
 from spinadapt.cli import TRUNC_CHOICES, build_parser, main
 
 
@@ -234,6 +234,34 @@ def test_sz_register_refused_beyond_cap(monkeypatch, capsys):
         assert code == 3
         assert captured.out == ""
         assert captured.err.startswith("resource guard:")
+
+
+def test_diag_refused_beyond_sector_budget(monkeypatch, capsys):
+    # a budget that admits every rung of the N=12 ladder but the full one:
+    # the whole ladder is refused before its first rung is diagonalized
+    monkeypatch.setattr(basis, "SECTOR_MAX_BYTES",
+                        basis.sector_bytes(12, cardinality(12, 0)) - 1)
+    assert main(["diag", "--sites", "12", "--trunc", "2"]) == 0
+    capsys.readouterr()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a rung was diagonalized before the refusal")
+
+    monkeypatch.setattr(sga, "ground_state", refuse)
+    for argv in (["diag", "--sites", "12"],
+                 ["diag", "--sites", "12", "--trunc", "full"],
+                 ["basis", "--sites", "12"]):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.startswith("resource guard:")
+
+
+def test_diag_refuses_full_n30(capsys):
+    # the real budget; refused from the walk counts alone
+    assert main(["diag", "--sites", "30"]) == 3
+    assert "9694845 paths" in capsys.readouterr().err
 
 
 # One default run per subcommand, and per branch where a subcommand has two

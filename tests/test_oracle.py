@@ -169,3 +169,27 @@ def test_axis_swap_permutation_matches_bit_index_formula(n):
             rows = apply_permutation(cols, n, i, j)
             assert rows.dtype == cols.dtype
             assert np.array_equal(rows, _bit_index_permutation(cols, n, i, j))
+
+
+def _transposition_sum_s2(amplitudes, n_sites):
+    """S^2 = 3N/4 + sum_{i<j} pi_{ij} - N(N-1)/4 over full-register copies:
+    the sum the ladder-operator passes of apply_total_s2 replaced."""
+    out = (3 * n_sites / 4 - n_sites * (n_sites - 1) / 4) * amplitudes
+    for i in range(1, n_sites + 1):
+        for j in range(i + 1, n_sites + 1):
+            out = out + apply_permutation(amplitudes, n_sites, i, j)
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_total_s2_matches_transposition_sum(n):
+    rng = np.random.default_rng(100 + n)
+    for _ in range(3):
+        vec = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        kept = vec.copy()
+        assert np.abs(apply_total_s2(vec, n)
+                      - _transposition_sum_s2(vec, n)).max() < 1e-12
+        assert np.array_equal(vec, kept)
+    real = rng.normal(size=1 << n)
+    assert np.abs(apply_total_s2(real, n)
+                  - _transposition_sum_s2(real, n)).max() < 1e-12

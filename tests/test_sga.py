@@ -1,14 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+import scipy.sparse as sp
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from spinadapt import (SpinPath, apply_elementary_permutation, apply_hamiltonian,
                        band_coefficients, band_hamiltonian, build_hamiltonian,
                        enumerate_paths, permutation_matrix, singlet_pair_path)
+from spinadapt.adiabatic import schedule_hamiltonians
 from spinadapt.oracle import oracle_operator_matrix
-from spinadapt.sga import (ground_energy_matrix_free, ground_state,
-                           step_permutation_apply)
+from spinadapt.sga import (PRUNE_TOL, _height_rule, ground_energy_matrix_free,
+                           ground_state, step_permutation_apply)
 
 
 def test_band_coefficients_values():
@@ -258,3 +262,108 @@ def test_symmetry_of_operators(n_half, seed):
         return
     op = build_hamiltonian(basis, "height" if seed % 2 else "band")
     assert op.is_symmetric(1e-12)
+
+
+# The all-bonds-at-once COO route that the per-bond kernel of sga replaced,
+# kept as its cross-check: every (row, bond) pair evaluated in one call of
+# the height rule, dim x (N-1) entries per array, duplicates summed by the
+# COO -> CSR conversion.
+
+def _rule_entries(basis, bonds):
+    """The transpositions (p, p+1), p in bonds, on every basis row, as COO
+    entries (band, rows, cols, vals): each row's diagonal entry per bond, then
+    the off-diagonal entries of the flips that stay in the truncation."""
+    h = basis.heights
+    bonds = np.asarray(bonds, dtype=np.intp)
+    band, diag, flip, off = _height_rule(h[:, bonds[:, None] + np.arange(-1, 2)])
+    rows = np.broadcast_to(np.arange(len(basis))[:, None], band.shape).ravel()
+    hop, bond = np.nonzero((flip >= 0) & (flip <= basis.trunc_x2))
+    p = bonds[bond]
+    shift = basis.walks[p + 1, band[hop, bond]]
+    partner = hop + np.where(flip[hop, bond] > h[hop, p], shift, -shift)
+    return (np.concatenate([band.ravel(), band[hop, bond]]),
+            np.concatenate([rows, partner]), np.concatenate([rows, hop]),
+            np.concatenate([diag.ravel(), off[hop, bond]]))
+
+
+def _reference_matrix(basis, rows, cols, vals):
+    dim = len(basis)
+    mat = sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
+    mat.data[np.abs(mat.data) <= PRUNE_TOL] = 0.0
+    mat.eliminate_zeros()
+    return mat
+
+
+def _hamiltonian_entries(basis, mode):
+    """COO entries (rows, cols, vals) of sum_s H_s - (N-1)/2 over the bands
+    that mode keeps."""
+    band, rows, cols, vals = _rule_entries(basis, range(1, basis.n_sites))
+    keep = band <= basis.trunc_x2 if mode == "height" else band < basis.trunc_x2
+    diag = np.arange(len(basis))
+    shift = np.full(len(basis), -(basis.n_sites - 1) / 2)
+    return (np.concatenate([rows[keep], diag]), np.concatenate([cols[keep], diag]),
+            np.concatenate([vals[keep], shift]))
+
+
+def _reference_hamiltonian(basis, mode, coupling):
+    rows, cols, vals = _hamiltonian_entries(basis, mode)
+    return _reference_matrix(basis, rows, cols, (coupling / 2) * vals)
+
+
+def _reference_band(basis, s_x2):
+    band, rows, cols, vals = _rule_entries(basis, range(1, basis.n_sites))
+    keep = band == s_x2
+    return _reference_matrix(basis, rows[keep], cols[keep], vals[keep])
+
+
+def _assert_same_matrix(mat, ref):
+    assert mat.nnz == ref.nnz
+    assert np.abs((mat - ref).toarray()).max(initial=0.0) <= 1e-14
+
+
+@given(*SECTORS)
+@settings(max_examples=40, deadline=None)
+def test_bond_kernel_matches_all_bonds_route(n_half, ts, trunc):
+    assume(trunc >= ts)
+    n, coupling = 2 * n_half, 1.3
+    basis = enumerate_paths(n, ts, trunc)
+    dim = len(basis)
+    vec = np.random.default_rng(n * 100 + trunc).uniform(-1, 1, dim)
+    for mode in ("height", "band"):
+        ref = _reference_hamiltonian(basis, mode, coupling)
+        _assert_same_matrix(build_hamiltonian(basis, mode, coupling).matrix, ref)
+        assert np.abs(apply_hamiltonian(basis, mode, vec, coupling)
+                      - ref @ vec).max() <= 1e-14
+    for s_x2 in range(n + 2):
+        _assert_same_matrix(band_hamiltonian(basis, s_x2).matrix,
+                            _reference_band(basis, s_x2))
+    for p in range(1, n):
+        _assert_same_matrix(permutation_matrix(basis, p, p + 1).matrix,
+                            _reference_matrix(basis,
+                                              *_rule_entries(basis, [p])[1:]))
+    # the adiabatic pair, on the union of their own patterns
+    shift = (n - 1) / 2 * sp.identity(dim, format="csr")
+    ref_start = (coupling / 2) * (_reference_band(basis, 0) - shift)
+    ref_ramp = (coupling / 2) * sum((_reference_band(basis, s)
+                                     for s in range(1, trunc)),
+                                    sp.csr_matrix((dim, dim)))
+    h_start, h_ramp = schedule_hamiltonians(basis, coupling)
+    assert h_start.nnz == h_ramp.nnz == (abs(ref_start) + abs(ref_ramp)).nnz
+    for mat, ref in ((h_start, ref_start), (h_ramp, ref_ramp)):
+        assert np.abs((mat - ref).toarray()).max() <= 1e-14
+
+
+@pytest.mark.parametrize("mode", ["height", "band"])
+@pytest.mark.parametrize("n,trunc", [(20, None), (22, 3)])
+def test_assembly_peak_allocation_bounded(n, trunc, mode):
+    # the per-bond kernel keeps the diagonal as one vector and only the
+    # flips as COO entries; the all-bonds route peaked near 18x the CSR
+    basis = enumerate_paths(n, 0, trunc)
+    tracemalloc.start()
+    try:
+        mat = build_hamiltonian(basis, mode).matrix
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    csr_bytes = mat.data.nbytes + mat.indices.nbytes + mat.indptr.nbytes
+    assert peak <= 5 * csr_bytes
