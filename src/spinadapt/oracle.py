@@ -4,11 +4,12 @@ Every spin path can be expanded over the 2^N tensor-product basis by coupling
 one spin-1/2 at a time with standard Condon-Shortley Clebsch-Gordan factors.
 This scales exponentially and exists to validate the permutation-rule
 machinery on small chains.  The computational-basis operators
-apply_permutation (an axis swap of the amplitudes), apply_total_s2 and
-apply_total_sz are also the observables of the computational-basis Trotter
-run (`evolve --basis sz`, and the bond-error reference of the encoded
-`evolve`), which sim.sz_trotter_layer evolves without gates; the gate
-simulator is its cross-check there, as for the encoded runs.
+apply_total_raise and apply_total_sz also measure the total spin of the
+computational-basis Trotter run (`evolve --basis sz`), which
+sim.sz_trotter_layer evolves without gates; the gate simulator is its
+cross-check there, as for the encoded runs.  apply_permutation (an axis
+swap of the amplitudes) and apply_total_s2 are the cross-checks of the
+run's bond energies and total S^2.
 
 Bit convention: bit i holds site i (1-based site i+1), site 0 is the most
 significant bit of the amplitude index; alpha=0, beta=1.
@@ -121,17 +122,24 @@ def apply_total_sz(amplitudes: np.ndarray, n_sites: int) -> np.ndarray:
     return (n_sites / 2 - _down_counts(n_sites)) * amplitudes
 
 
-def apply_total_s2(amplitudes: np.ndarray, n_sites: int) -> np.ndarray:
-    """Total S^2 = S_- S_+ + S_z (S_z + 1), in 2N single-site passes.
-
-    S_+ = sum_i s_+^i adds each site's beta slice into its alpha slice of a
-    zero register, and S_- adds that register's alpha slices back into the
-    beta slices of the result, on the (2^i, 2, rest) view of site i.
-    """
-    sz = n_sites / 2 - _down_counts(n_sites)
+def apply_total_raise(amplitudes: np.ndarray, n_sites: int) -> np.ndarray:
+    """S_+ = sum_i s_+^i in N single-site passes: each site's beta slice
+    added into its alpha slice of a zero register, on the (2^i, 2, rest)
+    view of site i."""
     raised = np.zeros_like(amplitudes)
     for site in range(n_sites):
         _site_view(raised, site)[:, 0] += _site_view(amplitudes, site)[:, 1]
+    return raised
+
+
+def apply_total_s2(amplitudes: np.ndarray, n_sites: int) -> np.ndarray:
+    """Total S^2 = S_- S_+ + S_z (S_z + 1), in 2N single-site passes.
+
+    S_- adds the alpha slices of S_+ psi (apply_total_raise) back into the
+    beta slices of the result, on the (2^i, 2, rest) view of site i.
+    """
+    sz = n_sites / 2 - _down_counts(n_sites)
+    raised = apply_total_raise(amplitudes, n_sites)
     out = sz * (sz + 1) * amplitudes
     for site in range(n_sites):
         _site_view(out, site)[:, 1] += _site_view(raised, site)[:, 0]

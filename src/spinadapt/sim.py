@@ -17,7 +17,8 @@ Amplitude indexing: qubit 0 is the most significant bit, so reshaping to
 round-off.  Exact propagation applies the matrix exponential to a vector
 with an in-package truncated Taylor series (Al-Mohy & Higham, SIAM J. Sci.
 Comput. 33, 488 (2011)) at every dimension, without forming the exponential;
-given a slope, the same series integrates a Hamiltonian linear in time.
+given a slope, the same series integrates a Hamiltonian linear in time, and
+given checkpoint times, one call returns the state at each of them.
 """
 
 from __future__ import annotations
@@ -188,21 +189,62 @@ _THETAS = np.array(list(_THETA.values()))
 _TAYLOR_TOL = 2.0 ** -53
 
 
-def _trace_and_norm1(mat) -> tuple[complex, float]:
-    """Trace and 1-norm (largest absolute column sum) of a square matrix."""
-    if sp.issparse(mat):
-        mat = mat.tocsr()
-        col_sums = np.bincount(mat.indices, np.abs(mat.data), mat.shape[1])
-    else:
-        col_sums = np.abs(mat).sum(axis=0)
-    return mat.diagonal().sum(), float(col_sums.max(initial=0.0))
+def _as_csr(op) -> sp.csr_matrix:
+    """A complex CSR copy, sorted and free of duplicates, of a
+    SparseOperator, a scipy sparse matrix or a dense array."""
+    mat = op.matrix if isinstance(op, SparseOperator) else op
+    mat = sp.csr_matrix(mat).astype(complex)
+    mat.sum_duplicates()
+    return mat
 
 
-def exact_evolve(hamiltonian, amplitudes: np.ndarray, duration: float,
+def _one_pattern(a: sp.csr_matrix, b: sp.csr_matrix):
+    """a and b on one sorted sparsity pattern, the union of theirs, each
+    holding stored zeros where only the other has an entry."""
+    if np.array_equal(a.indptr, b.indptr) and \
+            np.array_equal(a.indices, b.indices):
+        return a, b
+    a, b = a.tocoo(), b.tocoo()
+    rows = np.concatenate([a.row, b.row])
+    cols = np.concatenate([a.col, b.col])
+    return tuple(sp.csr_matrix((np.concatenate(data), (rows, cols)),
+                               shape=a.shape)
+                 for data in ((a.data, 0 * b.data), (0 * a.data, b.data)))
+
+
+def _checked_times(duration) -> np.ndarray:
+    """The checkpoint times of exact_evolve as a 1-D array; a non-finite
+    time, or times that do not run monotonically from 0, raise ValueError."""
+    times = np.atleast_1d(np.asarray(duration, dtype=float))
+    if times.ndim > 1:
+        raise ValueError(f"checkpoint times must form one sequence, not an "
+                         f"array of shape {times.shape}")
+    bad = np.flatnonzero(~np.isfinite(times))
+    if bad.size:
+        raise ValueError(f"evolution time {times[bad[0]]} is not finite")
+    lengths = np.diff(times, prepend=0.0)
+    moving = np.flatnonzero(lengths)
+    if moving.size:
+        back = np.flatnonzero(lengths * lengths[moving[0]] < 0)
+        if back.size:
+            k = back[0]
+            raise ValueError(
+                f"checkpoint time {times[k]} after {times[k - 1]} breaks "
+                f"the monotone order from 0")
+    return times
+
+
+def exact_evolve(hamiltonian, amplitudes: np.ndarray, duration,
                  slope=None) -> np.ndarray:
-    """Solve i psi' = (H + t slope) psi on [0, T] without forming an
+    """Solve i psi' = (H + t slope) psi from t = 0 without forming an
     exponential: exp(-i T H) psi when slope is None.  H and slope are each a
     SparseOperator, a scipy sparse matrix or a dense array.
+
+    A scalar duration T returns the state at T.  A sequence of checkpoint
+    times, running monotonically from 0, returns the state at each of them,
+    shape (len(times), dim), from one integration: the shifts, norms and
+    generator below are set up once per call.  A non-finite time or a
+    sequence that turns back raises ValueError.
 
     Truncated Taylor series with scaling (Al-Mohy & Higham 2011, Algorithm
     3.2) on H shifted by mu = tr(H)/n and slope shifted by nu =
@@ -210,71 +252,100 @@ def exact_evolve(hamiltonian, amplitudes: np.ndarray, duration: float,
     ramp has the two-term recursion (Jorba & Zou, Exp. Math. 14, 99 (2005))
     d_0 = psi, d_j = (-i h / j) [(H + t_a slope - mu_a) d_{j-1}
     + h (slope - nu) d_{j-2}] with mu_a = mu + t_a nu, and the step ends
-    with the phase exp(-i (mu_a h + nu h^2 / 2)); each term costs one
-    product with H and, on a ramp, one with slope.  The number s of steps
-    minimises m*s subject to b_m / s <= theta_m, where, with beta =
-    ||slope||_1 + |nu|, b_m = |T| (||H||_1 + |mu|) + T^2 beta + |T| sqrt(m
-    beta).  The first two terms bound the 1-norm of the shifted generator
-    on any step; the last keeps ||d_j|| below (b_m / s)^j / j! up to degree
-    m + 1 although the slope's part of the series decays only like that of
-    exp(beta h^2 tau^2 / 2).  A step stops adding terms once two successive
-    terms are below the tolerance; a series that has not met that test by
-    the largest tabulated degree raises ResourceLimitError.
+    with the phase exp(-i (mu_a h + nu h^2 / 2)).  Each term is one sparse
+    product: the generator G = [H - mu | slope - nu] times the stacked
+    vector [d_{j-1}; t_a d_{j-1} + h d_{j-2}], or G = H - mu times d_{j-1}
+    without a slope.  Each interval of length T from t_a between
+    checkpoints takes the number s of steps that minimises m*s subject to
+    b_m / s <= theta_m, where, with beta = ||slope||_1 + |nu|, b_m =
+    |T| (||H + t_a slope||_1 + |mu_a|) + T^2 beta + |T| sqrt(m beta).  The
+    first two terms bound the 1-norm of the shifted generator on any step
+    of the interval; the last keeps ||d_j|| below (b_m / s)^j / j! up to
+    degree m + 1 although the slope's part of the series decays only like
+    that of exp(beta h^2 tau^2 / 2).  H and slope share one sparsity
+    pattern (the union of theirs), so ||H + t_a slope||_1 is one column sum
+    over it.  A step stops adding terms once two successive terms are below
+    the tolerance; a series that has not met that test by the largest
+    tabulated degree raises ResourceLimitError.
     """
-    mat, slope = (op.matrix if isinstance(op, SparseOperator) else op
-                  for op in (hamiltonian, slope))
+    times = _checked_times(duration)
+    has_slope = slope is not None
+    ham = _as_csr(hamiltonian)
+    n = ham.shape[0]
+    eye = sp.identity(n, dtype=complex, format="csr")
+    mu, nu, beta, ramp_data = ham.diagonal().sum() / n, 0.0, 0.0, 0.0
+    gen = ham - mu * eye
+    if has_slope:
+        ham, ramp = _one_pattern(ham, _as_csr(slope))
+        nu = ramp.diagonal().sum() / n
+        beta = np.bincount(ramp.indices, np.abs(ramp.data), n).max(
+            initial=0.0) + abs(nu)
+        gen = sp.hstack([gen, ramp - nu * eye], format="csr")
+        ramp_data = ramp.data
+    x = np.zeros(gen.shape[1], dtype=complex)
+    top, bottom = x[:n], x[n:]      # d_{j-1}; t_a d_{j-1} + h d_{j-2}
     psi = amplitudes.astype(complex)
-    if duration == 0.0:
-        return psi
-    trace, norm1 = _trace_and_norm1(mat)
-    mu, nu = trace / mat.shape[0], 0.0
-    bound = abs(duration) * (norm1 + abs(mu))
-    if slope is not None:
-        trace, norm1 = _trace_and_norm1(slope)
-        nu = trace / mat.shape[0]
-        norm1 += abs(nu)
-        bound = bound + abs(duration) * (abs(duration) * norm1
-                                         + np.sqrt(_DEGREES * norm1))
-    steps = np.maximum(1.0, np.ceil(bound / _THETAS))
-    s = int(steps[np.argmin(_DEGREES * steps)])
-    h = duration / s
-    step = -1j * duration / s
-    for i in range(s):
-        t_a = i * h
-        mu_a = mu + t_a * nu
-        term, corr = psi, 0.0
-        c1 = np.abs(term).max()
-        for j in range(1, _DEGREES[-1] + 1):
-            shifted = mat @ term - mu_a * term
-            if slope is not None:
-                ramp = slope @ term
-                shifted = shifted + t_a * ramp + corr
-                corr = h * (ramp - nu * term)
-            term = (step / j) * shifted
-            c2 = np.abs(term).max()
-            psi = psi + term
-            if c1 + c2 <= _TAYLOR_TOL * np.abs(psi).max():
-                break
-            c1 = c2
-        else:
-            raise ResourceLimitError(
-                f"Taylor series not converged to {_TAYLOR_TOL:g} in "
-                f"{_DEGREES[-1]} terms")
-        psi = np.exp(step * (mu_a + nu * h / 2)) * psi
-    return psi
+    out = np.empty((times.size, psi.size), dtype=complex)
+    t_a = 0.0
+    for k, t_b in enumerate(times):
+        length = t_b - t_a
+        if length:
+            norm1 = np.bincount(ham.indices,
+                                np.abs(ham.data + t_a * ramp_data), n).max(
+                initial=0.0)
+            span = abs(length)
+            bound = span * (norm1 + abs(mu + t_a * nu)) \
+                + span * (span * beta + np.sqrt(_DEGREES * beta))
+            steps = np.maximum(1.0, np.ceil(bound / _THETAS))
+            s = int(steps[np.argmin(_DEGREES * steps)])
+            h = length / s
+            step = -1j * h
+            for i in range(s):
+                t = t_a + i * h
+                top[:] = psi
+                if has_slope:
+                    np.multiply(psi, t, out=bottom)
+                c1 = np.abs(psi).max()
+                for j in range(1, _DEGREES[-1] + 1):
+                    term = gen @ x
+                    term *= step / j
+                    c2 = np.abs(term).max()
+                    psi += term
+                    if c1 + c2 <= _TAYLOR_TOL * np.abs(psi).max():
+                        break
+                    c1 = c2
+                    if has_slope:
+                        np.multiply(top, h, out=bottom)
+                        bottom += t * term
+                    top[:] = term
+                else:
+                    raise ResourceLimitError(
+                        f"Taylor series not converged to {_TAYLOR_TOL:g} in "
+                        f"{_DEGREES[-1]} terms")
+                psi *= np.exp(step * (mu + t * nu + nu * h / 2))
+        out[k] = psi
+        t_a = t_b
+    return out if np.ndim(duration) else out[0]
 
 
 # --- observables ---
 
 def bond_energies_sz(state: StateVector, coupling: float = 1.0) -> np.ndarray:
-    """<(XX+YY+ZZ)/4>_{p,p+1} * J for every bond, via the swap identity."""
+    """<(XX+YY+ZZ)/4>_{p,p+1} * J for every bond, via the swap identity.
+
+    With swap = 1 - 2 P, P the projector on the singlet of qubits
+    (q, q+1), <swap> = ||psi||^2 - ||a01 - a10||^2 on the (|01>, |10>)
+    slices of the (2^q, 4, rest) view that sz_trotter_layer updates, so no
+    bond copies the register.
+    """
     n = state.n_qubits
     amps = state.amplitudes
+    norm2 = np.vdot(amps, amps).real
     out = np.zeros(n - 1)
-    for p in range(1, n):
-        swapped = oracle.apply_permutation(amps, n, p, p + 1)
-        val = np.vdot(amps, swapped).real / 2 - 0.25
-        out[p - 1] = coupling * val
+    for q in range(n - 1):
+        a = amps.reshape(1 << q, 4, -1)
+        diff = a[:, 1] - a[:, 2]
+        out[q] = coupling * ((norm2 - np.vdot(diff, diff).real) / 2 - 0.25)
     return out
 
 
@@ -283,9 +354,13 @@ def total_energy_sz(state: StateVector, coupling: float = 1.0) -> float:
 
 
 def s2_expectation_sz(state: StateVector) -> float:
-    return float(np.vdot(state.amplitudes,
-                         oracle.apply_total_s2(state.amplitudes,
-                                               state.n_qubits)).real)
+    """<S^2> = ||S_+ psi||^2 + ||S_z psi||^2 + <S_z>: the N raising passes
+    of S^2 without the lowering ones."""
+    amps, n = state.amplitudes, state.n_qubits
+    raised = oracle.apply_total_raise(amps, n)
+    sz = oracle.apply_total_sz(amps, n)
+    return float((np.vdot(raised, raised) + np.vdot(sz, sz)
+                  + np.vdot(amps, sz)).real)
 
 
 def sz_expectation_sz(state: StateVector) -> float:
@@ -630,12 +705,9 @@ def trotter_comparison_csf(n_sites: int, total_spin_x2: int, trunc_x2: int,
     ref_record, _ = trotter_evolve_sz(
         n_sites, total_spin_x2, duration, n_layers, order, coupling)
     ham = build_hamiltonian(basis, "band", coupling)
-    dt = duration / n_layers if n_layers else 0.0
-    fids = [1.0]
-    psi = record.path_vectors[0]         # the start path
-    for vec in record.path_vectors[1:]:
-        psi = exact_evolve(ham, psi, dt)
-        fids.append(fidelity(psi, vec))
+    exact = exact_evolve(ham, record.path_vectors[0], record.times[1:])
+    fids = [1.0] + [fidelity(psi, vec)
+                    for psi, vec in zip(exact, record.path_vectors[1:])]
     err = np.abs(record.bond_energies - ref_record.bond_energies).mean(axis=1)
     aux = {"avg_abs_bond_error": err, "fidelity": np.array(fids)}
     return (EvolutionRecord(record.times, record.total_energy,

@@ -129,12 +129,15 @@ def test_sweep_integrates_each_boundary_interval_once(monkeypatch):
     sweep(8, 0, 3, durations, counts, order=2)
     # the boundaries k/n of every count, as multiples of 1/120
     grid = sorted({120 // n * k for n in counts for k in range(n + 1)})
-    steps = np.diff(grid) / 120
-    assert len(steps) == 60
-    assert len(calls) == len(durations) * len(steps)
-    for k, duration in enumerate(durations):
-        got = calls[k * len(steps):(k + 1) * len(steps)]
-        assert np.allclose(got, duration * steps, rtol=1e-15, atol=0)
+    checkpoints = np.array(grid[1:]) / 120
+    assert len(checkpoints) == 60
+    # one call per duration, checkpointed at every boundary after t = 0
+    assert len(calls) == len(durations)
+    for times, duration in zip(calls, durations):
+        assert len(times) == len(checkpoints)
+        assert np.allclose(times, duration * checkpoints, rtol=1e-15, atol=0)
+        assert np.allclose(np.diff(times, prepend=0.0),
+                           duration * np.diff(grid) / 120, rtol=1e-14, atol=0)
 
 
 def test_reference_matches_independent_ode_solver():

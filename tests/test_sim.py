@@ -10,8 +10,10 @@ from spinadapt import circuits, sim
 from spinadapt.basis import initial_path
 from spinadapt.circuits import Circuit, Gate, csf_trotter_step, sz_trotter_step
 from spinadapt.encode import BandTerm, build_layout
-from spinadapt.oracle import sz_hamiltonian_matrix
-from spinadapt.sga import build_hamiltonian
+from spinadapt.oracle import (apply_permutation, apply_total_s2,
+                              sz_hamiltonian_matrix)
+from spinadapt.adiabatic import schedule_hamiltonians
+from spinadapt.sga import SparseOperator, build_hamiltonian
 from spinadapt.sim import (EvolutionRecord, StateVector, basis_state,
                            bond_energies_sz, circuit_unitary,
                            decode_to_path_vector, embed_path_vector,
@@ -159,6 +161,142 @@ def test_exact_evolve_accepts_operator_types():
     assert np.abs(np.abs(np.vdot(out_op, dec)) - 1.0) < 1e-10
 
 
+def _two_product_evolve(hamiltonian, amplitudes, duration, slope=None):
+    """The single-interval form exact_evolve replaced: the same series and
+    step rule, with one product with H and one with the slope per term."""
+    def trace_and_norm1(mat):
+        if sp.issparse(mat):
+            mat = mat.tocsr()
+            col_sums = np.bincount(mat.indices, np.abs(mat.data), mat.shape[1])
+        else:
+            col_sums = np.abs(mat).sum(axis=0)
+        return mat.diagonal().sum(), float(col_sums.max(initial=0.0))
+
+    mat, slope = (op.matrix if isinstance(op, SparseOperator) else op
+                  for op in (hamiltonian, slope))
+    psi = amplitudes.astype(complex)
+    if duration == 0.0:
+        return psi
+    trace, norm1 = trace_and_norm1(mat)
+    mu, nu = trace / mat.shape[0], 0.0
+    bound = abs(duration) * (norm1 + abs(mu))
+    if slope is not None:
+        trace, norm1 = trace_and_norm1(slope)
+        nu = trace / mat.shape[0]
+        norm1 += abs(nu)
+        bound = bound + abs(duration) * (abs(duration) * norm1
+                                         + np.sqrt(sim._DEGREES * norm1))
+    steps = np.maximum(1.0, np.ceil(bound / sim._THETAS))
+    s = int(steps[np.argmin(sim._DEGREES * steps)])
+    h = duration / s
+    step = -1j * duration / s
+    for i in range(s):
+        t_a = i * h
+        mu_a = mu + t_a * nu
+        term, corr = psi, 0.0
+        c1 = np.abs(term).max()
+        for j in range(1, sim._DEGREES[-1] + 1):
+            shifted = mat @ term - mu_a * term
+            if slope is not None:
+                ramp = slope @ term
+                shifted = shifted + t_a * ramp + corr
+                corr = h * (ramp - nu * term)
+            term = (step / j) * shifted
+            c2 = np.abs(term).max()
+            psi = psi + term
+            if c1 + c2 <= sim._TAYLOR_TOL * np.abs(psi).max():
+                break
+            c1 = c2
+        else:
+            raise ResourceLimitError("Taylor series not converged")
+        psi = np.exp(step * (mu_a + nu * h / 2)) * psi
+    return psi
+
+
+# checkpoint gaps of 0 (a repeated time) and up to 3, so that intervals
+# take one or several scaling steps
+@given(st.integers(min_value=2, max_value=5), st.sampled_from([0, 2]),
+       st.integers(min_value=2, max_value=5),
+       st.sampled_from(["constant", "shared", "different"]),
+       st.sampled_from(["operator", "csr", "dense"]),
+       st.lists(st.sampled_from([0.0, 0.05, 0.3, 1.0, 3.0]), min_size=1,
+                max_size=6),
+       st.integers(0, 2**32 - 1))
+@example(5, 0, 4, "shared", "csr", [3.0, 0.0, 1.0], 0)
+@example(4, 2, 3, "different", "dense", [0.05, 3.0], 1)
+@settings(max_examples=40, deadline=None)
+def test_checkpoints_match_chained_two_product_calls(n_half, ts, trunc,
+                                                     generator, kind, gaps,
+                                                     seed):
+    assume(trunc >= ts)
+    basis = enumerate_paths(2 * n_half, ts, trunc)
+    rng = np.random.default_rng(seed)
+    dim = len(basis)
+    if generator == "different":
+        ham = build_hamiltonian(basis, "band", 0.8).matrix
+        slope = sp.diags(rng.uniform(-1.0, 1.0, dim), format="csr")
+    else:
+        ham, slope = schedule_hamiltonians(basis, 1.2)
+        slope = None if generator == "constant" else slope / 4.0
+    times = np.cumsum(gaps)
+    vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    vec /= np.linalg.norm(vec)
+
+    def wrap(mat):
+        if mat is None or kind == "csr":
+            return mat
+        return SparseOperator(basis, mat) if kind == "operator" \
+            else mat.toarray()
+
+    out = exact_evolve(wrap(ham), vec, times, wrap(slope))
+    assert out.shape == (len(times), dim)
+    psi, t_a = vec, 0.0
+    for t_b, got in zip(times, out):
+        start = ham if slope is None else ham + t_a * slope
+        psi = _two_product_evolve(wrap(start), psi, t_b - t_a, wrap(slope))
+        assert np.abs(got - psi).max() < 1e-13
+        t_a = t_b
+    # the last checkpoint alone, as a scalar duration
+    last = exact_evolve(wrap(ham), vec, times[-1], wrap(slope))
+    assert last.shape == (dim,)
+    assert np.abs(last - out[-1]).max() < 1e-13
+
+
+def test_checkpoints_run_either_way_from_zero():
+    ham = build_hamiltonian(enumerate_paths(8, 0, 3), "band")
+    vec = np.zeros(ham.dim, complex)
+    vec[0] = 1.0
+    back = exact_evolve(ham, vec, [-0.5, -1.5])
+    assert np.abs(back[1] - exact_evolve(ham, vec, -1.5)).max() < 1e-13
+    assert np.abs(exact_evolve(ham, back[1], 1.5) - vec).max() < 1e-13
+    assert exact_evolve(ham, vec, []).shape == (0, ham.dim)
+
+
+@pytest.mark.parametrize("duration, named", [
+    (float("nan"), "nan"), (np.inf, "inf"), (-np.inf, "-inf"),
+    ([0.5, float("nan")], "nan"), ([0.5, np.inf, 2.0], "inf"),
+    ([0.5, 1.0, 0.75], "0.75"), ([1.0, -1.0], "-1.0"), ([-1.0, 2.0], "2.0"),
+])
+def test_exact_evolve_refuses_bad_times(duration, named):
+    ham = sz_hamiltonian_matrix(2)
+    amps = singlet_pair_state_sz(2).amplitudes
+    for slope in (None, ham):
+        with pytest.raises(ValueError, match=f"time {named} "):
+            exact_evolve(ham, amps, duration, slope)
+
+
+def test_one_pattern_keeps_both_matrices():
+    rng = np.random.default_rng(3)
+    a = sp.random(30, 30, density=0.1, random_state=rng, format="csr")
+    b = sp.random(30, 30, density=0.1, random_state=rng, format="csr")
+    for x, y in ((a, b), (a, 0 * a), (b, a)):
+        u, v = sim._one_pattern(sim._as_csr(x), sim._as_csr(y))
+        assert u.has_sorted_indices and v.has_sorted_indices
+        assert np.array_equal(u.indptr, v.indptr)
+        assert np.array_equal(u.indices, v.indices)
+        assert abs(u - x).max() == 0.0 and abs(v - y).max() == 0.0
+
+
 def test_singlet_pair_observables():
     for n in (8, 16):
         state = singlet_pair_state_sz(n)
@@ -175,6 +313,44 @@ def test_energies_real_on_random_state():
     amps /= np.linalg.norm(amps)
     state = StateVector(6, amps)
     assert np.all(np.isfinite(bond_energies_sz(state)))
+
+
+def _bond_energies_by_permutation(state, coupling):
+    """The register-copying route bond_energies_sz replaced: <pi_{p,p+1}>
+    from one transposed copy of the register per bond."""
+    n, amps = state.n_qubits, state.amplitudes
+    return np.array([coupling * (np.vdot(amps, apply_permutation(
+        amps, n, p, p + 1)).real / 2 - 0.25) for p in range(1, n)])
+
+
+@given(st.integers(min_value=2, max_value=12),
+       st.floats(min_value=0.25, max_value=4.0), st.integers(0, 2**32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_bond_energies_match_permutation_route(n, coupling, seed):
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    state = StateVector(n, amps / np.linalg.norm(amps))
+    kept = state.amplitudes.copy()
+    got = bond_energies_sz(state, coupling)
+    assert np.abs(got - _bond_energies_by_permutation(state, coupling)).max() \
+        < 1e-12
+    assert np.array_equal(state.amplitudes, kept)
+
+
+@given(st.integers(min_value=1, max_value=12), st.integers(0, 2**32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_s2_expectation_matches_operator(n, seed):
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    state = StateVector(n, amps / np.linalg.norm(amps))
+    expected = np.vdot(state.amplitudes,
+                       apply_total_s2(state.amplitudes, n)).real
+    assert abs(s2_expectation_sz(state) - expected) < 1e-12
+    # the sector reference states are S^2 eigenstates
+    if n % 2 == 0:
+        for ts in (0, 2):
+            ref = sz_reference_state(n, ts)
+            assert abs(s2_expectation_sz(ref) - ts / 2 * (ts / 2 + 1)) < 1e-12
 
 
 def test_fidelity_properties():
