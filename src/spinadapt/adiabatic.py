@@ -12,6 +12,10 @@ benchmark sector (N=12, trunc 3/2, T=20) its states lie within 1.3e-13 of
 the continuous-time limit.  All intervals of one duration are one
 sim.exact_evolve call with a slope, checkpointed at the boundaries, so a
 sweep over 10, 20 and 40 layers makes one call per duration.
+
+A sweep prepares its sector once (PreparedSector: basis, compiled Trotter
+step, start vector, schedule pair and target ground energy) and hands it to
+every schedule of its grid, with one ReferenceRuns per duration.
 """
 
 from __future__ import annotations
@@ -29,7 +33,8 @@ from .basis import CsfBasis, enumerate_paths, initial_path  # noqa: F401
 from .sga import HEIGHT_MODE, PRUNE_TOL, SparseOperator, _bond_sums, \
     build_hamiltonian, ground_state
 from .encode import build_layout
-from .sim import exact_evolve, path_trotter_run, simulate  # noqa: F401
+from .sim import (PathStep, exact_evolve, path_trotter_run,  # noqa: F401
+                  simulate, start_vector)
 
 @dataclass(frozen=True)
 class Schedule:
@@ -90,54 +95,86 @@ def _ground_energy(basis: CsfBasis, matrix: sp.csr_matrix) -> float:
     return float(ground_state(SparseOperator(basis, matrix))[0][0])
 
 
-class ReferenceRuns:
-    """The exact evolution at one duration, shared by the schedules of
-    several layer counts (one object per sector, coupling and duration).
+SECTOR_FIELDS = ("n_sites", "total_spin_x2", "trunc_x2", "order", "coupling")
 
-    The ramp is integrated once, by one exact_evolve of H_start with the
-    ramp's slope H_ramp / T, checkpointed at the sorted union of the layer
-    boundaries k/n of every count n in `layer_counts`, kept as integers on
-    the grid of 1/lcm(layer_counts).  Each interval between boundaries is a
-    Taylor series of the continuous ramp with no splitting error.  For
-    counts 10, 20, 30 and 40 that is 60 intervals.
+
+def _sector_key(schedule: Schedule, n_sites: int, coupling: float) -> tuple:
+    """The schedule's sector, as SECTOR_FIELDS."""
+    return (n_sites, schedule.total_spin_x2, schedule.trunc_x2,
+            schedule.order, coupling)
+
+
+@dataclass(frozen=True, eq=False)
+class PreparedSector:
+    """What every schedule of one sector, order and coupling shares: the
+    basis, the compiled Trotter step, the start vector (read-only), the
+    schedule pair (H_start, H_ramp) and the ground energy of their sum."""
+
+    key: tuple                    # values of SECTOR_FIELDS
+    basis: CsfBasis
+    step: PathStep
+    start: np.ndarray
+    h_start: sp.csr_matrix
+    h_ramp: sp.csr_matrix
+    target_energy: float
+
+    @classmethod
+    def prepare(cls, n_sites: int, total_spin_x2: int, trunc_x2: int,
+                order: int = Schedule.order,
+                coupling: float = 1.0) -> "PreparedSector":
+        basis = enumerate_paths(n_sites, total_spin_x2, trunc_x2)
+        step = PathStep(basis, build_layout(n_sites, total_spin_x2, trunc_x2),
+                        order)
+        start = start_vector(basis)
+        start.flags.writeable = False
+        h_start, h_ramp = schedule_hamiltonians(basis, coupling)
+        return cls((n_sites, total_spin_x2, trunc_x2, order, coupling), basis,
+                   step, start, h_start, h_ramp,
+                   _ground_energy(basis, h_start + h_ramp))
+
+
+class ReferenceRuns:
+    """The exact evolution of one prepared sector at one duration, shared by
+    the schedules of several layer counts.
+
+    The ramp is integrated once, at the duration of the first schedule
+    asked for, by one exact_evolve of H_start with the ramp's slope
+    H_ramp / T, checkpointed at the sorted union of the layer boundaries k/n
+    of every count n in `layer_counts`, kept as integers on the grid of
+    1/lcm(layer_counts).  Each interval between boundaries is a Taylor
+    series of the continuous ramp with no splitting error; each series runs
+    to the 2^-53 tail test of exact_evolve, and one that does not converge
+    raises ResourceLimitError.  For counts 10, 20, 30 and 40 that is 60
+    intervals.
     """
 
-    def __init__(self, layer_counts):
+    def __init__(self, sector: PreparedSector, layer_counts):
+        self.sector = sector
         self.layer_counts = tuple(int(n) for n in layer_counts)
         self.grid = math.lcm(*self.layer_counts)
+        self.duration: float | None = None
         self.states: dict[int, np.ndarray] | None = None
 
-    def boundaries(self, schedule: Schedule, h_start, h_ramp,
-                   start: np.ndarray) -> list[np.ndarray]:
+    def boundaries(self, schedule: Schedule) -> list[np.ndarray]:
         """States at the schedule's layer boundaries."""
         if schedule.n_layers not in self.layer_counts:
             raise ValueError(f"{schedule.n_layers} layers is not one of the "
                              f"shared counts {self.layer_counts}")
         if self.states is None:
+            sector, duration = self.sector, schedule.duration
             keys = sorted({self.grid // n * k for n in self.layer_counts
                            for k in range(n + 1)})
-            duration = schedule.duration
-            slope = h_ramp / duration if duration else None
+            slope = sector.h_ramp / duration if duration else None
             times = [key / self.grid * duration for key in keys[1:]]
-            states = exact_evolve(h_start, start, times, slope)
-            self.states = {0: start, **dict(zip(keys[1:], states))}
+            states = exact_evolve(sector.h_start, sector.start, times, slope)
+            self.states = {0: sector.start, **dict(zip(keys[1:], states))}
+            self.duration = duration
+        elif schedule.duration != self.duration:
+            raise ValueError(f"these reference runs integrated duration "
+                             f"{self.duration}, not the schedule's "
+                             f"{schedule.duration}")
         stride = self.grid // schedule.n_layers
         return [self.states[k * stride] for k in range(schedule.n_layers + 1)]
-
-
-def _exact_reference(schedule: Schedule, h_start, h_ramp, start: np.ndarray,
-                     runs: ReferenceRuns | None = None) -> list[np.ndarray]:
-    """Layer-boundary snapshots of the exact schedule, from `runs` or from a
-    run of the schedule's own layer count.
-
-    Each interval's series runs to the 2^-53 tail test of exact_evolve; on
-    the benchmark sector (N=12, trunc 3/2, T=20) the states lie within
-    1.3e-13 of the continuous-time limit.  A series that does not converge
-    raises ResourceLimitError.
-    """
-    if runs is None:
-        runs = ReferenceRuns([schedule.n_layers])
-    return runs.boundaries(schedule, h_start, h_ramp, start)
 
 
 def run_schedule(schedule: Schedule, n_sites: int, coupling: float = 1.0,
@@ -147,24 +184,30 @@ def run_schedule(schedule: Schedule, n_sites: int, coupling: float = 1.0,
     Energies are measured against the instantaneous interpolated Hamiltonian
     (the t=0 row therefore sits exactly at the initial ground energy);
     fidelities are instantaneous overlaps with the refined exact evolution.
-    `runs` shares the exact reference with other schedules of the same
-    sector, coupling and duration (see sweep).
+    `runs` carries the prepared sector and the exact reference that other
+    schedules of the same sector and duration share (see sweep); without
+    it, both are built for this schedule alone.  A sector other than the
+    schedule's raises ValueError.
     """
-    n_layers = schedule.n_layers
-    basis = enumerate_paths(n_sites, schedule.total_spin_x2, schedule.trunc_x2)
+    key = _sector_key(schedule, n_sites, coupling)
+    if runs is None:
+        runs = ReferenceRuns(PreparedSector.prepare(*key), [schedule.n_layers])
+    elif runs.sector.key != key:
+        fields = ", ".join(SECTOR_FIELDS)
+        raise ValueError(f"prepared sector ({fields}) = {runs.sector.key} "
+                         f"is not the schedule's {key}")
+    sector, n_layers = runs.sector, schedule.n_layers
     times, vecs = path_trotter_run(
-        basis, build_layout(n_sites, schedule.total_spin_x2, schedule.trunc_x2),
-        schedule.duration, n_layers, schedule.order, coupling,
+        sector.step, sector.start, schedule.duration, n_layers, coupling,
         ramps=[(k + 0.5) / n_layers for k in range(n_layers)])
-    h_start, h_ramp = schedule_hamiltonians(basis, coupling)
-    refs = _exact_reference(schedule, h_start, h_ramp, vecs[0], runs)
+    refs = runs.boundaries(schedule)
     # <H(t_k)> = <H_start> + (k/n) <H_ramp>, both over every vector at once
     e_start, e_ramp = (np.einsum("kd,dk->k", vecs.conj(), mat @ vecs.T).real
-                       for mat in (h_start, h_ramp))
+                       for mat in (sector.h_start, sector.h_ramp))
     energies = e_start + np.arange(n_layers + 1) / n_layers * e_ramp
     fids = [abs(np.vdot(ref, vec)) for ref, vec in zip(refs, vecs)]
     return ScheduleResult(times, energies, np.array(fids),
-                          _ground_energy(basis, h_start + h_ramp), vecs[-1])
+                          sector.target_energy, vecs[-1])
 
 
 def target_ground_truth(schedule: Schedule, n_sites: int,
@@ -175,23 +218,26 @@ def target_ground_truth(schedule: Schedule, n_sites: int,
     E_target: ground energy of H_start + H_ramp, the band-truncated Hamiltonian;
     E_exact_full: untruncated ground energy in the same (N, S) sector.
     """
-    basis = enumerate_paths(n_sites, schedule.total_spin_x2, schedule.trunc_x2)
-    h_start, h_ramp = schedule_hamiltonians(basis, coupling)
+    sector = PreparedSector.prepare(*_sector_key(schedule, n_sites, coupling))
     full = enumerate_paths(n_sites, schedule.total_spin_x2)
     e_exact = float(ground_state(
         build_hamiltonian(full, HEIGHT_MODE, coupling))[0][0])
-    return (_ground_energy(basis, h_start),
-            _ground_energy(basis, h_start + h_ramp), e_exact)
+    return (_ground_energy(sector.basis, sector.h_start),
+            sector.target_energy, e_exact)
 
 
 def sweep(n_sites: int, total_spin_x2: int, trunc_x2: int,
           durations, layer_counts, order: int = Schedule.order,
           coupling: float = 1.0) -> list[dict]:
-    """Final energy and fidelity over a (duration, layers) grid; the layer
-    counts of one duration share their exact reference runs."""
+    """Final energy and fidelity over a (duration, layers) grid.  The
+    sector is prepared once for the whole grid; the layer counts of one
+    duration share their exact reference runs, which are released when the
+    sweep moves to the next duration."""
+    sector = PreparedSector.prepare(n_sites, total_spin_x2, trunc_x2, order,
+                                    coupling)
     rows = []
     for duration in durations:
-        runs = ReferenceRuns(layer_counts)
+        runs = ReferenceRuns(sector, layer_counts)
         for n_layers in layer_counts:
             sched = Schedule(total_spin_x2, trunc_x2, float(duration),
                              int(n_layers), order)

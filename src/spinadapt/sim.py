@@ -659,24 +659,30 @@ def trotter_evolve_sz(n_sites: int, total_spin_x2: int, duration: float,
     return EvolutionRecord(times, bonds.sum(axis=1), bonds, aux), state
 
 
-def path_trotter_run(basis: CsfBasis, layout: QubitLayout, duration: float,
-                     n_layers: int, order: int = 1, coupling: float = 1.0,
+def start_vector(basis: CsfBasis) -> np.ndarray:
+    """The sector's start path (initial_path) as a unit spin-path vector."""
+    start = np.zeros(len(basis), dtype=complex)
+    start[basis.position(initial_path(basis.n_sites,
+                                      basis.total_spin_x2))] = 1.0
+    return start
+
+
+def path_trotter_run(step: PathStep, start: np.ndarray, duration: float,
+                     n_layers: int, coupling: float = 1.0,
                      ramps: Sequence[float] | None = None):
-    """Layered evolution of the spin-path vector from the sector's start path.
+    """Layered evolution of the spin-path vector `start` by the compiled
+    step.
 
     ramps[k] scales bands s >= 1 in layer k (see circuits.band_angle); the
     default runs every layer at full weight.  A layer is rebuilt when its
-    ramp differs from the previous layer's.  Returns the times and the path
-    vectors at t=0 and after every layer, shape (n_layers + 1, dim).
+    ramp differs from the previous layer's.  `start` is left unchanged.
+    Returns the times and the path vectors at t=0 and after every layer,
+    shape (n_layers + 1, dim).
     """
     ramps = [1.0] * n_layers if ramps is None else list(ramps)
     if len(ramps) != n_layers:
         raise ValueError(f"{len(ramps)} ramp values for {n_layers} layers")
-    step = PathStep(basis, layout, order)
     dt = duration / n_layers if n_layers else 0.0
-    start = np.zeros(len(basis), dtype=complex)
-    start[basis.position(initial_path(basis.n_sites,
-                                      basis.total_spin_x2))] = 1.0
 
     def layers():
         layer, layer_ramp = None, None
@@ -728,8 +734,9 @@ def trotter_evolve_csf(n_sites: int, total_spin_x2: int, trunc_x2: int,
     """
     basis = enumerate_paths(n_sites, total_spin_x2, trunc_x2)
     layout = build_layout(n_sites, total_spin_x2, trunc_x2)
-    times, vectors = path_trotter_run(basis, layout, duration, n_layers,
-                                      order, coupling, ramps)
+    times, vectors = path_trotter_run(PathStep(basis, layout, order),
+                                      start_vector(basis), duration,
+                                      n_layers, coupling, ramps)
     bond_ops = [permutation_matrix(basis, p, p + 1).matrix
                 for p in range(1, n_sites)]
     bonds = np.array([bond_energies_csf(vec, bond_ops, coupling)

@@ -6,7 +6,8 @@ import scipy.sparse as sp
 from scipy.integrate import solve_ivp
 
 from spinadapt import adiabatic, sim
-from spinadapt.adiabatic import (Schedule, initial_path, run_schedule,
+from spinadapt.adiabatic import (PreparedSector, ReferenceRuns, Schedule,
+                                 initial_path, run_schedule,
                                  schedule_hamiltonians, sweep, sweep_csv,
                                  target_ground_truth)
 from spinadapt.basis import (enumerate_paths, singlet_pair_path,
@@ -94,24 +95,70 @@ def test_sweep_rows_and_csv():
     assert lines[1].startswith("1,2")
 
 
-def _reference_inputs(sched, n_sites):
-    basis = enumerate_paths(n_sites, sched.total_spin_x2, sched.trunc_x2)
-    h_start, h_ramp = schedule_hamiltonians(basis)
-    start = np.zeros(len(basis), dtype=complex)
-    start[basis.position(initial_path(n_sites, sched.total_spin_x2))] = 1.0
-    return h_start, h_ramp, start
+def test_sweep_rows_equal_runs_on_a_fresh_sector():
+    # sharing the sector and the reference runs changes no bit
+    counts = [10, 20, 40]
+    rows = sweep(8, 0, 3, [2.0, 4.0], counts, order=1, coupling=0.7)
+    assert len(rows) == 6
+    for row in rows:
+        runs = ReferenceRuns(PreparedSector.prepare(8, 0, 3, 1, 0.7), counts)
+        res = run_schedule(Schedule(0, 3, row["duration"], row["n_layers"],
+                                    order=1), 8, 0.7, runs)
+        assert row["final_energy"] == float(res.energy[-1])
+        assert row["final_fidelity"] == res.final_fidelity
+
+
+def test_sweep_prepares_the_sector_once(monkeypatch):
+    calls = {"step": 0, "pair": 0, "eigensolve": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(adiabatic, "PathStep", counted("step", sim.PathStep))
+    monkeypatch.setattr(adiabatic, "schedule_hamiltonians",
+                        counted("pair", schedule_hamiltonians))
+    monkeypatch.setattr(adiabatic, "ground_state",
+                        counted("eigensolve", adiabatic.ground_state))
+    rows = sweep(8, 0, 3, [2.0, 4.0], [10, 20, 40])
+    assert len(rows) == 6
+    assert calls == {"step": 1, "pair": 1, "eigensolve": 1}
+
+
+def test_reference_runs_refuse_a_second_duration():
+    runs = ReferenceRuns(PreparedSector.prepare(8, 0, 2), [4, 8])
+    sched = Schedule(0, 2, 2.0, 4)
+    runs.boundaries(sched)
+    runs.boundaries(replace(sched, n_layers=8))
+    with pytest.raises(ValueError, match=r"duration 2\.0, not the "
+                                         r"schedule's 4\.0"):
+        runs.boundaries(replace(sched, duration=4.0))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n_sites", 10), ("total_spin_x2", 2), ("trunc_x2", 3), ("order", 1),
+    ("coupling", 0.5)])
+def test_run_schedule_refuses_another_sector(field, value):
+    key = dict(zip(adiabatic.SECTOR_FIELDS, (8, 0, 2, 2, 1.0)))
+    wrong = PreparedSector.prepare(**{**key, field: value})
+    with pytest.raises(ValueError) as err:
+        run_schedule(Schedule(0, 2, 2.0, 4, order=2), 8, 1.0,
+                     ReferenceRuns(wrong, [4]))
+    assert str(wrong.key) in str(err.value)
+    assert str(tuple(key.values())) in str(err.value)
 
 
 def test_reference_within_tolerance_of_finer_run():
     sched = Schedule(0, 3, 20.0, 10)
-    inputs = _reference_inputs(sched, 8)
-    refs = adiabatic._exact_reference(sched, *inputs)
+    sector = PreparedSector.prepare(8, 0, 3)
+    refs = ReferenceRuns(sector, [10]).boundaries(sched)
     # the same ramp through 4x finer intervals, and through the union of
     # the boundaries of 10, 20, 30 and 40 layers
-    finer = adiabatic.ReferenceRuns([40]).boundaries(
-        replace(sched, n_layers=40), *inputs)
-    mixed = adiabatic.ReferenceRuns([10, 20, 30, 40]).boundaries(
-        sched, *inputs)
+    finer = ReferenceRuns(sector, [40]).boundaries(
+        replace(sched, n_layers=40))
+    mixed = ReferenceRuns(sector, [10, 20, 30, 40]).boundaries(sched)
     for k, ref in enumerate(refs):
         assert np.linalg.norm(ref - finer[4 * k]) < 1e-12
         assert np.linalg.norm(ref - mixed[k]) < 1e-12
@@ -143,8 +190,9 @@ def test_sweep_integrates_each_boundary_interval_once(monkeypatch):
 def test_reference_matches_independent_ode_solver():
     # the continuous ramp integrated by an explicit Runge-Kutta method
     sched = Schedule(0, 3, 20.0, 4)
-    h_start, h_ramp, start = _reference_inputs(sched, 8)
-    final = adiabatic._exact_reference(sched, h_start, h_ramp, start)[-1]
+    sector = PreparedSector.prepare(8, 0, 3)
+    h_start, h_ramp, start = sector.h_start, sector.h_ramp, sector.start
+    final = ReferenceRuns(sector, [4]).boundaries(sched)[-1]
     sol = solve_ivp(lambda t, y: -1j * ((h_start + t / 20.0 * h_ramp) @ y),
                     (0.0, 20.0), start, method="DOP853", rtol=1e-13,
                     atol=1e-13)
