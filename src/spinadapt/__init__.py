@@ -14,16 +14,15 @@ from .encode import (PauliString, PauliSum, QubitLayout, build_layout,
 from .errors import (InvalidQuantumNumbersError, ResourceLimitError,
                      SpinAdaptError, UnphysicalPathError,
                      UnsupportedConfigurationError)
-from .sga import (BandCoefficients, SparseOperator, apply_elementary_permutation,
-                  apply_hamiltonian, band_coefficients, band_hamiltonian,
-                  build_hamiltonian, permutation_matrix)
+from .sga import (BandCoefficients, SparseOperator, apply_hamiltonian,
+                  band_coefficients, band_hamiltonian, build_hamiltonian,
+                  permutation_matrix)
 
 __all__ = [
     "BandCoefficients", "CsfBasis", "PauliString", "PauliSum", "QubitLayout",
     "SparseOperator", "SpinPath", "InvalidQuantumNumbersError",
     "ResourceLimitError", "SpinAdaptError", "UnphysicalPathError",
-    "UnsupportedConfigurationError", "apply_elementary_permutation",
-    "apply_hamiltonian", "band_coefficients", "band_hamiltonian",
+    "UnsupportedConfigurationError", "apply_hamiltonian", "band_coefficients", "band_hamiltonian",
     "build_hamiltonian", "build_layout", "cardinality", "encode_hamiltonian",
     "enumerate_paths", "permutation_matrix", "qubit_count", "singlet_pair_path",
     "step_to_height", "triplet_reference_path",

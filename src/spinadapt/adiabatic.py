@@ -26,13 +26,11 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-# initial_path and simulate are re-exported: callers take the start path
-# from here, and bench/spans.py patches every module's copy of simulate and
-# checks the copy here.
-from .basis import CsfBasis, enumerate_paths, initial_path  # noqa: F401
-from .sga import HEIGHT_MODE, PRUNE_TOL, SparseOperator, _bond_sums, \
-    build_hamiltonian, ground_state
+from .basis import CsfBasis, enumerate_paths
+from .sga import PRUNE_TOL, SparseOperator, _bond_sums, ground_state
 from .encode import build_layout
+# simulate is re-exported: bench/spans.py patches every module's copy of it
+# and checks the copy here.
 from .sim import (PathStep, exact_evolve, path_trotter_run,  # noqa: F401
                   simulate, start_vector)
 
@@ -91,10 +89,6 @@ def schedule_hamiltonians(basis: CsfBasis, coupling: float = 1.0):
                          shape=h_ramp.shape), h_ramp
 
 
-def _ground_energy(basis: CsfBasis, matrix: sp.csr_matrix) -> float:
-    return float(ground_state(SparseOperator(basis, matrix))[0][0])
-
-
 SECTOR_FIELDS = ("n_sites", "total_spin_x2", "trunc_x2", "order", "coupling")
 
 
@@ -128,9 +122,9 @@ class PreparedSector:
         start = start_vector(basis)
         start.flags.writeable = False
         h_start, h_ramp = schedule_hamiltonians(basis, coupling)
+        target = ground_state(SparseOperator(basis, h_start + h_ramp))[0][0]
         return cls((n_sites, total_spin_x2, trunc_x2, order, coupling), basis,
-                   step, start, h_start, h_ramp,
-                   _ground_energy(basis, h_start + h_ramp))
+                   step, start, h_start, h_ramp, float(target))
 
 
 class ReferenceRuns:
@@ -208,22 +202,6 @@ def run_schedule(schedule: Schedule, n_sites: int, coupling: float = 1.0,
     fids = [abs(np.vdot(ref, vec)) for ref, vec in zip(refs, vecs)]
     return ScheduleResult(times, energies, np.array(fids),
                           sector.target_energy, vecs[-1])
-
-
-def target_ground_truth(schedule: Schedule, n_sites: int,
-                        coupling: float = 1.0):
-    """(E_init, E_target, E_exact_full) for the schedule's sector.
-
-    E_init: ground energy of H_start on the truncated basis;
-    E_target: ground energy of H_start + H_ramp, the band-truncated Hamiltonian;
-    E_exact_full: untruncated ground energy in the same (N, S) sector.
-    """
-    sector = PreparedSector.prepare(*_sector_key(schedule, n_sites, coupling))
-    full = enumerate_paths(n_sites, schedule.total_spin_x2)
-    e_exact = float(ground_state(
-        build_hamiltonian(full, HEIGHT_MODE, coupling))[0][0])
-    return (_ground_energy(sector.basis, sector.h_start),
-            sector.target_energy, e_exact)
 
 
 def sweep(n_sites: int, total_spin_x2: int, trunc_x2: int,

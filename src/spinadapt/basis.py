@@ -54,18 +54,6 @@ class SpinPath:
         return "/".join(str(h) for h in self.heights)
 
 
-def is_valid_heights(heights: Sequence[int], trunc_x2: int | None = None) -> bool:
-    """Check the path invariants without raising."""
-    if len(heights) < 2 or heights[0] != 0:
-        return False
-    for a, b in zip(heights, heights[1:]):
-        if abs(b - a) != 1 or b < 0:
-            return False
-    if trunc_x2 is not None and max(heights) > trunc_x2:
-        return False
-    return True
-
-
 def _check_quantum_numbers(n_sites: int, total_spin_x2: int) -> None:
     if n_sites < 1:
         raise InvalidQuantumNumbersError(f"need at least one site, got {n_sites}")
@@ -150,10 +138,6 @@ class CsfBasis:
     heights: np.ndarray = field(repr=False, compare=False)
     walks: np.ndarray = field(repr=False, compare=False)
 
-    @property
-    def paths(self) -> tuple[SpinPath, ...]:
-        return tuple(self)
-
     def __len__(self) -> int:
         return self.heights.shape[0]
 
@@ -185,13 +169,9 @@ class CsfBasis:
         """Membership of a SpinPath or of a raw height sequence."""
         return bool(self.ranks(getattr(path, "heights", path)) >= 0)
 
-    def csv_lines(self) -> list[str]:
-        lines = ["index,heights"]
-        lines += [f"{k},{p}" for k, p in enumerate(self)]
-        return lines
-
     def to_csv(self) -> str:
-        return "\n".join(self.csv_lines()) + "\n"
+        return "index,heights\n" + "".join(f"{k},{p}\n"
+                                            for k, p in enumerate(self))
 
 
 def untruncated_level(n_sites: int) -> int:
@@ -280,11 +260,3 @@ def allowed_heights(n_sites: int, total_spin_x2: int, trunc_x2: int,
     hi = min(position, trunc_x2, total_spin_x2 + (n_sites - position))
     return tuple(h for h in range(max(lo, 0), hi + 1, 2))
 
-
-def parse_paths_csv(text: str, n_sites: int) -> list[SpinPath]:
-    """Inverse of CsfBasis.to_csv, used by the CLI round-trip tests."""
-    out = []
-    for line in text.strip().splitlines()[1:]:
-        _, heights = line.split(",", 1)
-        out.append(SpinPath(tuple(int(h) for h in heights.split("/")), n_sites))
-    return out

@@ -53,9 +53,6 @@ class Circuit:
             if any(q < 0 or q >= self.n_qubits for q in qs):
                 raise ValueError(f"gate {g} outside {self.n_qubits}-qubit register")
 
-    def __len__(self):
-        return len(self.gates)
-
 
 def _rz(q, a):
     return Gate("RZ", q, angle=float(a))
@@ -262,8 +259,7 @@ def scalar_energy(n_sites: int, coupling: float) -> float:
 
 def csf_trotter_step(n_sites: int, total_spin_x2: int, trunc_x2: int,
                      dt: float, order: int = 1, ramp: float = 1.0,
-                     coupling: float = 1.0, boundary: bool = True,
-                     layout: QubitLayout | None = None) -> Circuit:
+                     coupling: float = 1.0, boundary: bool = True) -> Circuit:
     """One Trotter step of the band-truncated Hamiltonian on the qubit register.
 
     ramp multiplies the effective time step of every band s >= 1 (the
@@ -275,8 +271,7 @@ def csf_trotter_step(n_sites: int, total_spin_x2: int, trunc_x2: int,
     """
     if order not in (1, 2):
         raise UnsupportedConfigurationError("Trotter order must be 1 or 2")
-    if layout is None:
-        layout = build_layout(n_sites, total_spin_x2, trunc_x2, boundary)
+    layout = build_layout(n_sites, total_spin_x2, trunc_x2, boundary)
     if trunc_x2 == 1 and boundary:
         # scalar subspace: a single global phase
         energy = scalar_energy(n_sites, coupling)
@@ -305,22 +300,6 @@ def export_gatelist(circuit: Circuit) -> str:
         else:
             lines.append(f"{g.kind} {g.target} {g.angle:.17g}")
     return "\n".join(lines) + "\n"
-
-
-def parse_gatelist(text: str) -> Circuit:
-    lines = text.strip().splitlines()
-    n = int(lines[0].split()[1])
-    gates = []
-    for line in lines[1:]:
-        parts = line.split()
-        kind = parts[0]
-        if kind == "CX":
-            gates.append(_cx(int(parts[1]), int(parts[2])))
-        elif kind == "X":
-            gates.append(Gate("X", int(parts[1])))
-        else:
-            gates.append(Gate(kind, int(parts[1]), angle=float(parts[2])))
-    return Circuit(n, tuple(gates))
 
 
 def export_qasm(circuit: Circuit) -> str:

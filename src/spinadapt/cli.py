@@ -67,14 +67,8 @@ def _write(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-def _trunc_x2(args) -> int | None:
-    if args.trunc is None:
-        return None
-    return TRUNC_CHOICES[args.trunc]
-
-
 def _require_finite_trunc(args, what: str) -> int:
-    trunc = _trunc_x2(args)
+    trunc = TRUNC_CHOICES.get(args.trunc)
     if trunc is None:
         raise InvalidQuantumNumbersError(f"{what} needs a finite --trunc")
     return trunc
@@ -94,19 +88,7 @@ def _refuse_order_on_scalar_step(args, trunc_x2: int) -> None:
             "path and its Trotter step is one exact phase")
 
 
-def _basis_for(args):
-    trunc = _trunc_x2(args)
-    if trunc is None:
-        trunc = untruncated_level(args.sites)
-    basis = enumerate_paths(args.sites, args.total_spin_x2, trunc)
-    if len(basis) == 0:
-        raise InvalidQuantumNumbersError(
-            f"the sector N={args.sites}, S={args.total_spin_x2 / 2:g} has no "
-            f"spin paths at --trunc {args.trunc or 'full'}")
-    return basis
-
-
-def _oracle_check(args, parser) -> None:
+def _oracle_check(args) -> None:
     """Compare every adjacent permutation matrix against the expansion route."""
     if args.sites > ORACLE_CHECK_MAX_SITES:
         raise ResourceLimitError(
@@ -121,13 +103,14 @@ def _oracle_check(args, parser) -> None:
                      f"2S={args.total_spin_x2}\n")
 
 
-def cmd_basis(args, parser) -> int:
-    basis = _basis_for(args)
+def cmd_basis(args) -> int:
+    basis = enumerate_paths(args.sites, args.total_spin_x2,
+                            TRUNC_CHOICES.get(args.trunc))
     _write(basis.to_csv(), args.out)
     return EXIT_OK
 
 
-def cmd_ham(args, parser) -> int:
+def cmd_ham(args) -> int:
     if args.format == "pauli":
         if args.mode != "band":
             raise InvalidQuantumNumbersError(
@@ -138,23 +121,20 @@ def cmd_ham(args, parser) -> int:
                                           trunc, args.coupling)
         _write(pauli.export_text(), args.out)
     else:
-        basis = _basis_for(args)
+        basis = enumerate_paths(args.sites, args.total_spin_x2,
+                                TRUNC_CHOICES.get(args.trunc))
         op = sga.build_hamiltonian(basis, args.mode, args.coupling)
         _write(op.export_coo(), args.out)
     return EXIT_OK
 
 
-def cmd_diag(args, parser) -> int:
+def cmd_diag(args) -> int:
     lines = ["trunc,mode,dim,ground_energy,gap"]
     labels = list(TRUNC_CHOICES) if args.trunc is None else [args.trunc]
     rungs = []
     for label in labels:
         trunc = TRUNC_CHOICES[label] or untruncated_level(args.sites)
         if trunc < args.total_spin_x2:
-            if args.trunc is not None:
-                raise InvalidQuantumNumbersError(
-                    f"--trunc {label} is below the total spin "
-                    f"{args.total_spin_x2 / 2:g}: the sector is empty")
             continue   # the default ladder starts where the sector has paths
         # the size guard of every rung, before the first one runs
         sector_walks(args.sites, args.total_spin_x2, trunc)
@@ -171,7 +151,7 @@ def cmd_diag(args, parser) -> int:
     return EXIT_OK
 
 
-def cmd_evolve(args, parser) -> int:
+def cmd_evolve(args) -> int:
     if args.basis == "sz":
         _refuse_trunc_on_sz(args)
         record, _ = sim.trotter_evolve_sz(
@@ -186,7 +166,7 @@ def cmd_evolve(args, parser) -> int:
     return EXIT_OK
 
 
-def cmd_adiabatic(args, parser) -> int:
+def cmd_adiabatic(args) -> int:
     trunc = _require_finite_trunc(args, "adiabatic schedules")
     order = adiabatic.Schedule.order if args.order is None else args.order
     if args.sweep:
@@ -209,7 +189,7 @@ def cmd_adiabatic(args, parser) -> int:
     return EXIT_OK
 
 
-def cmd_circuit(args, parser) -> int:
+def cmd_circuit(args) -> int:
     # an unset --order leaves the step builders' own default
     order = {} if args.order is None else {"order": args.order}
     if args.basis == "sz":
@@ -301,23 +281,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _validate(args, parser) -> None:
+def _validate(args) -> None:
     if args.sites < 2:
         raise InvalidQuantumNumbersError("--sites must be at least 2")
     ts = args.total_spin * 2
     if abs(ts - round(ts)) > 1e-9 or round(ts) not in (0, 2):
         raise InvalidQuantumNumbersError("--total-spin must be 0 or 1")
     args.total_spin_x2 = int(round(ts))
+    trunc = TRUNC_CHOICES.get(args.trunc)
+    if trunc is not None and trunc < args.total_spin_x2:
+        raise InvalidQuantumNumbersError(
+            f"--trunc {args.trunc} is below the total spin "
+            f"{args.total_spin_x2 / 2:g}: the sector is empty")
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        _validate(args, parser)
+        _validate(args)
         if args.oracle_check:
-            _oracle_check(args, parser)
-        return args.func(args, parser)
+            _oracle_check(args)
+        return args.func(args)
     except ResourceLimitError as exc:
         sys.stderr.write(f"resource guard: {exc}\n")
         return EXIT_RESOURCE

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import CsfBasis, SpinPath, allowed_heights, is_valid_heights
+from .basis import CsfBasis, SpinPath, allowed_heights
 from .errors import (InvalidQuantumNumbersError, ResourceLimitError,
                      UnsupportedConfigurationError)
 from .sga import band_coefficients
@@ -77,29 +77,6 @@ class QubitLayout:
                 bits |= m << (self.n_qubits - 1 - self.main_qubit[pos])
                 bits |= e << (self.n_qubits - 1 - self.ext_qubit[pos])
         return bits
-
-    def decode_bits(self, bits: int) -> SpinPath | None:
-        """Inverse of encode_path; None for unphysical bit patterns."""
-        heights = []
-        for pos in range(self.n_sites + 1):
-            vals = self.site_values[pos]
-            if len(vals) == 1:
-                heights.append(vals[0])
-                continue
-            m = (bits >> (self.n_qubits - 1 - self.main_qubit[pos])) & 1
-            if len(vals) == 2:
-                heights.append(vals[m])
-                continue
-            e = (bits >> (self.n_qubits - 1 - self.ext_qubit[pos])) & 1
-            if (e, m) == (1, 0):
-                return None  # fourth Gray pattern maps outside the heights
-            rank = {v: k for k, v in GRAY_CODES.items()}[(e, m)]
-            heights.append(vals[rank])
-        if not is_valid_heights(heights, self.trunc_x2):
-            return None
-        if heights[-1] != self.total_spin_x2:
-            return None
-        return SpinPath(tuple(heights), self.n_sites)
 
     def physical_bitstrings(self, basis: CsfBasis) -> np.ndarray:
         """encode_path of every basis path, read off the heights array."""
@@ -293,22 +270,6 @@ class PauliSum:
     terms: tuple[PauliString, ...]
     metadata: dict = field(default_factory=dict, compare=False)
 
-    def __len__(self):
-        return len(self.terms)
-
-    def is_hermitian(self, tol: float = 1e-12) -> bool:
-        # I/X/Z strings are self-adjoint; each Y contributes one conjugation sign
-        for t in self.terms:
-            ny = t.letters.count("Y")
-            val = t.coefficient.conjugate() * (-1) ** ny - t.coefficient
-            if abs(val) > tol:
-                return False
-        return True
-
-    def weight_max(self) -> int:
-        return max((sum(1 for c in t.letters if c != "I") for t in self.terms),
-                   default=0)
-
     def _term_action(self, term: PauliString, cols: np.ndarray):
         """Images and amplitudes of one string applied to column bit-strings."""
         n = self.n_qubits
@@ -365,18 +326,6 @@ class PauliSum:
             lines.append(f"{t.coefficient.real:.17g} {t.coefficient.imag:.17g} "
                          f"{t.letters}".rstrip())
         return "\n".join(lines) + "\n"
-
-
-def parse_pauli_text(text: str) -> PauliSum:
-    lines = text.strip().splitlines()
-    n = int(lines[0].split()[1])
-    terms = []
-    for line in lines[1:]:
-        parts = line.split()
-        letters = parts[2] if len(parts) > 2 else ""
-        terms.append(PauliString(complex(float(parts[0]), float(parts[1])),
-                                 letters))
-    return PauliSum(n, tuple(terms))
 
 
 def _expand_term(term: BandTerm, n_qubits: int, a: float, b: float,

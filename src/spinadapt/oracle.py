@@ -17,7 +17,6 @@ significant bit of the amplitude index; alpha=0, beta=1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import sqrt
 
 import numpy as np
@@ -30,16 +29,9 @@ EXPAND_MAX_SITES = 14
 MATRIX_ELEMENT_MAX_SITES = 12
 
 
-@dataclass(frozen=True)
-class DenseStateSz:
-    """Dense state over the 2^N computational basis."""
-
-    n_sites: int
-    amplitudes: np.ndarray
-
-
-def expand_csf(path: SpinPath, magnetization_x2: int | None = None) -> DenseStateSz:
-    """Genealogical expansion of a spin path into the computational basis.
+def expand_csf(path: SpinPath, magnetization_x2: int | None = None) -> np.ndarray:
+    """Genealogical expansion of a spin path into the computational basis:
+    its complex amplitudes over the 2^N bit-strings.
 
     Couples site by site; an up-coupled site multiplies by
     sqrt((h' + m +- 1)/(2(h'+1))) and a down-coupled site by the partner
@@ -77,7 +69,7 @@ def expand_csf(path: SpinPath, magnetization_x2: int | None = None) -> DenseStat
             if np.any(vec):
                 new[mu] = vec
         amps = new
-    return DenseStateSz(n, amps[magnetization_x2].astype(complex))
+    return amps[magnetization_x2].astype(complex)
 
 
 # --- bitwise operator applications (site 0 = MSB) ---
@@ -162,34 +154,6 @@ def sz_hamiltonian_matrix(n_sites: int, coupling: float = 1.0) -> sp.csr_matrix:
     return ham.tocsr()
 
 
-def oracle_matrix_element(op, bra: SpinPath, ket: SpinPath,
-                          magnetization_x2: int | None = None,
-                          coupling: float = 1.0) -> float:
-    """<bra| Op |ket> evaluated entirely in the computational basis.
-
-    op is either ("perm", i, j) with 1-based sites, or "H" for the full chain
-    Hamiltonian.  Both paths must share (N, 2S).
-    """
-    n = bra.n_sites
-    if n > MATRIX_ELEMENT_MAX_SITES:
-        raise ResourceLimitError(
-            f"oracle matrix element refused for N={n} > {MATRIX_ELEMENT_MAX_SITES}")
-    if ket.n_sites != n or ket.total_spin_x2 != bra.total_spin_x2:
-        raise InvalidQuantumNumbersError("bra and ket sectors differ")
-    b = expand_csf(bra, magnetization_x2)
-    k = expand_csf(ket, magnetization_x2)
-    if op == "H":
-        vec = apply_heisenberg(k.amplitudes, n, coupling)
-    else:
-        tag, i, j = op
-        if tag != "perm":
-            raise ValueError(f"unknown operator {op!r}")
-        vec = apply_permutation(k.amplitudes, n, i, j)
-    val = np.vdot(b.amplitudes, vec)
-    assert abs(val.imag) < 1e-12
-    return float(val.real)
-
-
 def oracle_operator_matrix(op, basis, magnetization_x2: int | None = None,
                            coupling: float = 1.0) -> np.ndarray:
     """Full operator matrix over a CsfBasis, one expansion per path."""
@@ -197,7 +161,7 @@ def oracle_operator_matrix(op, basis, magnetization_x2: int | None = None,
     if n > MATRIX_ELEMENT_MAX_SITES:
         raise ResourceLimitError(
             f"oracle matrix refused for N={n} > {MATRIX_ELEMENT_MAX_SITES}")
-    vecs = np.array([expand_csf(p, magnetization_x2).amplitudes for p in basis])
+    vecs = np.array([expand_csf(p, magnetization_x2) for p in basis])
     if op == "H":
         imgs = np.array([apply_heisenberg(v, n, coupling) for v in vecs])
     else:

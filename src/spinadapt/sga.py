@@ -35,7 +35,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .basis import CsfBasis, SpinPath, enumerate_paths
+from .basis import CsfBasis, enumerate_paths
 from .errors import InvalidQuantumNumbersError
 
 PRUNE_TOL = 1e-14
@@ -90,63 +90,6 @@ def _height_rule(triples: np.ndarray):
     return band, diag, flip, off
 
 
-def apply_elementary_permutation(path: SpinPath, p: int,
-                                 band_x2: int | None = None,
-                                 trunc_x2: int | None = None):
-    """Action of the transposition (p, p+1) on one path.
-
-    Returns [(SpinPath, coefficient), ...].  band_x2 selects a single band's
-    contribution (mixing keyed by the end height, pass-through by the center
-    height); None applies the full rules.  trunc_x2 drops flip results whose
-    new height exceeds the truncation.
-    """
-    n = path.n_sites
-    if not 1 <= p <= n - 1:
-        raise IndexError(f"permutation index {p} outside 1..{n - 1}")
-    band, diag, flip, off = _height_rule(np.array(path.heights[p - 1:p + 2]))
-    if band_x2 is not None and band_x2 != band:
-        return []
-    out = [(path, float(diag))]
-    if flip >= 0 and (trunc_x2 is None or flip <= trunc_x2):
-        flipped = list(path.heights)
-        flipped[p] = int(flip)
-        out.append((SpinPath(tuple(flipped), n), float(off)))
-    return out
-
-
-def step_permutation_apply(steps, p: int, band_x2: int | None = None):
-    """Same transposition expressed on step variables, with the cumulative-sum
-    projector made explicit.  Cross-check route only: exponential bookkeeping
-    of heights is hidden in the cumsum, so this is never used to build
-    operators.
-
-    Returns [(steps_tuple, coefficient), ...].
-    """
-    from .basis import step_to_height
-
-    path = step_to_height(tuple(steps))
-    su, sv = steps[p - 1], steps[p]
-    s_after = path.heights[p + 1]  # cumulative sum through index p+1
-    if band_x2 is not None and band_x2 != (s_after if su != sv else path.heights[p]):
-        # projector band: ends height if the pair mixes, center height otherwise
-        return []
-    if su == sv:
-        return [(tuple(steps), 1.0)]
-    coeff = band_coefficients(s_after)
-    a, b = coeff.a, coeff.b
-    swapped = list(steps)
-    swapped[p - 1], swapped[p] = sv, su
-    if su == 1:   # (u, d): local peak
-        out = [(tuple(steps), -a)]
-        if b > 0 and path.heights[p - 1] - 1 >= 0:
-            out.append((tuple(swapped), b))
-    else:         # (d, u): local valley
-        out = [(tuple(steps), a)]
-        if b > 0:
-            out.append((tuple(swapped), b))
-    return out
-
-
 @dataclass(frozen=True)
 class SparseOperator:
     """Real symmetric sparse operator over a CsfBasis."""
@@ -160,10 +103,6 @@ class SparseOperator:
 
     def toarray(self) -> np.ndarray:
         return self.matrix.toarray()
-
-    def is_symmetric(self, tol: float = 1e-12) -> bool:
-        diff = self.matrix - self.matrix.T
-        return diff.nnz == 0 or abs(diff).max() <= tol
 
     def export_coo(self) -> str:
         """Coordinate text dump: 'dim <n>' header then 'row col value' lines."""

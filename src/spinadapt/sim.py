@@ -46,18 +46,6 @@ class StateVector:
     n_qubits: int
     amplitudes: np.ndarray
 
-    def copy(self) -> "StateVector":
-        return StateVector(self.n_qubits, self.amplitudes.copy())
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-
-def zero_state(n_qubits: int) -> StateVector:
-    amps = np.zeros(1 << n_qubits, dtype=complex)
-    amps[0] = 1.0
-    return StateVector(n_qubits, amps)
-
 
 def basis_state(n_qubits: int, bits: int) -> StateVector:
     amps = np.zeros(1 << n_qubits, dtype=complex)
@@ -75,20 +63,6 @@ def _refuse_register(n_qubits: int) -> None:
         raise ResourceLimitError(
             f"a {n_qubits}-qubit register is refused above "
             f"{REGISTER_MAX_QUBITS} qubits")
-
-
-def singlet_pair_state_sz(n_sites: int) -> StateVector:
-    """Product of nearest-neighbor singlets in the computational basis."""
-    _refuse_register(n_sites)
-    if n_sites % 2 != 0:
-        raise InvalidQuantumNumbersError("singlet-pair product needs even N")
-    pair = np.zeros(4, dtype=complex)
-    pair[0b01] = 1 / np.sqrt(2)
-    pair[0b10] = -1 / np.sqrt(2)
-    amps = np.array([1.0], dtype=complex)
-    for _ in range(n_sites // 2):
-        amps = np.kron(amps, pair)
-    return StateVector(n_sites, amps)
 
 
 # --- gate kernels ---
@@ -149,11 +123,11 @@ def apply_gate(state: StateVector, gate) -> None:
     state.amplitudes = _apply_single(amps, n, gate.target, mat)
 
 
-def simulate(circuit: Circuit, initial: StateVector | None = None) -> StateVector:
-    """Apply the circuit to a copy of the initial state (default |0...0>)."""
-    state = zero_state(circuit.n_qubits) if initial is None else initial.copy()
-    if initial is not None and initial.n_qubits != circuit.n_qubits:
+def simulate(circuit: Circuit, initial: StateVector) -> StateVector:
+    """Apply the circuit to a copy of the initial state."""
+    if initial.n_qubits != circuit.n_qubits:
         raise InvalidQuantumNumbersError("state/circuit qubit count mismatch")
+    state = StateVector(initial.n_qubits, initial.amplitudes.copy())
     for gate in circuit.gates:
         apply_gate(state, gate)
     return state
@@ -187,6 +161,9 @@ _THETA = {
 _DEGREES = np.array(list(_THETA))
 _THETAS = np.array(list(_THETA.values()))
 _TAYLOR_TOL = 2.0 ** -53
+# Scaling steps of one interval between checkpoints; exact_evolve refuses an
+# interval that needs more before its first step.
+EXACT_MAX_STEPS = 10 ** 5
 
 
 def _as_csr(op) -> sp.csr_matrix:
@@ -222,10 +199,13 @@ def _checked_times(duration) -> np.ndarray:
     bad = np.flatnonzero(~np.isfinite(times))
     if bad.size:
         raise ValueError(f"evolution time {times[bad[0]]} is not finite")
-    lengths = np.diff(times, prepend=0.0)
-    moving = np.flatnonzero(lengths)
+    # the direction of each interval, by comparison: a difference of two
+    # finite times can overflow
+    prev = np.concatenate([[0.0], times[:-1]])
+    signs = np.greater(times, prev).astype(int) - np.less(times, prev)
+    moving = np.flatnonzero(signs)
     if moving.size:
-        back = np.flatnonzero(lengths * lengths[moving[0]] < 0)
+        back = np.flatnonzero(signs == -signs[moving[0]])
         if back.size:
             k = back[0]
             raise ValueError(
@@ -266,7 +246,8 @@ def exact_evolve(hamiltonian, amplitudes: np.ndarray, duration,
     pattern (the union of theirs), so ||H + t_a slope||_1 is one column sum
     over it.  A step stops adding terms once two successive terms are below
     the tolerance; a series that has not met that test by the largest
-    tabulated degree raises ResourceLimitError.
+    tabulated degree raises ResourceLimitError, and so does, before its
+    first step, an interval that needs more than EXACT_MAX_STEPS steps.
     """
     times = _checked_times(duration)
     has_slope = slope is not None
@@ -294,10 +275,16 @@ def exact_evolve(hamiltonian, amplitudes: np.ndarray, duration,
                                 np.abs(ham.data + t_a * ramp_data), n).max(
                 initial=0.0)
             span = abs(length)
-            bound = span * (norm1 + abs(mu + t_a * nu)) \
-                + span * (span * beta + np.sqrt(_DEGREES * beta))
-            steps = np.maximum(1.0, np.ceil(bound / _THETAS))
-            s = int(steps[np.argmin(_DEGREES * steps)])
+            with np.errstate(over="ignore"):     # an infinite plan is refused
+                bound = span * (norm1 + abs(mu + t_a * nu)) \
+                    + span * (span * beta + np.sqrt(_DEGREES * beta))
+                steps = np.maximum(1.0, np.ceil(bound / _THETAS))
+                s = steps[np.argmin(_DEGREES * steps)]
+            if s > EXACT_MAX_STEPS:
+                raise ResourceLimitError(
+                    f"evolving from t = {t_a:g} to {t_b:g} needs {s:.3g} "
+                    f"Taylor steps, above {EXACT_MAX_STEPS}")
+            s = int(s)
             h = length / s
             step = -1j * h
             for i in range(s):
@@ -347,10 +334,6 @@ def bond_energies_sz(state: StateVector, coupling: float = 1.0) -> np.ndarray:
         diff = a[:, 1] - a[:, 2]
         out[q] = coupling * ((norm2 - np.vdot(diff, diff).real) / 2 - 0.25)
     return out
-
-
-def total_energy_sz(state: StateVector, coupling: float = 1.0) -> float:
-    return float(bond_energies_sz(state, coupling).sum())
 
 
 def s2_expectation_sz(state: StateVector) -> float:
@@ -585,19 +568,21 @@ def _trotter_loop(state, layers, dt: float, observe):
 def sz_reference_state(n_sites: int, total_spin_x2: int) -> StateVector:
     """Computational-basis vector of the sector's start path (M = S).
 
-    Both start paths are products, singlet pairs optionally closed by a
-    stretched pair, so they are built directly up to REGISTER_MAX_QUBITS
-    sites; above it they are refused before any allocation.
+    Both start paths are products of nearest-neighbor pairs: singlets
+    (|01> - |10>)/sqrt(2), the last one replaced by the stretched pair |00>
+    for 2S=2.  So they are built directly up to REGISTER_MAX_QUBITS sites;
+    above it they are refused before any allocation.
     """
     _refuse_register(n_sites)
     initial_path(n_sites, total_spin_x2)   # refuses other sectors
-    if total_spin_x2 == 0:
-        return singlet_pair_state_sz(n_sites)
-    base = singlet_pair_state_sz(n_sites - 2).amplitudes if n_sites > 2 \
-        else np.array([1.0], dtype=complex)
-    up_pair = np.zeros(4, complex)
-    up_pair[0b00] = 1.0
-    return StateVector(n_sites, np.kron(base, up_pair))
+    pairs = [np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2)] \
+        * (n_sites // 2)
+    if total_spin_x2 == 2:
+        pairs[-1] = np.array([1, 0, 0, 0], dtype=complex)
+    amps = np.ones(1, dtype=complex)
+    for pair in pairs:
+        amps = np.kron(amps, pair)
+    return StateVector(n_sites, amps)
 
 
 def sz_trotter_layer(n_sites: int, dt: float, order: int = 1,

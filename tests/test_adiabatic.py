@@ -7,12 +7,11 @@ from scipy.integrate import solve_ivp
 
 from spinadapt import adiabatic, sim
 from spinadapt.adiabatic import (PreparedSector, ReferenceRuns, Schedule,
-                                 initial_path, run_schedule,
-                                 schedule_hamiltonians, sweep, sweep_csv,
-                                 target_ground_truth)
-from spinadapt.basis import (enumerate_paths, singlet_pair_path,
+                                 run_schedule, schedule_hamiltonians, sweep,
+                                 sweep_csv)
+from spinadapt.basis import (enumerate_paths, initial_path, singlet_pair_path,
                              triplet_reference_path)
-from spinadapt.sga import build_hamiltonian
+from spinadapt.sga import build_hamiltonian, ground_state
 from spinadapt.sim import exact_evolve
 from spinadapt.cli import main
 from spinadapt.errors import ResourceLimitError
@@ -33,32 +32,37 @@ def test_short_schedule_stays_put():
     assert abs(abs(np.vdot(res.final_state, start)) - 1.0) < 1e-6
 
 
+def _exact_ground_energy(n_sites, total_spin_x2):
+    """Untruncated ground energy of the sector."""
+    full = enumerate_paths(n_sites, total_spin_x2)
+    return float(ground_state(build_hamiltonian(full))[0][0])
+
+
 def test_energy_starts_at_initial_ground():
     sched = Schedule(0, 2, 6.0, 12, order=2)
-    e_init, e_target, e_exact = target_ground_truth(sched, 8)
+    sector = PreparedSector.prepare(8, 0, 2)
     res = run_schedule(sched, 8)
-    assert res.energy[0] == pytest.approx(e_init, abs=1e-12)
-    assert res.target_energy == pytest.approx(e_target, abs=1e-12)
+    # H_start is diagonal: its ground energy is its least entry
+    assert res.energy[0] == pytest.approx(sector.h_start.diagonal().min(),
+                                          abs=1e-12)
+    assert res.target_energy == pytest.approx(sector.target_energy, abs=1e-12)
     # the schedule tracks the interpolated ground state to its endpoint
-    assert res.energy[-1] == pytest.approx(e_target, abs=0.05)
+    assert res.energy[-1] == pytest.approx(sector.target_energy, abs=0.05)
 
 
 def test_ground_truth_small_cases():
-    sched = Schedule(0, 2, 1.0, 1)
-    e_init, e_target, e_exact = target_ground_truth(sched, 2)
-    assert e_init == pytest.approx(-0.75)
-    assert e_target == pytest.approx(-0.75)
-    assert e_exact == pytest.approx(-0.75)
+    sector = PreparedSector.prepare(2, 0, 2)
+    assert sector.h_start.diagonal().min() == pytest.approx(-0.75)
+    assert sector.target_energy == pytest.approx(-0.75)
+    assert _exact_ground_energy(2, 0) == pytest.approx(-0.75)
 
 
 def test_height_hierarchy_monotone_in_ground_truth():
-    energies = []
-    for trunc in (2, 3):
-        sched = Schedule(0, trunc, 1.0, 1)
-        energies.append(target_ground_truth(sched, 12))
-    # exact value identical across schedules, target improves with truncation
-    assert energies[0][2] == pytest.approx(energies[1][2], abs=1e-9)
-    assert abs(energies[1][1] - energies[1][2]) < abs(energies[0][1] - energies[0][2])
+    # the target approaches the exact ground energy as the truncation grows
+    e_exact = _exact_ground_energy(12, 0)
+    errors = [abs(PreparedSector.prepare(12, 0, trunc).target_energy - e_exact)
+              for trunc in (2, 3)]
+    assert errors[1] < errors[0]
 
 
 def test_triplet_schedule_runs_and_starts_faithful():
@@ -66,7 +70,7 @@ def test_triplet_schedule_runs_and_starts_faithful():
     res = run_schedule(sched, 8)
     assert res.fidelity[0] == pytest.approx(1.0)
     assert res.final_fidelity > 0.99
-    e_init, e_target, e_exact = target_ground_truth(sched, 8)
+    e_init = PreparedSector.prepare(8, 2, 3).h_start.diagonal().min()
     assert res.energy[0] == pytest.approx(e_init, abs=1e-12)
 
 

@@ -9,7 +9,19 @@ from spinadapt import (InvalidQuantumNumbersError, ResourceLimitError,
                        singlet_pair_path, step_to_height,
                        triplet_reference_path)
 from spinadapt import basis
-from spinadapt.basis import allowed_heights, is_valid_heights, parse_paths_csv
+from spinadapt.basis import allowed_heights
+
+
+def is_valid_heights(heights, trunc_x2=None) -> bool:
+    """Check the path invariants without raising."""
+    if len(heights) < 2 or heights[0] != 0:
+        return False
+    for a, b in zip(heights, heights[1:]):
+        if abs(b - a) != 1 or b < 0:
+            return False
+    if trunc_x2 is not None and max(heights) > trunc_x2:
+        return False
+    return True
 
 
 def test_cardinality_known_values():
@@ -43,7 +55,7 @@ def test_enumerate_truncated_counts():
 
 def test_singlet_pair_path_is_sole_trunc_half_state():
     basis = enumerate_paths(8, 0, 1)
-    assert basis.paths[0] == singlet_pair_path(8)
+    assert list(basis) == [singlet_pair_path(8)]
     assert singlet_pair_path(8).heights == (0, 1, 0, 1, 0, 1, 0, 1, 0)
     assert singlet_pair_path(2).heights == (0, 1, 0)
     assert singlet_pair_path(16).heights == tuple(i % 2 for i in range(17))
@@ -105,10 +117,14 @@ def test_spin_path_validation():
 
 def test_csv_round_trip():
     basis = enumerate_paths(8, 0, 2)
-    text = basis.to_csv()
-    assert text.splitlines()[0] == "index,heights"
-    assert text.splitlines()[1] == "0,0/1/0/1/0/1/0/1/0"
-    assert parse_paths_csv(text, 8) == list(basis.paths)
+    lines = basis.to_csv().splitlines()
+    assert lines[0] == "index,heights"
+    assert lines[1] == "0,0/1/0/1/0/1/0/1/0"
+    # every written number reads back exactly
+    rows = [line.split(",") for line in lines[1:]]
+    assert [int(k) for k, _ in rows] == list(range(len(basis)))
+    assert [[int(h) for h in heights.split("/")] for _, heights in rows] == \
+        basis.heights.tolist()
 
 
 def test_allowed_heights_boundaries():

@@ -1,4 +1,5 @@
 import argparse
+import time
 
 import pytest
 from spinadapt import basis, sga, sim
@@ -195,6 +196,35 @@ def test_refused_configuration_prints_error(argv, capsys):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error:")
+
+
+# --trunc 0.5 lies below 2S = 2: no spin path fits
+EMPTY_SECTOR = ["--sites", "4", "--total-spin", "1", "--trunc", "0.5"]
+
+
+@pytest.mark.parametrize("command", [
+    ["basis"], ["ham"], ["ham", "--format", "matrix"], ["diag"], ["evolve"],
+    ["adiabatic"], ["circuit"]], ids="-".join)
+def test_empty_sector_refused_with_one_message(command, capsys):
+    assert main(command + EMPTY_SECTOR) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: --trunc 0.5 is below the total spin 1: "
+                            "the sector is empty\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["evolve", "--sites", "4", "--trunc", "2", "--duration", "1e308"],
+    ["adiabatic", "--sites", "4", "--trunc", "1", "--duration", "1e300"]],
+    ids=lambda argv: argv[0])
+def test_huge_duration_refused_before_the_exact_reference_runs(argv, capsys):
+    start = time.perf_counter()
+    assert main(argv) == 3
+    assert time.perf_counter() - start < 5.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("resource guard:")
+    assert "Taylor steps" in captured.err
 
 
 def test_exit_code_resource_guard(capsys):

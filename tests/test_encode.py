@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from spinadapt import (UnsupportedConfigurationError, build_layout,
                        encode_hamiltonian, enumerate_paths, qubit_count,
                        singlet_pair_path)
-from spinadapt.encode import parse_pauli_text
-from spinadapt.sga import build_hamiltonian
+from spinadapt.encode import _expand_term, band_terms
+from spinadapt.sga import band_coefficients, build_hamiltonian
 
 PINNED_COUNTS = {
     (8, 0): {2: 3, 3: 5, 4: 6},
@@ -42,36 +42,30 @@ def test_layout_round_trip_all_paths(n_half, ts, trunc):
     seen = set()
     for path in basis:
         bits = layout.encode_path(path)
-        assert bits not in seen
+        assert 0 <= bits < 1 << layout.n_qubits and bits not in seen
         seen.add(bits)
-        assert layout.decode_bits(bits) == path
     assert layout.physical_bitstrings(basis).tolist() == \
         [layout.encode_path(p) for p in basis]
 
 
-def test_decode_examples():
+def test_encode_examples():
     layout = build_layout(8, 0, 2)
-    assert layout.decode_bits(0) == singlet_pair_path(8)
-    # trunc=1: every bit pattern decodes to a valid path
-    for bits in range(1 << layout.n_qubits):
-        assert layout.decode_bits(bits) is not None
+    assert layout.encode_path(singlet_pair_path(8)) == 0
+    # trunc=1: every bit pattern is a path
+    bits = layout.physical_bitstrings(enumerate_paths(8, 0, 2))
+    assert sorted(bits.tolist()) == list(range(1 << layout.n_qubits))
 
     gray = build_layout(16, 0, 4)
     basis = enumerate_paths(16, 0, 4)
     path = next(p for p in basis if 4 in p.heights)
     bits = gray.encode_path(path)
-    assert gray.decode_bits(bits) == path
     pos = next(pos for pos in range(17) if path.heights[pos] == 4)
-    # corrupt the Gray pair to the unused 10 pattern: ext=1 main=0
-    bits_bad = bits ^ (1 << (gray.n_qubits - 1 - gray.main_qubit[pos]))
-    assert gray.decode_bits(bits_bad) is None
-
-
-def test_decode_rejects_invalid_paths():
-    layout = build_layout(8, 0, 3)
-    hits = sum(layout.decode_bits(b) is not None
-               for b in range(1 << layout.n_qubits))
-    assert hits == len(enumerate_paths(8, 0, 3))
+    # height 4 is the Gray pair 11; clearing its main bit gives the unused
+    # pattern 10 (ext=1 main=0), which no path encodes to
+    main = 1 << (gray.n_qubits - 1 - gray.main_qubit[pos])
+    ext = 1 << (gray.n_qubits - 1 - gray.ext_qubit[pos])
+    assert bits & main and bits & ext
+    assert (bits ^ main) not in set(gray.physical_bitstrings(basis).tolist())
 
 
 @pytest.mark.parametrize("n,ts", [(4, 0), (6, 0), (8, 0), (8, 2), (10, 0),
@@ -104,7 +98,7 @@ def test_scalar_level_pauli():
 def test_hermiticity_and_reality():
     for n, ts, trunc in [(8, 0, 3), (8, 2, 4), (12, 0, 4)]:
         pauli = encode_hamiltonian(n, ts, trunc)
-        assert pauli.is_hermitian()
+        # real I/X/Z strings: every term, and so the sum, is Hermitian
         for t in pauli.terms:
             assert abs(t.coefficient.imag) < 1e-12
             assert "Y" not in t.letters
@@ -114,12 +108,11 @@ def test_locality_bounds():
     for n, ts in [(8, 0), (12, 0), (16, 0), (16, 2)]:
         for trunc in (2, 3):
             pauli = encode_hamiltonian(n, ts, trunc)
-            assert pauli.weight_max() <= 3
+            assert max(len(t.letters) - t.letters.count("I")
+                       for t in pauli.terms) <= 3
         pauli = encode_hamiltonian(n, ts, 4)
         by_band = {0: 3, 1: 3, 2: 5, 3: 3}
         # per-band maxima after the physical-sector simplifications
-        from spinadapt.encode import band_terms, _expand_term
-        from spinadapt.sga import band_coefficients
         layout = pauli.metadata["layout"]
         for s, bound in by_band.items():
             acc = {}
@@ -133,7 +126,7 @@ def test_locality_bounds():
 
 def test_term_count_linear_in_sites():
     for trunc in (2, 3, 4):
-        counts = {n: len(encode_hamiltonian(n, 0, trunc))
+        counts = {n: len(encode_hamiltonian(n, 0, trunc).terms)
                   for n in (8, 12, 16, 20)}
         d1 = counts[12] - counts[8]
         assert counts[16] - counts[12] == d1
@@ -159,11 +152,12 @@ def test_no_leakage_from_physical_sector(n_half, ts, trunc):
 
 def test_export_parse_round_trip():
     pauli = encode_hamiltonian(8, 0, 3)
-    text = pauli.export_text()
-    assert text.splitlines()[0] == "qubits 5"
-    back = parse_pauli_text(text)
-    assert back.n_qubits == pauli.n_qubits
-    assert [(t.coefficient, t.letters) for t in back.terms] == \
+    lines = pauli.export_text().splitlines()
+    assert lines[0] == "qubits 5"
+    # every written number reads back exactly
+    back = [line.split() for line in lines[1:]]
+    assert [(complex(float(re), float(im)), "".join(letters))
+            for re, im, *letters in back] == \
         [(t.coefficient, t.letters) for t in pauli.terms]
     # deterministic lexicographic ordering
     letters = [t.letters for t in pauli.terms]

@@ -3,32 +3,31 @@ import pytest
 import scipy.sparse as sp
 
 from spinadapt import ResourceLimitError, SpinPath, enumerate_paths, \
-    singlet_pair_path, triplet_reference_path
+    singlet_pair_path
 from spinadapt.oracle import (apply_heisenberg, apply_permutation,
                               apply_total_s2, apply_total_sz, expand_csf,
-                              oracle_matrix_element, oracle_operator_matrix,
-                              sz_hamiltonian_matrix)
+                              oracle_operator_matrix, sz_hamiltonian_matrix)
 
 
 def test_two_site_singlet_amplitudes():
-    state = expand_csf(singlet_pair_path(2), 0)
+    amps = expand_csf(singlet_pair_path(2), 0)
     # |alpha beta> = index 0b01, |beta alpha> = 0b10
     expected = np.zeros(4, complex)
     expected[0b01] = 1 / np.sqrt(2)
     expected[0b10] = -1 / np.sqrt(2)
-    assert np.allclose(state.amplitudes, expected, atol=1e-12)
+    assert np.allclose(amps, expected, atol=1e-12)
 
 
 def test_stretched_triplet_is_all_up():
-    state = expand_csf(SpinPath((0, 1, 2), 2), 2)
+    amps = expand_csf(SpinPath((0, 1, 2), 2), 2)
     expected = np.zeros(4, complex)
     expected[0b00] = 1.0
-    assert np.allclose(state.amplitudes, expected, atol=1e-12)
+    assert np.allclose(amps, expected, atol=1e-12)
 
 
 def test_expansion_orthonormality_n8():
     basis = enumerate_paths(8, 0)
-    vecs = np.array([expand_csf(p).amplitudes for p in basis])
+    vecs = np.array([expand_csf(p) for p in basis])
     gram = vecs.conj() @ vecs.T
     assert np.abs(gram - np.eye(14)).max() < 1e-12
 
@@ -37,7 +36,7 @@ def test_expansion_orthonormality_n8():
 def test_expansions_are_symmetry_eigenstates(n, ts):
     for path in enumerate_paths(n, ts):
         for m2 in range(-ts, ts + 1, 2):
-            amps = expand_csf(path, m2).amplitudes
+            amps = expand_csf(path, m2)
             assert abs(np.linalg.norm(amps) - 1) < 1e-12
             s2 = apply_total_s2(amps, n)
             target = ts / 2 * (ts / 2 + 1)
@@ -121,17 +120,17 @@ def test_singlet_pair_energy_expectations():
 
 
 def test_oracle_matrix_elements_small():
-    sp2 = singlet_pair_path(2)
-    assert abs(oracle_matrix_element(("perm", 1, 2), sp2, sp2) - (-1.0)) < 1e-12
-    tr2 = triplet_reference_path(2)
-    assert abs(oracle_matrix_element(("perm", 1, 2), tr2, tr2) - 1.0) < 1e-12
+    # the two-site singlet is odd under the swap, the triplet even
+    for ts, sign in ((0, -1.0), (2, 1.0)):
+        mat = oracle_operator_matrix(("perm", 1, 2), enumerate_paths(2, ts))
+        assert mat.shape == (1, 1) and abs(mat[0, 0] - sign) < 1e-12
 
 
 def test_block_diagonal_across_sectors():
     # Hamiltonian never mixes different (S, M) sectors
     n = 6
-    singlets = [expand_csf(p, 0).amplitudes for p in enumerate_paths(n, 0)]
-    triplets = [expand_csf(p, 0).amplitudes for p in enumerate_paths(n, 2)]
+    singlets = [expand_csf(p, 0) for p in enumerate_paths(n, 0)]
+    triplets = [expand_csf(p, 0) for p in enumerate_paths(n, 2)]
     for s in singlets:
         hs = apply_heisenberg(s, n)
         for t in triplets:

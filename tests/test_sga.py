@@ -6,13 +6,13 @@ import scipy.sparse as sp
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from spinadapt import (SpinPath, apply_elementary_permutation, apply_hamiltonian,
-                       band_coefficients, band_hamiltonian, build_hamiltonian,
-                       enumerate_paths, permutation_matrix, singlet_pair_path)
+from spinadapt import (SpinPath, apply_hamiltonian, band_coefficients,
+                       band_hamiltonian, build_hamiltonian, enumerate_paths,
+                       permutation_matrix, singlet_pair_path, step_to_height)
 from spinadapt.adiabatic import schedule_hamiltonians
 from spinadapt.oracle import oracle_operator_matrix
 from spinadapt.sga import (PRUNE_TOL, _height_rule, ground_energy_matrix_free,
-                           ground_state, step_permutation_apply)
+                           ground_state)
 
 
 def test_band_coefficients_values():
@@ -29,40 +29,50 @@ def test_band_coefficients_values():
 
 
 def test_elementary_rules_peak_valley():
-    peak = SpinPath((0, 1, 2, 1, 0, 1), 5)  # triple at p=3: (2, 1, 2)? no:
-    # heights[2:5] = (2, 1, 0): monotone at p=3.  Use p=1: (0,1,2) monotone.
-    out = apply_elementary_permutation(peak, 1)
-    assert out == [(peak, 1.0)]
-    valley = SpinPath((0, 1, 2, 1, 2, 1), 5)  # p=3 triple (2,1,2): valley s=1
-    out = dict((p.heights, c) for p, c in apply_elementary_permutation(valley, 3))
     c1 = band_coefficients(2)
-    assert abs(out[valley.heights] - c1.a) < 1e-15
-    flipped = (0, 1, 2, 3, 2, 1)
-    assert abs(out[flipped] - c1.b) < 1e-15
-    # peak triple (2,3,2) on the flipped path mixes back
-    out2 = dict((p.heights, c)
-                for p, c in apply_elementary_permutation(SpinPath(flipped, 5), 3))
-    assert abs(out2[flipped] + c1.a) < 1e-15
-    assert abs(out2[valley.heights] - c1.b) < 1e-15
+    # monotone (0,1,2), valley (2,1,2) and peak (2,3,2) at p=3
+    band, diag, flip, off = _height_rule(np.array([[0, 1, 2], [2, 1, 2],
+                                                   [2, 3, 2]]))
+    assert band.tolist() == [1, 2, 2] and flip.tolist() == [-1, 3, 1]
+    assert np.abs(diag - [1.0, c1.a, -c1.a]).max() < 1e-15
+    assert np.abs(off - [0.0, c1.b, c1.b]).max() < 1e-15
+    # the valley path and its flip mix through pi_{3,4}, and pi_{1,2} passes
+    # the monotone (0,1,2) through
+    basis = enumerate_paths(5, 1)
+    valley = basis.position(SpinPath((0, 1, 2, 1, 2, 1), 5))
+    flipped = basis.position(SpinPath((0, 1, 2, 3, 2, 1), 5))
+    mat = permutation_matrix(basis, 3, 4).toarray()
+    assert abs(mat[valley, valley] - c1.a) < 1e-15
+    assert abs(mat[flipped, flipped] + c1.a) < 1e-15
+    assert abs(mat[flipped, valley] - c1.b) < 1e-15
+    assert abs(mat[valley, flipped] - c1.b) < 1e-15
+    column = permutation_matrix(basis, 1, 2).toarray()[:, valley]
+    assert column.tolist() == np.eye(len(basis))[valley].tolist()
 
 
 def test_band_filter_selects_mixing_vs_pass():
-    path = SpinPath((0, 1, 2, 1, 0, 1, 0), 6)
-    # p=1: triple (0,1,2): pass-through, center height 1
-    assert apply_elementary_permutation(path, 1, band_x2=1) == [(path, 1.0)]
-    assert apply_elementary_permutation(path, 1, band_x2=0) == []
-    assert apply_elementary_permutation(path, 1, band_x2=2) == []
-    # p=5: triple (0,1,0): peak with ends 0
-    out = apply_elementary_permutation(path, 5, band_x2=0)
-    assert len(out) == 1 and out[0][1] == -1.0
+    # (0,1,2) passes through in the band of its center height, 1; the peak
+    # (0,1,0) mixes in the band of its end height, 0, with nothing to flip to
+    band, diag, flip, off = _height_rule(np.array([[0, 1, 2], [0, 1, 0]]))
+    assert band.tolist() == [1, 0] and diag.tolist() == [1.0, -1.0]
+    assert flip.tolist() == [-1, -1] and off.tolist() == [0.0, 0.0]
+    # on (0,1,2,1,0,1,0) only the peak at p=5 lies in band 0, and no triple
+    # in band 2
+    basis = enumerate_paths(6, 0)
+    k = basis.position(SpinPath((0, 1, 2, 1, 0, 1, 0), 6))
+    band0 = band_hamiltonian(basis, 0).toarray()
+    assert band0[k].tolist() == (-np.eye(len(basis))[k]).tolist()
+    assert not band_hamiltonian(basis, 2).toarray()[k].any()
 
 
 def test_truncated_application_drops_flips():
-    valley = SpinPath((0, 1, 0, 1, 0), 4)  # p=2 triple (1,0,1): valley s=1/2
-    full = apply_elementary_permutation(valley, 2)
-    assert len(full) == 2
-    clipped = apply_elementary_permutation(valley, 2, trunc_x2=1)
-    assert clipped == [(valley, band_coefficients(1).a)]
+    # pi_{2,3} on the valley (1,0,1) of (0,1,0,1,0): trunc 1/2 drops its
+    # flip to height 2 and keeps the diagonal a
+    c = band_coefficients(1)
+    full = permutation_matrix(enumerate_paths(4, 0), 2, 3).toarray()
+    assert np.abs(full - [[c.a, c.b], [c.b, -c.a]]).max() < 1e-15
+    clipped = permutation_matrix(enumerate_paths(4, 0, 1), 2, 3).toarray()
+    assert clipped.tolist() == [[c.a]]
 
 
 @pytest.mark.parametrize("n,ts", [(4, 0), (6, 0), (6, 2), (8, 0)])
@@ -216,22 +226,46 @@ def test_rayleigh_quotient_singlet_pairs():
     assert abs(e - (-6.0)) < 1e-12  # -3/4 per singlet bond at N=16
 
 
+def step_permutation_apply(steps, p: int, band_x2: int | None = None):
+    """Same transposition expressed on step variables, with the cumulative-sum
+    projector made explicit.  Cross-check route only: exponential bookkeeping
+    of heights is hidden in the cumsum, so this is never used to build
+    operators.
+
+    Returns [(steps_tuple, coefficient), ...].
+    """
+    path = step_to_height(tuple(steps))
+    su, sv = steps[p - 1], steps[p]
+    s_after = path.heights[p + 1]  # cumulative sum through index p+1
+    if band_x2 is not None and band_x2 != (s_after if su != sv else path.heights[p]):
+        # projector band: ends height if the pair mixes, center height otherwise
+        return []
+    if su == sv:
+        return [(tuple(steps), 1.0)]
+    coeff = band_coefficients(s_after)
+    a, b = coeff.a, coeff.b
+    swapped = list(steps)
+    swapped[p - 1], swapped[p] = sv, su
+    if su == 1:   # (u, d): local peak
+        out = [(tuple(steps), -a)]
+        if b > 0 and path.heights[p - 1] - 1 >= 0:
+            out.append((tuple(swapped), b))
+    else:         # (d, u): local valley
+        out = [(tuple(steps), a)]
+        if b > 0:
+            out.append((tuple(swapped), b))
+    return out
+
+
 def test_step_rules_agree_with_height_rules():
     basis = enumerate_paths(8, 0)
-    for path in basis:
-        steps = path.steps()
-        for p in range(1, 8):
-            via_height = {q.heights: c
-                          for q, c in apply_elementary_permutation(path, p)}
-            via_steps = {}
-            for s, c in step_permutation_apply(steps, p):
-                heights = [0]
-                for d in s:
-                    heights.append(heights[-1] + d)
-                via_steps[tuple(heights)] = c
-            assert set(via_height) == set(via_steps)
-            for key in via_height:
-                assert abs(via_height[key] - via_steps[key]) < 1e-15
+    for p in range(1, 8):
+        via_steps = np.zeros((len(basis), len(basis)))
+        for k, path in enumerate(basis):
+            for steps, c in step_permutation_apply(path.steps(), p):
+                via_steps[basis.position(step_to_height(steps)), k] += c
+        mat = permutation_matrix(basis, p, p + 1).toarray()
+        assert np.abs(mat - via_steps).max() < 1e-15
 
 
 def test_step_rules_patterns():
@@ -260,8 +294,8 @@ def test_symmetry_of_operators(n_half, seed):
     basis = enumerate_paths(n, 0, trunc)
     if len(basis) == 0:
         return
-    op = build_hamiltonian(basis, "height" if seed % 2 else "band")
-    assert op.is_symmetric(1e-12)
+    mat = build_hamiltonian(basis, "height" if seed % 2 else "band").matrix
+    assert abs(mat - mat.T).max() <= 1e-12
 
 
 # The all-bonds-at-once COO route that the per-bond kernel of sga replaced,

@@ -18,21 +18,19 @@ from spinadapt.sim import (EvolutionRecord, StateVector, basis_state,
                            bond_energies_sz, circuit_unitary,
                            decode_to_path_vector, embed_path_vector,
                            exact_evolve, fidelity, s2_expectation_sz,
-                           simulate, singlet_pair_state_sz,
-                           sz_expectation_sz, sz_reference_state,
-                           sz_trotter_layer, total_energy_sz,
-                           trotter_comparison_csf, trotter_evolve_csf,
-                           trotter_evolve_sz, zero_state)
+                           simulate, sz_expectation_sz, sz_reference_state,
+                           sz_trotter_layer, trotter_comparison_csf,
+                           trotter_evolve_csf, trotter_evolve_sz)
 
 
 def test_identity_circuit_keeps_state():
-    state = singlet_pair_state_sz(4)
+    state = sz_reference_state(4, 0)
     out = simulate(Circuit(4, ()), state)
     assert np.allclose(out.amplitudes, state.amplitudes)
 
 
 def test_x_gate():
-    out = simulate(Circuit(1, (Gate("X", 0),)), zero_state(1))
+    out = simulate(Circuit(1, (Gate("X", 0),)), basis_state(1, 0))
     assert np.allclose(out.amplitudes, [0, 1])
 
 
@@ -65,24 +63,24 @@ def test_unitary_guard_is_a_resource_limit():
 
 def test_norm_preserved_through_deep_circuit():
     circ = sz_trotter_step(8, 0.7, 2)
-    state = singlet_pair_state_sz(8)
+    state = sz_reference_state(8, 0)
     for _ in range(20):
         state = simulate(circ, state)
-    assert abs(state.norm() - 1.0) < 1e-10
+    assert abs(np.linalg.norm(state.amplitudes) - 1.0) < 1e-10
 
 
 def test_bond_block_acts_like_exponential_on_singlet():
     # one bond block applied to a Bell singlet reproduces the phase -3dt/4
     dt = 0.53
     circ = sz_trotter_step(2, dt, 1)
-    state = simulate(circ, singlet_pair_state_sz(2))
-    expected = np.exp(1j * 0.75 * dt) * singlet_pair_state_sz(2).amplitudes
+    state = simulate(circ, sz_reference_state(2, 0))
+    expected = np.exp(1j * 0.75 * dt) * sz_reference_state(2, 0).amplitudes
     assert np.abs(state.amplitudes - expected).max() < 1e-12
 
 
 def test_exact_evolve_identity_and_phase():
     ham = sz_hamiltonian_matrix(2)
-    amps = singlet_pair_state_sz(2).amplitudes
+    amps = sz_reference_state(2, 0).amplitudes
     assert np.allclose(exact_evolve(ham, amps, 0.0), amps)
     out = exact_evolve(ham, amps, 1.3)
     assert np.abs(out - np.exp(1j * 0.75 * 1.3) * amps).max() < 1e-10
@@ -155,7 +153,7 @@ def test_exact_evolve_accepts_operator_types():
     pauli = encode_hamiltonian(8, 0, 3)
     layout = pauli.metadata["layout"]
     qvec = np.zeros(1 << pauli.n_qubits, complex)
-    qvec[layout.encode_path(basis.paths[0])] = 1.0
+    qvec[layout.encode_path(next(iter(basis)))] = 1.0
     out_q = exact_evolve(pauli.to_dense(), qvec, 0.7)
     dec = out_q[layout.physical_bitstrings(basis)]
     assert np.abs(np.abs(np.vdot(out_op, dec)) - 1.0) < 1e-10
@@ -279,10 +277,31 @@ def test_checkpoints_run_either_way_from_zero():
 ])
 def test_exact_evolve_refuses_bad_times(duration, named):
     ham = sz_hamiltonian_matrix(2)
-    amps = singlet_pair_state_sz(2).amplitudes
+    amps = sz_reference_state(2, 0).amplitudes
     for slope in (None, ham):
         with pytest.raises(ValueError, match=f"time {named} "):
             exact_evolve(ham, amps, duration, slope)
+
+
+def test_exact_evolve_refuses_an_interval_beyond_the_step_cap(monkeypatch):
+    basis = enumerate_paths(8, 0, 3)
+    ham, slope = schedule_hamiltonians(basis, 1.0)
+    vec = np.zeros(len(basis), complex)
+    vec[0] = 1.0
+    # the plans of these intervals overflow; each is refused before its
+    # first step, without an overflow warning
+    for duration, ramp in ((1e300, None), (1e300, slope), ([1.0, 1e308], None),
+                           ([-1e308], slope)):
+        with pytest.raises(ResourceLimitError, match="Taylor steps"):
+            exact_evolve(ham, vec, duration, ramp)
+    # times that turn back across 0 are compared, not subtracted
+    with pytest.raises(ValueError, match="breaks the monotone order"):
+        exact_evolve(ham, vec, [1e308, -1e308])
+    # a lowered cap: the first interval takes one step, the second more
+    exact_evolve(ham, vec, [1.0, 50.0])
+    monkeypatch.setattr(sim, "EXACT_MAX_STEPS", 1)
+    with pytest.raises(ResourceLimitError, match="from t = 1 to 50 "):
+        exact_evolve(ham, vec, [1.0, 50.0])
 
 
 def test_one_pattern_keeps_both_matrices():
@@ -299,12 +318,11 @@ def test_one_pattern_keeps_both_matrices():
 
 def test_singlet_pair_observables():
     for n in (8, 16):
-        state = singlet_pair_state_sz(n)
+        state = sz_reference_state(n, 0)
         bonds = bond_energies_sz(state)
         assert np.allclose(bonds[0::2], -0.75, atol=1e-12)
         assert np.allclose(bonds[1::2], 0.0, atol=1e-12)
-        assert abs(total_energy_sz(state) - (-3 * n / 8)) < 1e-12
-    assert abs(total_energy_sz(singlet_pair_state_sz(16)) - (-6.0)) < 1e-12
+        assert abs(bonds.sum() - (-3 * n / 8)) < 1e-12
 
 
 def test_energies_real_on_random_state():
@@ -354,7 +372,7 @@ def test_s2_expectation_matches_operator(n, seed):
 
 
 def test_fidelity_properties():
-    a = singlet_pair_state_sz(4)
+    a = sz_reference_state(4, 0)
     assert fidelity(a, a) == pytest.approx(1.0)
     b = basis_state(4, 3)
     c = basis_state(4, 5)
@@ -421,7 +439,7 @@ def test_path_basis_run_matches_register(n_half, ts, trunc, order, ramps):
     vectors = [decode_to_path_vector(state, basis, layout)]
     for ramp in ramps:
         state = simulate(csf_trotter_step(n, ts, trunc, dt, order, ramp,
-                                          coupling, layout=layout), state)
+                                          coupling), state)
         vectors.append(decode_to_path_vector(state, basis, layout))
     assert np.abs(np.array(vectors) - record.path_vectors).max() < 1e-12
 
@@ -500,10 +518,10 @@ def test_sz_layer_norm_drift_bounded():
     # 200 order-2 steps of the N=12 singlet-pair state; the state is never
     # renormalised, so this bounds the drift the kernel accumulates
     layer = sz_trotter_layer(12, 0.1, 2)
-    state = singlet_pair_state_sz(12)
+    state = sz_reference_state(12, 0)
     for _ in range(200):
         state = layer(state)
-    assert abs(state.norm() - 1.0) < 1e-12
+    assert abs(np.linalg.norm(state.amplitudes) - 1.0) < 1e-12
 
 
 def test_sz_layer_refuses_non_finite_step():
@@ -523,7 +541,6 @@ def test_sz_register_refused_beyond_cap(monkeypatch):
     monkeypatch.setattr(sim, "trotter_evolve_csf", refuse)
     for build in (lambda: sz_reference_state(8, 0),
                   lambda: sz_reference_state(8, 2),
-                  lambda: singlet_pair_state_sz(8),
                   lambda: trotter_evolve_sz(8, 0, 1.0, 2),
                   lambda: trotter_comparison_csf(8, 0, 2, 1.0, 2)):
         with pytest.raises(ResourceLimitError, match="6 qubits"):
@@ -536,11 +553,11 @@ def test_exact_evolve_agrees_with_richardson_trotter():
     # the combination must land much closer to the exact state
     n, duration = 8, 1.0
     ham = sz_hamiltonian_matrix(n)
-    start = singlet_pair_state_sz(n)
+    start = sz_reference_state(n, 0)
     exact = exact_evolve(ham, start.amplitudes, duration)
 
     def final_state(layers):
-        state = start.copy()
+        state = start
         step = sz_trotter_step(n, duration / layers, 2)
         for _ in range(layers):
             state = simulate(step, state)
