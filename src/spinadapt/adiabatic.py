@@ -28,7 +28,6 @@ import scipy.sparse as sp
 
 from .basis import CsfBasis, enumerate_paths
 from .sga import PRUNE_TOL, SparseOperator, _bond_sums, ground_state
-from .encode import build_layout
 # simulate is re-exported: bench/spans.py patches every module's copy of it
 # and checks the copy here.
 from .sim import (PathStep, exact_evolve, path_trotter_run,  # noqa: F401
@@ -117,8 +116,7 @@ class PreparedSector:
                 order: int = Schedule.order,
                 coupling: float = 1.0) -> "PreparedSector":
         basis = enumerate_paths(n_sites, total_spin_x2, trunc_x2)
-        step = PathStep(basis, build_layout(n_sites, total_spin_x2, trunc_x2),
-                        order)
+        step = PathStep(basis, order)
         start = start_vector(basis)
         start.flags.writeable = False
         h_start, h_ramp = schedule_hamiltonians(basis, coupling)

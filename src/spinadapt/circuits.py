@@ -6,7 +6,7 @@ from the encoded band terms (pass-through pieces become CX-RZ-CX pairs,
 tilted-field pieces become RY-conjugated controlled-Z rotations compiled as a
 CX ladder walking the control parities).
 
-Conventions: gates apply in list order; RZ(t) = exp(-i t Z/2) and likewise RX,
+Conventions: gates apply in list order; RZ(t) = exp(-i t Z/2) and likewise
 RY; PHASE(t) multiplies the whole state by exp(i t) (its target slot is kept
 only for the uniform text format); CX stores (control, target).
 """
@@ -16,11 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import isfinite, pi
 
-from .encode import BandTerm, QubitLayout, band_terms, build_layout
+from .encode import BandTerm, QubitLayout, band_terms, build_layout, z_parities
 from .errors import UnsupportedConfigurationError
 from .sga import band_coefficients
 
-GATE_KINDS = ("RX", "RY", "RZ", "X", "CX", "PHASE")
+GATE_KINDS = ("RY", "RZ", "CX", "PHASE")
 
 
 @dataclass(frozen=True)
@@ -143,20 +143,9 @@ def _gray_subsets(n_units: int):
 
 def _emit_diag_exp(term: BandTerm, phi: float, gates: list[Gate]) -> None:
     """Append exp(-i phi * coeff * product-of-diagonal-units)."""
-    parities = {frozenset(): term.coeff}
-    for unit in term.units:
-        new = {}
-        for par, w in parities.items():
-            if unit.projector:
-                new[par] = new.get(par, 0.0) + w / 2
-                pz = par.symmetric_difference(unit.qubits)
-                new[pz] = new.get(pz, 0.0) + w * unit.sign / 2
-            else:
-                pz = par.symmetric_difference(unit.qubits)
-                new[pz] = new.get(pz, 0.0) + w * unit.sign
-        parities = new
+    parities = z_parities(term.units)
     for par in sorted(parities, key=sorted):
-        w = parities[par]
+        w = term.coeff * parities[par]
         if abs(w) < 1e-15:
             continue
         if not par:
@@ -219,15 +208,16 @@ def _term_key(term: BandTerm):
 
 
 def band_layers(layout: QubitLayout, order: int):
-    """The band terms of one encoded Trotter step, in the order it applies
-    them: [(fraction of dt, terms), ...], one entry per sub-layer.
+    """The band terms of one encoded Trotter step, in the order
+    csf_trotter_step emits them: [(fraction of dt, terms), ...], one entry
+    per sub-layer of sublayers(order).
 
     Each sub-layer holds the terms of bands 0 .. trunc-1 whose transposition
     has its parity, sorted by band, transposition, mixing before diagonal,
     then units.  The step opens with the identity-shift phase
-    (identity_shift_angle) and rotates each term by band_angle.  This is the
-    one definition of that order: csf_trotter_step emits it as gates and
-    sim.PathStep compiles it onto the spin-path vector.
+    (identity_shift_angle) and rotates each term by band_angle.
+    sim.PathStep applies the same sub-layers to the spin-path vector,
+    derived from the height rules instead of these terms.
     """
     layers = sublayers(order)
     by_parity: dict[int, list[BandTerm]] = {0: [], 1: []}
@@ -239,11 +229,12 @@ def band_layers(layout: QubitLayout, order: int):
     return [(fraction, by_parity[parity]) for parity, fraction in layers]
 
 
-def band_angle(term: BandTerm, step_dt: float, ramp: float,
+def band_angle(s_x2: int, step_dt: float, ramp: float,
                coupling: float) -> float:
-    """phi in exp(-i phi H_term) for a sub-layer of length step_dt; ramp
-    scales every band s >= 1, the zeroth band always runs at 1."""
-    return (coupling / 2) * step_dt * (ramp if term.s_x2 else 1.0)
+    """phi in exp(-i phi H) for a piece H of band s_x2 in a sub-layer of
+    length step_dt; ramp scales every band s >= 1, the zeroth band always
+    runs at 1."""
+    return (coupling / 2) * step_dt * (ramp if s_x2 else 1.0)
 
 
 def identity_shift_angle(n_sites: int, dt: float, coupling: float) -> float:
@@ -281,7 +272,7 @@ def csf_trotter_step(n_sites: int, total_spin_x2: int, trunc_x2: int,
     gates = [_phase(identity_shift_angle(n_sites, dt, coupling))]
     for fraction, terms in band_layers(layout, order):
         for term in terms:
-            _emit_band_term(term, band_angle(term, fraction * dt, ramp,
+            _emit_band_term(term, band_angle(term.s_x2, fraction * dt, ramp,
                                              coupling), gates)
     meta = {"basis": "csf", "n_sites": n_sites, "total_spin_x2": total_spin_x2,
             "trunc_x2": trunc_x2, "dt": dt, "order": order,
@@ -295,8 +286,6 @@ def export_gatelist(circuit: Circuit) -> str:
     for g in circuit.gates:
         if g.kind == "CX":
             lines.append(f"CX {g.control} {g.target}")
-        elif g.kind == "X":
-            lines.append(f"X {g.target}")
         else:
             lines.append(f"{g.kind} {g.target} {g.angle:.17g}")
     return "\n".join(lines) + "\n"
@@ -309,8 +298,6 @@ def export_qasm(circuit: Circuit) -> str:
     for g in circuit.gates:
         if g.kind == "CX":
             lines.append(f"cx q[{g.control}], q[{g.target}];")
-        elif g.kind == "X":
-            lines.append(f"x q[{g.target}];")
         elif g.kind == "PHASE":
             lines.append(f"gphase({g.angle:.17g});")
         else:

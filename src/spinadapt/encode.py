@@ -10,7 +10,8 @@ substitution.
 
 Band operators are assembled from a small diagonal/mixing term IR that the
 circuit builder consumes as well, so the emitted Pauli sum and the Trotter
-blocks are one construction by definition.  At the Gray-coded truncation the
+blocks are one construction by definition; z_parities is the one reading of
+a product of diagonal units, for both.  At the Gray-coded truncation the
 bulk operators are simplified using the freedom to alter matrix elements
 outside the physical subspace (single-qubit projectors instead of pair
 projectors where the physical sector forces the partner bit); these
@@ -144,6 +145,28 @@ class DiagUnit:
     qubits: tuple[int, ...]
     sign: int
     projector: bool = True
+
+
+def z_parities(units) -> dict[frozenset, float]:
+    """The product of diagonal units as a sum of Z parities: {qubits: weight},
+    the product of Z over the qubits with a dyadic weight, +-2^-k.
+
+    Expands unit by unit: (1 + sign Z_S)/2 for a projector, sign Z_S for a
+    bare parity, the branch without a projector's Z before the one with it.
+    The units of one term act on disjoint qubits, so every subset of them
+    gives its own parity.
+    """
+    parities = {frozenset(): 1.0}
+    for unit in units:
+        new = {}
+        for par, w in parities.items():
+            if unit.projector:
+                w /= 2
+                new[par] = new.get(par, 0.0) + w
+            pz = par.symmetric_difference(unit.qubits)
+            new[pz] = new.get(pz, 0.0) + w * unit.sign
+        parities = new
+    return parities
 
 
 @dataclass(frozen=True)
@@ -331,38 +354,18 @@ class PauliSum:
 def _expand_term(term: BandTerm, n_qubits: int, a: float, b: float,
                  out: dict) -> None:
     """Accumulate one band term into a {letters: coeff} dictionary."""
-    branches = [(term.coeff, {})]  # (coeff, {qubit: letter})
-    for unit in term.units:
-        new = []
-        for c, lets in branches:
-            if unit.projector:
-                new.append((c * 0.5, lets))
-                zl = dict(lets)
-                for q in unit.qubits:
-                    assert q not in zl
-                    zl[q] = "Z"
-                new.append((c * 0.5 * unit.sign, zl))
-            else:
-                zl = dict(lets)
-                for q in unit.qubits:
-                    assert q not in zl
-                    zl[q] = "Z"
-                new.append((c * unit.sign, zl))
-        branches = new
-    if term.mix_qubit is not None:
-        new = []
-        for c, lets in branches:
-            zl = dict(lets)
-            assert term.mix_qubit not in zl
-            zl[term.mix_qubit] = "Z"
-            xl = dict(lets)
-            xl[term.mix_qubit] = "X"
-            new.append((c * a, zl))
-            new.append((c * b, xl))
-        branches = new
-    for c, lets in branches:
-        letters = "".join(lets.get(q, "I") for q in range(n_qubits))
-        out[letters] = out.get(letters, 0.0) + c
+    for par, w in z_parities(term.units).items():
+        c = term.coeff * w
+        letters = ["Z" if q in par else "I" for q in range(n_qubits)]
+        strings = [(c, letters)]
+        if term.mix_qubit is not None:
+            assert term.mix_qubit not in par
+            xl = list(letters)
+            letters[term.mix_qubit], xl[term.mix_qubit] = "Z", "X"
+            strings = [(c * a, letters), (c * b, xl)]
+        for coeff, lets in strings:
+            key = "".join(lets)
+            out[key] = out.get(key, 0.0) + coeff
 
 
 def encode_hamiltonian(n_sites: int, total_spin_x2: int, trunc_x2: int,

@@ -114,6 +114,15 @@ class SparseOperator:
         return "\n".join(lines) + "\n"
 
 
+def _partners(basis: CsfBasis, p: int, rows, band, up):
+    """Rows reached by the flip at bond p from `rows`, whose triples mix in
+    band `band`: a valley's partner (up true) lies walks[p+1, band] rows
+    later, a peak's that many rows earlier.  The flip changes only the rank
+    terms of steps p and p+1."""
+    shift = basis.walks[p + 1, band]
+    return rows + np.where(up, shift, -shift)
+
+
 def _bond_sums(basis: CsfBasis, outputs, bonds=None):
     """The transpositions (p, p+1), p in bonds (default: every bond), on
     every basis row, taken one bond at a time and sorted into outputs by
@@ -122,9 +131,8 @@ def _bond_sums(basis: CsfBasis, outputs, bonds=None):
     outputs is a list of band ranges.  For each bond, _height_rule runs on
     the view heights[:, p-1:p+2]; each row's diagonal coefficients of the
     bands in outputs[k] are added into diag[k], and the flips that stay in
-    the truncation, of a band in some output, are kept.  A flip changes
-    only the rank terms of steps p and p+1: a valley's partner lies
-    walks[p+1, s] rows later, a peak's that many rows earlier.
+    the truncation, of a band in some output, are kept, with their
+    partners from _partners.
 
     Returns (diag, rows, cols, off): diag of shape (len(outputs), dim); int32
     rows and cols holding the diagonal positions 0..dim-1 first, then each
@@ -134,8 +142,8 @@ def _bond_sums(basis: CsfBasis, outputs, bonds=None):
     int32 holds every row: the size guard of enumerate_paths keeps the
     dimension far below 2^31.
     """
-    h, walks, dim = basis.heights, basis.walks, len(basis)
-    slot = np.full(walks.shape[1], -1)       # output of each band label
+    h, dim = basis.heights, len(basis)
+    slot = np.full(basis.walks.shape[1], -1)   # output of each band label
     for k, bands in enumerate(outputs):
         slot[bands.start:bands.stop] = k
     diag = np.zeros((len(outputs), dim))
@@ -147,8 +155,7 @@ def _bond_sums(basis: CsfBasis, outputs, bonds=None):
         for k in range(len(outputs)):
             diag[k] += np.where(out == k, coeff, 0.0)
         hop = np.flatnonzero((flip >= 0) & (flip <= basis.trunc_x2) & (out >= 0))
-        shift = walks[p + 1, band[hop]]
-        rows.append((hop + np.where(flip[hop] > h[hop, p], shift, -shift))
+        rows.append(_partners(basis, p, hop, band[hop], flip[hop] > h[hop, p])
                     .astype(np.int32))
         cols.append(hop.astype(np.int32))
         off.append(b[hop])

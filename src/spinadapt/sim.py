@@ -1,8 +1,8 @@
 """Trotter evolution, exact propagation and the observable suite.
 
 Encoded runs (trotter_evolve_csf, trotter_comparison_csf and the adiabatic
-schedules) evolve the spin-path vector itself: PathStep compiles the encoded
-Trotter step, term by term in the order csf_trotter_step emits it, into
+schedules) evolve the spin-path vector itself: PathStep compiles the Trotter
+step of the band-mode Hamiltonian from the transposition height rules into
 phases and 2x2 rotations on the basis rows, so no 2^q register is built.
 The computational-basis run (trotter_evolve_sz: `evolve --basis sz` and the
 bond-error column of the encoded `evolve`) runs no gates either:
@@ -32,12 +32,11 @@ import scipy.sparse as sp
 
 from . import oracle
 from .basis import CsfBasis, enumerate_paths, initial_path
-from .circuits import (Circuit, band_angle, band_layers, identity_shift_angle,
-                       scalar_energy, sublayers, sz_bond_layers)
+from .circuits import (Circuit, band_angle, identity_shift_angle, sublayers,
+                       sz_bond_layers)
 from .encode import QubitLayout, build_layout
-from .errors import (InvalidQuantumNumbersError, ResourceLimitError,
-                     UnsupportedConfigurationError)
-from .sga import (SparseOperator, band_coefficients, build_hamiltonian,
+from .errors import InvalidQuantumNumbersError, ResourceLimitError
+from .sga import (SparseOperator, _height_rule, _partners, build_hamiltonian,
                   permutation_matrix)
 
 
@@ -67,7 +66,7 @@ def _refuse_register(n_qubits: int) -> None:
 
 # --- gate kernels ---
 
-def _apply_single(amps: np.ndarray, n: int, q: int, mat: np.ndarray) -> np.ndarray:
+def _apply_single(amps: np.ndarray, q: int, mat: np.ndarray) -> np.ndarray:
     a = amps.reshape((1 << q, 2, -1))
     top = mat[0, 0] * a[:, 0, :] + mat[0, 1] * a[:, 1, :]
     bot = mat[1, 0] * a[:, 0, :] + mat[1, 1] * a[:, 1, :]
@@ -75,14 +74,14 @@ def _apply_single(amps: np.ndarray, n: int, q: int, mat: np.ndarray) -> np.ndarr
     return a.reshape(-1)
 
 
-def _apply_diag(amps: np.ndarray, n: int, q: int, d0: complex, d1: complex):
+def _apply_diag(amps: np.ndarray, q: int, d0: complex, d1: complex):
     a = amps.reshape((1 << q, 2, -1))
     a[:, 0, :] *= d0
     a[:, 1, :] *= d1
     return amps
 
 
-def _apply_cx(amps: np.ndarray, n: int, c: int, t: int) -> np.ndarray:
+def _apply_cx(amps: np.ndarray, c: int, t: int) -> np.ndarray:
     qs = sorted((c, t))
     a = amps.reshape((1 << qs[0], 2, 1 << (qs[1] - qs[0] - 1), 2, -1))
     if c < t:
@@ -97,30 +96,24 @@ def _apply_cx(amps: np.ndarray, n: int, c: int, t: int) -> np.ndarray:
 
 
 def apply_gate(state: StateVector, gate) -> None:
-    """In-place gate application."""
-    amps, n = state.amplitudes, state.n_qubits
+    """In-place gate application.  The kernels reshape the amplitudes with
+    one trailing axis for everything after the last qubit they touch, so a
+    batch axis behind the register rides along."""
+    amps = state.amplitudes
     kind = gate.kind
     if kind == "PHASE":
         amps *= np.exp(1j * gate.angle)
-        return
-    if kind == "RZ":
+    elif kind == "RZ":
         h = gate.angle / 2
-        _apply_diag(amps, n, gate.target, np.exp(-1j * h), np.exp(1j * h))
-        return
-    if kind == "CX":
-        _apply_cx(amps, n, gate.control, gate.target)
-        return
-    if kind == "X":
-        mat = np.array([[0, 1], [1, 0]], dtype=complex)
-    elif kind == "RX":
-        h = gate.angle / 2
-        mat = np.array([[cos(h), -1j * sin(h)], [-1j * sin(h), cos(h)]])
+        _apply_diag(amps, gate.target, np.exp(-1j * h), np.exp(1j * h))
+    elif kind == "CX":
+        _apply_cx(amps, gate.control, gate.target)
     elif kind == "RY":
         h = gate.angle / 2
         mat = np.array([[cos(h), -sin(h)], [sin(h), cos(h)]], dtype=complex)
+        state.amplitudes = _apply_single(amps, gate.target, mat)
     else:
         raise ValueError(f"unknown gate kind {kind!r}")
-    state.amplitudes = _apply_single(amps, n, gate.target, mat)
 
 
 def simulate(circuit: Circuit, initial: StateVector) -> StateVector:
@@ -134,14 +127,14 @@ def simulate(circuit: Circuit, initial: StateVector) -> StateVector:
 
 
 def circuit_unitary(circuit: Circuit) -> np.ndarray:
-    """Dense unitary, column by column; test-scale only."""
+    """Dense unitary: one simulate of the identity, its columns a trailing
+    batch axis of the register; test-scale only.  The kernels hold up to
+    four dim x dim blocks at once: 256 MiB at the cap of 11 qubits."""
     dim = 1 << circuit.n_qubits
-    if dim > 4096:
-        raise ResourceLimitError("unitary build capped at 12 qubits")
-    cols = []
-    for k in range(dim):
-        cols.append(simulate(circuit, basis_state(circuit.n_qubits, k)).amplitudes)
-    return np.column_stack(cols)
+    if dim > 2048:
+        raise ResourceLimitError("unitary build capped at 11 qubits")
+    eye = StateVector(circuit.n_qubits, np.eye(dim, dtype=complex).reshape(-1))
+    return simulate(circuit, eye).amplitudes.reshape(dim, dim)
 
 
 # --- exact propagation ---
@@ -397,130 +390,90 @@ def fidelity(a, b) -> float:
 
 # --- the encoded Trotter step on the spin-path vector ---
 
-def _unit_values(units, bits: np.ndarray, n_qubits: int) -> np.ndarray:
-    """Product of diagonal units on each bit-string: (1 + sign Z_S)/2 for a
-    projector (0 or 1), sign Z_S for a bare parity (+-1)."""
-    out = np.ones(bits.size)
-    for unit in units:
-        z = np.ones(bits.size)
-        for q in unit.qubits:
-            z = z * (1 - 2 * ((bits >> (n_qubits - 1 - q)) & 1))
-        out = out * ((1 + unit.sign * z) / 2 if unit.projector
-                     else unit.sign * z)
-    return out
-
-
 class PathStep:
-    """One encoded Trotter step compiled onto the spin-path vector.
+    """One Trotter step of the band-mode Hamiltonian on the spin-path
+    vector, compiled from the transposition height rules.
 
-    Every band term maps the physical sector into itself, so its exponential
-    restricted to the basis rows (their bit-strings from
-    layout.physical_bitstrings) is one of two things.  A diagonal term is a
-    value per row, coeff times its units, and its exponential a phase per
-    row; consecutive diagonal terms commute and merge into one phase.  A
-    mixing term pairs each row whose controls hold with the row that has
-    mix_qubit flipped, and its exponential is the rotation
-    exp(-i phi coeff (cos(theta) Z + sin(theta) X)) on every pair, theta
-    being the band's mixing angle.  A mixing term that would map a row out
-    of the basis is refused.  The terms, their order and their angles are
-    circuits.band_layers and circuits.band_angle, which csf_trotter_step
-    emits as gates; on the trunc-1/2 sector the step is one phase, as there.
+    A sub-layer (circuits.sublayers) exponentiates the kept band pieces
+    (bands 0 .. trunc-1) of the transpositions of one parity.  These flip
+    disjoint centre heights and read only heights that none of them
+    changes, so they commute; and each piece is an involution on its rows
+    (a_s^2 + b_s^2 = 1), so its exponential is cos(alpha) - i sin(alpha)
+    pi.  A sub-layer is therefore one phase per row, from the pass-throughs
+    and from the band-0 peaks whose flip would leave the chain, and one 2x2
+    rotation per bond and band s >= 1 on its valley/peak pairs, with the
+    scalar coefficients [[a_s, b_s], [b_s, -a_s]].  The angles are
+    circuits.band_angle and identity_shift_angle.  csf_trotter_step emits
+    the same operator as gates on the qubit register; the tests check one
+    against the other and both against dense exponentials.
 
     Compiled once per sector and order; layer(dt, ramp, coupling) returns
     one layer's action on a path vector.
     """
 
-    def __init__(self, basis: CsfBasis, layout: QubitLayout, order: int):
+    def __init__(self, basis: CsfBasis, order: int):
         self.n_sites = basis.n_sites
-        self.scalar = layout.trunc_x2 == 1
-        if self.scalar:
-            sublayers(order)             # refuses other orders
-            self.sublayers = []
-            return
-        bits = layout.physical_bitstrings(basis)
-        rows_by_bits = np.argsort(bits)
-        sorted_bits = bits[rows_by_bits]
-        compiled = {}                    # order 2 repeats its parity-0 terms
-        self.sublayers = []
-        for fraction, terms in band_layers(layout, order):
-            if id(terms) not in compiled:
-                compiled[id(terms)] = self._compile(
-                    terms, bits, sorted_bits, rows_by_bits, layout.n_qubits)
-            self.sublayers.append((fraction, compiled[id(terms)]))
+        parities = [self._compile(basis, parity) for parity in (0, 1)]
+        self.sublayers = [(fraction, *parities[parity])
+                          for parity, fraction in sublayers(order)]
 
     @staticmethod
-    def _compile(terms, bits, sorted_bits, rows_by_bits, n_qubits):
-        """Ops of one sub-layer: ('diag', [(term, values), ...]) with one
-        summed value vector per ramp class (zeroth band, bands s >= 1), or
-        ('mix', term, rows, partners, cos(theta), sin(theta)); rows hold the
-        mix qubit at 0 (Z = +1), partners at 1."""
-        ops = []
-        for term in terms:
-            values = term.coeff * _unit_values(term.units, bits, n_qubits)
-            if term.mix_qubit is None:
-                if not ops or ops[-1][0] != "diag":
-                    ops.append(("diag", []))
-                classes = ops[-1][1]
-                for k, (first, total) in enumerate(classes):
-                    if (first.s_x2 > 0) == (term.s_x2 > 0):
-                        classes[k] = (first, total + values)
-                        break
-                else:
-                    classes.append((term, values))
-                continue
-            rows = np.flatnonzero(values)
-            if not rows.size:
-                continue
-            flip = 1 << (n_qubits - 1 - term.mix_qubit)
-            partner_bits = bits[rows] ^ flip
-            where = np.minimum(np.searchsorted(sorted_bits, partner_bits),
-                               sorted_bits.size - 1)
-            leaks = sorted_bits[where] != partner_bits
-            if leaks.any():
-                raise UnsupportedConfigurationError(
-                    f"band term {term} maps {int(leaks.sum())} spin paths "
-                    f"out of the basis")
-            low = (bits[rows] & flip) == 0
-            theta = band_coefficients(term.s_x2).theta
-            ops.append(("mix", term, rows[low], rows_by_bits[where[low]],
-                         cos(theta), sin(theta)))
-        return ops
+    def _compile(basis: CsfBasis, parity: int):
+        """(weights, rotations) of the sub-layer of one parity: weights[0]
+        and weights[1] sum, per row, the diagonal coefficients that take the
+        zeroth band's angle and the ramped one; each rotation is (valleys,
+        peaks, a_s, b_s) of one bond and band s >= 1."""
+        h = basis.heights
+        weights = np.zeros((2, len(basis)))
+        rotations = []
+        for p in range(1 + parity, basis.n_sites, 2):
+            band, diag, flip, off = _height_rule(h[:, p - 1:p + 2])
+            kept = band < basis.trunc_x2
+            still = kept & (flip < 0)
+            weights[0] += np.where(still & (band == 0), diag, 0.0)
+            weights[1] += np.where(still & (band > 0), diag, 0.0)
+            valleys = np.flatnonzero(kept & (flip > h[:, p]))
+            for s in np.unique(band[valleys]):
+                rows = valleys[band[valleys] == s]
+                rotations.append((rows, _partners(basis, p, rows, s, True),
+                                  diag[rows[0]], off[rows[0]]))
+        return weights, rotations
 
     def layer(self, dt: float, ramp: float = 1.0, coupling: float = 1.0):
         """One layer of time step dt, bands s >= 1 scaled by ramp, as a
-        callable path vector -> new path vector."""
+        callable path vector -> new path vector.
+
+        Non-finite arguments raise ValueError; finite ones whose angles
+        overflow raise ResourceLimitError."""
         if not np.isfinite([dt, ramp, coupling]).all():
             raise ValueError(f"time step {dt}, ramp {ramp} and coupling "
                              f"{coupling} must be finite")
-        if self.scalar:
-            phase = np.exp(-1j * dt * scalar_energy(self.n_sites, coupling))
-            return lambda vec: phase * vec
-        shift = np.exp(1j * identity_shift_angle(self.n_sites, dt, coupling))
-        factors = []
-        for fraction, ops in self.sublayers:
-            step_dt = fraction * dt
-            for op in ops:
-                if op[0] == "diag":
-                    angles = sum(band_angle(term, step_dt, ramp, coupling)
-                                 * values for term, values in op[1])
-                    factors.append((np.exp(-1j * angles),))
-                    continue
-                _, term, rows, partners, c, s = op
-                alpha = band_angle(term, step_dt, ramp, coupling) * term.coeff
-                ca, sa = cos(alpha), sin(alpha)
-                factors.append((rows, partners, complex(ca, -sa * c),
-                                complex(0.0, -sa * s), complex(ca, sa * c)))
+        shift = identity_shift_angle(self.n_sites, dt, coupling)
+        layers = []
+        with np.errstate(over="ignore", invalid="ignore"):
+            for fraction, weights, rotations in self.sublayers:
+                fixed, ramped = (band_angle(s_x2, fraction * dt, ramp, coupling)
+                                 for s_x2 in (0, 1))
+                angles = fixed * weights[0] + ramped * weights[1]
+                if not layers:
+                    angles -= shift      # the step's identity-shift phase
+                if not (np.isfinite(angles).all() and np.isfinite(ramped)):
+                    raise ResourceLimitError(
+                        f"time step {dt:g} at coupling {coupling:g} gives a "
+                        f"non-finite Trotter angle")
+                c, s = cos(ramped), sin(ramped)
+                layers.append((np.exp(-1j * angles), [
+                    (rows, peaks, complex(c, -s * a), complex(0.0, -s * b),
+                     complex(c, s * a)) for rows, peaks, a, b in rotations]))
 
         def apply(vec: np.ndarray) -> np.ndarray:
-            vec = shift * vec
-            for factor in factors:
-                if len(factor) == 1:
-                    vec *= factor[0]
-                    continue
-                rows, partners, u00, u01, u11 = factor
-                lo, hi = vec[rows], vec[partners]
-                vec[rows] = u00 * lo + u01 * hi
-                vec[partners] = u01 * lo + u11 * hi
+            vec = vec.astype(complex)     # a copy: the input stays as it was
+            for phases, rotations in layers:
+                vec *= phases
+                for rows, peaks, u00, u01, u11 in rotations:
+                    lo, hi = vec[rows], vec[peaks]
+                    vec[rows] = u00 * lo + u01 * hi
+                    vec[peaks] = u01 * lo + u11 * hi
             return vec
 
         return apply
@@ -719,7 +672,7 @@ def trotter_evolve_csf(n_sites: int, total_spin_x2: int, trunc_x2: int,
     """
     basis = enumerate_paths(n_sites, total_spin_x2, trunc_x2)
     layout = build_layout(n_sites, total_spin_x2, trunc_x2)
-    times, vectors = path_trotter_run(PathStep(basis, layout, order),
+    times, vectors = path_trotter_run(PathStep(basis, order),
                                       start_vector(basis), duration,
                                       n_layers, coupling, ramps)
     bond_ops = [permutation_matrix(basis, p, p + 1).matrix

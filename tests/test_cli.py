@@ -213,18 +213,28 @@ def test_empty_sector_refused_with_one_message(command, capsys):
                             "the sector is empty\n")
 
 
-@pytest.mark.parametrize("argv", [
-    ["evolve", "--sites", "4", "--trunc", "2", "--duration", "1e308"],
-    ["adiabatic", "--sites", "4", "--trunc", "1", "--duration", "1e300"]],
-    ids=lambda argv: argv[0])
-def test_huge_duration_refused_before_the_exact_reference_runs(argv, capsys):
+# the exact reference refuses the first two; in the last two the Trotter
+# layer's own angles overflow (the N=20 identity shift dt J (N-1)/4 at
+# dt = 1e307), and the layer is refused before it runs
+@pytest.mark.parametrize("argv, refusal", [
+    pytest.param(["evolve", "--sites", "4", "--trunc", "2", "--duration",
+                  "1e308"], "Taylor steps", id="evolve"),
+    pytest.param(["adiabatic", "--sites", "4", "--trunc", "1", "--duration",
+                  "1e300"], "Taylor steps", id="adiabatic"),
+    pytest.param(["evolve", "--sites", "20", "--trunc", "2", "--duration",
+                  "1e308"], "Trotter angle", id="evolve-layer-angle"),
+    pytest.param(["adiabatic", "--sites", "20", "--trunc", "2", "--duration",
+                  "1e308", "--layers", "1"], "Trotter angle",
+                 id="adiabatic-layer-angle")])
+def test_huge_duration_refused_before_the_exact_reference_runs(argv, refusal,
+                                                                capsys):
     start = time.perf_counter()
     assert main(argv) == 3
     assert time.perf_counter() - start < 5.0
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("resource guard:")
-    assert "Taylor steps" in captured.err
+    assert refusal in captured.err
 
 
 def test_exit_code_resource_guard(capsys):

@@ -4,17 +4,18 @@ import scipy.linalg
 import scipy.sparse as sp
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from spinadapt import (ResourceLimitError, UnsupportedConfigurationError,
-                       encode_hamiltonian, enumerate_paths, singlet_pair_path)
-from spinadapt import circuits, sim
+from spinadapt import (ResourceLimitError, encode_hamiltonian,
+                       enumerate_paths, singlet_pair_path)
+from spinadapt import sim
 from spinadapt.basis import initial_path
-from spinadapt.circuits import Circuit, Gate, csf_trotter_step, sz_trotter_step
-from spinadapt.encode import BandTerm, build_layout
+from spinadapt.circuits import (Circuit, Gate, csf_trotter_step, sublayers,
+                                sz_trotter_step)
+from spinadapt.encode import build_layout
 from spinadapt.oracle import (apply_permutation, apply_total_s2,
                               sz_hamiltonian_matrix)
 from spinadapt.adiabatic import schedule_hamiltonians
-from spinadapt.sga import SparseOperator, build_hamiltonian
-from spinadapt.sim import (EvolutionRecord, StateVector, basis_state,
+from spinadapt.sga import SparseOperator, _bond_sums, build_hamiltonian
+from spinadapt.sim import (EvolutionRecord, PathStep, StateVector, basis_state,
                            bond_energies_sz, circuit_unitary,
                            decode_to_path_vector, embed_path_vector,
                            exact_evolve, fidelity, s2_expectation_sz,
@@ -29,11 +30,6 @@ def test_identity_circuit_keeps_state():
     assert np.allclose(out.amplitudes, state.amplitudes)
 
 
-def test_x_gate():
-    out = simulate(Circuit(1, (Gate("X", 0),)), basis_state(1, 0))
-    assert np.allclose(out.amplitudes, [0, 1])
-
-
 def test_cx_both_orientations():
     state = basis_state(2, 0b10)  # qubit 0 set
     out = simulate(Circuit(2, (Gate("CX", 1, control=0),)), state)
@@ -45,8 +41,6 @@ def test_cx_both_orientations():
 
 def test_rotation_gates_match_matrices():
     for kind, mat in [
-        ("RX", lambda t: np.array([[np.cos(t / 2), -1j * np.sin(t / 2)],
-                                   [-1j * np.sin(t / 2), np.cos(t / 2)]])),
         ("RY", lambda t: np.array([[np.cos(t / 2), -np.sin(t / 2)],
                                    [np.sin(t / 2), np.cos(t / 2)]])),
         ("RZ", lambda t: np.diag([np.exp(-1j * t / 2), np.exp(1j * t / 2)])),
@@ -59,6 +53,28 @@ def test_rotation_gates_match_matrices():
 def test_unitary_guard_is_a_resource_limit():
     with pytest.raises(ResourceLimitError):
         circuit_unitary(Circuit(13, ()))
+
+
+def _unitary_by_columns(circuit):
+    """The column loop circuit_unitary replaced: one simulate per basis
+    state."""
+    return np.column_stack([
+        simulate(circuit, basis_state(circuit.n_qubits, k)).amplitudes
+        for k in range(1 << circuit.n_qubits)])
+
+
+@pytest.mark.parametrize("circuit", [
+    csf_trotter_step(8, 0, 3, 0.37, 2, 0.6, 1.3),
+    csf_trotter_step(8, 2, 4, 0.21, 1),
+    csf_trotter_step(4, 0, 4, 0.3, 2, boundary=False),
+    sz_trotter_step(5, 0.4, 2, 0.8),
+    Circuit(3, (Gate("CX", 0, control=2), Gate("RY", 1, angle=0.3),
+                Gate("PHASE", 0, angle=0.2), Gate("RZ", 2, angle=-1.1))),
+], ids=["csf-trunc32", "csf-gray-s1", "csf-unfolded", "sz", "mixed"])
+def test_batched_unitary_matches_column_loop(circuit):
+    # the identity block runs as one register with a trailing batch axis
+    assert np.abs(circuit_unitary(circuit)
+                  - _unitary_by_columns(circuit)).max() < 1e-14
 
 
 def test_norm_preserved_through_deep_circuit():
@@ -444,17 +460,43 @@ def test_path_basis_run_matches_register(n_half, ts, trunc, order, ramps):
     assert np.abs(np.array(vectors) - record.path_vectors).max() < 1e-12
 
 
-def test_leaking_mixing_term_is_refused(monkeypatch):
-    # an uncontrolled flip of the first qubit leaves the physical sector
-    original = circuits.band_terms
+def _parity_pieces(basis, parity):
+    """Dense band-mode bond sums of the transpositions of one parity: the
+    zeroth band's pieces and those of bands 1 .. trunc-1."""
+    dim = len(basis)
+    diag, rows, cols, off = _bond_sums(
+        basis, [range(1), range(1, basis.trunc_x2)],
+        range(1 + parity, basis.n_sites, 2))
+    flips = sp.csr_matrix((off, (rows[dim:], cols[dim:])), shape=(dim, dim))
+    return np.diag(diag[0]), np.diag(diag[1]) + flips.toarray()
 
-    def with_leak(layout, s_x2):
-        leak = BandTerm(1, s_x2, 1.0, (), 0)
-        return original(layout, s_x2) + ([leak] if s_x2 == 0 else [])
 
-    monkeypatch.setattr(circuits, "band_terms", with_leak)
-    with pytest.raises(UnsupportedConfigurationError, match="band term"):
-        trotter_evolve_csf(8, 0, 3, 1.0, 2)
+@given(st.integers(min_value=2, max_value=10), st.booleans(),
+       st.integers(min_value=1, max_value=4), st.sampled_from([1, 2]),
+       st.floats(min_value=-1.5, max_value=1.5),
+       st.floats(min_value=0.0, max_value=1.0),
+       st.floats(min_value=0.25, max_value=4.0), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_path_step_matches_dense_exponentials(n, raised, trunc, order, dt,
+                                              ramp, coupling, seed):
+    # the dense reference shares neither the qubit term IR nor the gate
+    # simulator: exp(i dt J (N-1)/4) times, per sub-layer, the exponential
+    # of the parity's band-mode bond sums, bands s >= 1 scaled by the ramp
+    ts = n % 2 + 2 * raised
+    assume(trunc >= ts)   # below 2S the sector is empty
+    basis = enumerate_paths(n, ts, trunc)
+    pieces = [_parity_pieces(basis, parity) for parity in (0, 1)]
+    rng = np.random.default_rng(seed)
+    vec = rng.normal(size=len(basis)) + 1j * rng.normal(size=len(basis))
+    kept = vec.copy()
+    expected = np.exp(1j * dt * coupling * (n - 1) / 4) * vec
+    for parity, fraction in sublayers(order):
+        fixed, ramped = pieces[parity]
+        gen = (coupling / 2) * fraction * dt * (fixed + ramp * ramped)
+        expected = scipy.linalg.expm(-1j * gen) @ expected
+    got = PathStep(basis, order).layer(dt, ramp, coupling)(vec)
+    assert np.abs(got - expected).max() < 1e-12
+    assert np.array_equal(vec, kept)   # input left as it was
 
 
 @pytest.mark.parametrize("duration, coupling, ramp", [
