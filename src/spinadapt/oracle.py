@@ -17,6 +17,7 @@ significant bit of the amplitude index; alpha=0, beta=1.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import sqrt
 
 import numpy as np
@@ -74,11 +75,15 @@ def expand_csf(path: SpinPath, magnetization_x2: int | None = None) -> np.ndarra
 
 # --- bitwise operator applications (site 0 = MSB) ---
 
+@lru_cache(maxsize=None)
 def _down_counts(n_sites: int) -> np.ndarray:
-    """Number of beta (bit 1) sites of every amplitude index, as int8."""
+    """Number of beta (bit 1) sites of every amplitude index, as a read-only
+    int8 array built once per chain length (the cache holds at most twice
+    the largest one)."""
     down = np.zeros(1, dtype=np.int8)
     for _ in range(n_sites):
         down = np.concatenate([down, down + 1])   # one more leading bit
+    down.flags.writeable = False
     return down
 
 

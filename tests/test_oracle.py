@@ -4,8 +4,9 @@ import scipy.sparse as sp
 
 from spinadapt import ResourceLimitError, SpinPath, enumerate_paths, \
     singlet_pair_path
-from spinadapt.oracle import (apply_heisenberg, apply_permutation,
-                              apply_total_s2, apply_total_sz, expand_csf,
+from spinadapt.oracle import (_down_counts, apply_heisenberg,
+                              apply_permutation, apply_total_s2,
+                              apply_total_sz, expand_csf,
                               oracle_operator_matrix, sz_hamiltonian_matrix)
 
 
@@ -43,6 +44,20 @@ def test_expansions_are_symmetry_eigenstates(n, ts):
             assert np.linalg.norm(s2 - target * amps) < 1e-10
             sz = apply_total_sz(amps, n)
             assert np.linalg.norm(sz - m2 / 2 * amps) < 1e-10
+
+
+@pytest.mark.parametrize("n", [0, 1, 5, 10])
+def test_total_sz_counts_are_cached_read_only(n):
+    down = _down_counts(n)
+    assert _down_counts(n) is down
+    assert not down.flags.writeable
+    with pytest.raises(ValueError):
+        down[0] = 1
+    bits = np.array([bin(k).count("1") for k in range(1 << n)])
+    assert np.array_equal(down, bits)
+    rng = np.random.default_rng(n)
+    v = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    assert np.array_equal(apply_total_sz(v, n), (n / 2 - bits) * v)
 
 
 def test_expand_guard():

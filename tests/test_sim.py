@@ -276,6 +276,196 @@ def test_checkpoints_match_chained_two_product_calls(n_half, ts, trunc,
     assert np.abs(last - out[-1]).max() < 1e-13
 
 
+def _matmul_taylor_evolve(hamiltonian, amplitudes, duration, slope=None):
+    """The term loop exact_evolve replaced, kept as its bitwise reference:
+    scipy's `gen @ x` for each product, a fresh array per term, and the
+    exact max|psi| reduction after every term."""
+    times = sim._checked_times(duration)
+    has_slope = slope is not None
+    ham = sim._as_csr(hamiltonian)
+    n = ham.shape[0]
+    eye = sp.identity(n, dtype=complex, format="csr")
+    mu, nu, beta, ramp_data = ham.diagonal().sum() / n, 0.0, 0.0, 0.0
+    gen = ham - mu * eye
+    if has_slope:
+        ham, ramp = sim._one_pattern(ham, sim._as_csr(slope))
+        nu = ramp.diagonal().sum() / n
+        beta = np.bincount(ramp.indices, np.abs(ramp.data), n).max(
+            initial=0.0) + abs(nu)
+        gen = sp.hstack([gen, ramp - nu * eye], format="csr")
+        ramp_data = ramp.data
+    x = np.zeros(gen.shape[1], dtype=complex)
+    top, bottom = x[:n], x[n:]      # d_{j-1}; t_a d_{j-1} + h d_{j-2}
+    psi = amplitudes.astype(complex)
+    out = np.empty((times.size, psi.size), dtype=complex)
+    t_a = 0.0
+    for k, t_b in enumerate(times):
+        length = t_b - t_a
+        if length:
+            norm1 = np.bincount(ham.indices,
+                                np.abs(ham.data + t_a * ramp_data), n).max(
+                initial=0.0)
+            span = abs(length)
+            with np.errstate(over="ignore"):     # an infinite plan is refused
+                bound = span * (norm1 + abs(mu + t_a * nu)) \
+                    + span * (span * beta + np.sqrt(sim._DEGREES * beta))
+                steps = np.maximum(1.0, np.ceil(bound / sim._THETAS))
+                s = steps[np.argmin(sim._DEGREES * steps)]
+            if s > sim.EXACT_MAX_STEPS:
+                raise ResourceLimitError(
+                    f"evolving from t = {t_a:g} to {t_b:g} needs {s:.3g} "
+                    f"Taylor steps, above {sim.EXACT_MAX_STEPS}")
+            s = int(s)
+            h = length / s
+            step = -1j * h
+            for i in range(s):
+                t = t_a + i * h
+                top[:] = psi
+                if has_slope:
+                    np.multiply(psi, t, out=bottom)
+                c1 = np.abs(psi).max()
+                for j in range(1, sim._DEGREES[-1] + 1):
+                    term = gen @ x
+                    term *= step / j
+                    c2 = np.abs(term).max()
+                    psi += term
+                    if c1 + c2 <= sim._TAYLOR_TOL * np.abs(psi).max():
+                        break
+                    c1 = c2
+                    if has_slope:
+                        np.multiply(top, h, out=bottom)
+                        bottom += t * term
+                    top[:] = term
+                else:
+                    raise ResourceLimitError(
+                        f"Taylor series not converged to "
+                        f"{sim._TAYLOR_TOL:g} in {sim._DEGREES[-1]} terms")
+                psi *= np.exp(step * (mu + t * nu + nu * h / 2))
+        out[k] = psi
+        t_a = t_b
+    return out if np.ndim(duration) else out[0]
+
+
+def _bits(a):
+    return np.asarray(a).view(float)
+
+
+# every input form, slope kind and checkpoint shape exact_evolve takes; the
+# rows must match the replaced loop bit for bit
+@given(st.integers(min_value=2, max_value=5), st.sampled_from([0, 2]),
+       st.sampled_from([1, 2, 3, 4, 10]),
+       st.sampled_from(["constant", "shared", "different"]),
+       st.sampled_from(["operator", "csr", "dense"]),
+       st.lists(st.sampled_from([0.0, 0.05, 0.3, 1.0, 3.0]), min_size=1,
+                max_size=6),
+       st.sampled_from([1.0, -1.0]), st.booleans(), st.integers(0, 2**32 - 1))
+@example(5, 0, 4, "shared", "csr", [3.0, 0.0, 1.0], -1.0, False, 0)
+@example(4, 2, 3, "different", "dense", [0.05, 0.0, 3.0], 1.0, False, 1)
+@example(2, 0, 1, "constant", "operator", [0.0, 1.0, 1.0], -1.0, True, 2)
+@example(3, 2, 10, "shared", "operator", [0.3, 3.0], 1.0, True, 3)
+@settings(max_examples=60, deadline=None)
+def test_exact_evolve_matches_the_matmul_loop_bitwise(n_half, ts, trunc,
+                                                      generator, kind, gaps,
+                                                      sign, zero, seed):
+    assume(trunc >= ts)
+    basis = enumerate_paths(2 * n_half, ts, trunc)
+    rng = np.random.default_rng(seed)
+    dim = len(basis)
+    if generator == "different":
+        ham = build_hamiltonian(basis, "band", 0.8).matrix
+        slope = sp.diags(rng.uniform(-1.0, 1.0, dim), format="csr")
+    else:
+        ham, slope = schedule_hamiltonians(basis, 1.2)
+        slope = None if generator == "constant" else slope / 4.0
+    times = sign * np.cumsum(gaps)
+    vec = np.zeros(dim, complex) if zero else \
+        rng.normal(size=dim) + 1j * rng.normal(size=dim)
+
+    def wrap(mat):
+        if mat is None or kind == "csr":
+            return mat
+        return SparseOperator(basis, mat) if kind == "operator" \
+            else mat.toarray()
+
+    for duration in (times, times[-1]):
+        got = exact_evolve(wrap(ham), vec, duration, wrap(slope))
+        want = _matmul_taylor_evolve(wrap(ham), vec, duration, wrap(slope))
+        assert got.shape == want.shape
+        assert np.array_equal(_bits(got), _bits(want))
+
+
+# the two ways the max|psi| bound of the tail test can be too tight: short
+# steps of a basis vector, where max|psi| stays near max|psi_0| and breaks
+# land within a factor 2 of the tolerance, and a state evolved back by T and
+# then forward, whose max|psi| grows from about 0.6 to 1 over the run
+@pytest.mark.parametrize("n_sites, trunc, duration, refocus", [
+    (8, 3, 0.1, False), (10, 4, 0.1, False), (12, 3, 0.01, False),
+    (10, 4, list(np.linspace(0, 20, 201)[1:]), False),
+    (10, 4, 5.0, True), (12, 3, 2.0, True), (12, 3, 3.0, True),
+])
+def test_tail_gate_keeps_every_break(n_sites, trunc, duration, refocus):
+    ham = build_hamiltonian(enumerate_paths(n_sites, 0, trunc), "band")
+    vec = np.zeros(ham.dim, complex)
+    vec[0] = 1.0
+    if refocus:
+        vec = _matmul_taylor_evolve(ham, vec, -duration)
+    assert np.array_equal(_bits(exact_evolve(ham, vec, duration)),
+                          _bits(_matmul_taylor_evolve(ham, vec, duration)))
+
+
+def test_exact_evolve_leaves_its_input_and_rows_apart():
+    basis = enumerate_paths(8, 0, 3)
+    ham, slope = schedule_hamiltonians(basis, 1.0)
+    rng = np.random.default_rng(7)
+    vec = rng.normal(size=len(basis)) + 1j * rng.normal(size=len(basis))
+    kept = vec.copy()
+    times = [0.0, 0.3, 0.3, 1.0, 3.0]
+    for ramp in (None, slope / 3.0):
+        out = exact_evolve(ham, vec, times, ramp)
+        assert np.array_equal(_bits(vec), _bits(kept))
+        assert not np.shares_memory(out, vec)
+        assert np.array_equal(_bits(out[0]), _bits(vec))
+        # each row holds its own checkpoint, not the state the loop went on
+        # to write; the first interval is the scalar call's whole run
+        assert np.array_equal(_bits(out[1]),
+                              _bits(exact_evolve(ham, vec, 0.3, ramp)))
+        assert np.array_equal(_bits(out[1]), _bits(out[2]))
+        assert not np.array_equal(_bits(out[2]), _bits(out[3]))
+        assert not np.shares_memory(exact_evolve(ham, vec, 0.0, ramp), vec)
+
+
+@pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+def test_exact_evolve_on_empty_rows_and_wide_indices(index_dtype):
+    # rows 0, 3 and 8 hold no entry, so their products are exact zeros;
+    # int64 indices are accepted whether or not the CSR copy narrows them
+    dense = np.zeros((9, 9))
+    rng = np.random.default_rng(4)
+    for i, j in ((1, 2), (1, 5), (2, 4), (4, 6), (5, 7), (6, 7)):
+        dense[i, j] = dense[j, i] = rng.uniform(-1.0, 1.0)
+    dense[5, 5] = 0.4
+    ham = sp.csr_matrix(dense)
+    ham.indices = ham.indices.astype(index_dtype)
+    ham.indptr = ham.indptr.astype(index_dtype)
+    ramp = sp.csr_matrix(np.diag(rng.uniform(-1.0, 1.0, 9)))
+    vec = rng.normal(size=9) + 1j * rng.normal(size=9)
+    for slope in (None, ramp):
+        got = exact_evolve(ham, vec, [0.5, 2.0, 7.0], slope)
+        want = _matmul_taylor_evolve(ham, vec, [0.5, 2.0, 7.0], slope)
+        assert np.array_equal(_bits(got), _bits(want))
+
+
+def test_exact_evolve_refuses_an_unconverged_series(monkeypatch):
+    ham = build_hamiltonian(enumerate_paths(8, 0, 3), "band")
+    vec = np.zeros(ham.dim, complex)
+    monkeypatch.setattr(sim, "_TAYLOR_TOL", 0.0)
+    # a zero state meets even a zero tolerance on its first term
+    assert np.array_equal(exact_evolve(ham, vec, 1.0), vec)
+    vec[0] = 1.0
+    for slope in (None, ham):
+        with pytest.raises(ResourceLimitError, match="not converged"):
+            exact_evolve(ham, vec, 1.0, slope)
+
+
 def test_checkpoints_run_either_way_from_zero():
     ham = build_hamiltonian(enumerate_paths(8, 0, 3), "band")
     vec = np.zeros(ham.dim, complex)
