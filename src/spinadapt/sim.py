@@ -1,12 +1,12 @@
 """Trotter evolution, exact propagation and the observable suite.
 
-Encoded runs (trotter_evolve_csf, trotter_comparison_csf and the adiabatic
-schedules) evolve the spin-path vector itself: PathStep compiles the Trotter
-step of the band-mode Hamiltonian from the transposition height rules into
-phases and 2x2 rotations on the basis rows, so no 2^q register is built.
-The computational-basis run (trotter_evolve_sz: `evolve --basis sz` and the
-bond-error column of the encoded `evolve`) runs no gates either:
-sz_trotter_layer applies each bond of the step, in the order
+Encoded runs (trotter_evolve_csf, trotter_comparison_csf and its bond
+reference on the full basis, and the adiabatic schedules) evolve the
+spin-path vector itself: PathStep compiles the Trotter step of the
+band-mode Hamiltonian from the transposition height rules into phases and
+2x2 rotations on the basis rows, so no 2^q register is built.  The
+computational-basis run (trotter_evolve_sz, `evolve --basis sz`) runs no
+gates either: sz_trotter_layer applies each bond of the step, in the order
 sz_trotter_step emits it, as one update on two slices of the register.
 The gate-level statevector simulator (simulate, circuit_unitary) is the
 cross-check of both kernels in the tests and runs the emitted circuits that
@@ -670,15 +670,16 @@ def trotter_comparison_csf(n_sites: int, total_spin_x2: int, trunc_x2: int,
     """Encoded evolution from the sector's start path, scored against two
     references, and the encoded register holding its final state.
 
-    avg_abs_bond_error: bond energies vs the same-shaped Trotter run in the
-    computational basis; fidelity: overlap with the exact evolution under the
-    truncated Hamiltonian, both per recorded time.
+    avg_abs_bond_error: bond energies vs the same run on the full basis,
+    equal to trotter_evolve_sz's as its bond blocks commute with total spin;
+    fidelity: overlap with the exact truncated evolution, per recorded time.
     """
-    _refuse_register(n_sites)            # the reference's register
-    record, basis, layout = trotter_evolve_csf(
+    layout = build_layout(n_sites, total_spin_x2, trunc_x2)
+    _refuse_register(layout.n_qubits)      # before either run starts
+    record, basis = trotter_evolve_csf(
         n_sites, total_spin_x2, trunc_x2, duration, n_layers, order, coupling)
-    ref_record, _ = trotter_evolve_sz(
-        n_sites, total_spin_x2, duration, n_layers, order, coupling)
+    ref_record, _ = trotter_evolve_csf(n_sites, total_spin_x2, None, duration,
+                                       n_layers, order, coupling)
     ham = build_hamiltonian(basis, "band", coupling)
     exact = exact_evolve(ham, record.path_vectors[0], record.times[1:])
     fids = [1.0] + [fidelity(psi, vec)
@@ -690,19 +691,18 @@ def trotter_comparison_csf(n_sites: int, total_spin_x2: int, trunc_x2: int,
             embed_path_vector(record.path_vectors[-1], basis, layout))
 
 
-def trotter_evolve_csf(n_sites: int, total_spin_x2: int, trunc_x2: int,
-                       duration: float, n_layers: int, order: int = 1,
-                       coupling: float = 1.0,
+def trotter_evolve_csf(n_sites: int, total_spin_x2: int,
+                       trunc_x2: int | None, duration: float, n_layers: int,
+                       order: int = 1, coupling: float = 1.0,
                        ramps: Sequence[float] | None = None):
     """Layered encoded evolution from the sector's start path, run on the
     spin-path vector (path_trotter_run), observables per layer.
 
-    Bond energies use the truncated transposition operators on the recorded
-    path vectors.  Returns (record, basis, layout); the final state is
-    record.path_vectors[-1].
+    Any truncation runs, None (the full basis) included.  Bond energies use
+    the truncated transposition operators on the recorded path vectors.
+    Returns (record, basis); the final state is record.path_vectors[-1].
     """
     basis = enumerate_paths(n_sites, total_spin_x2, trunc_x2)
-    layout = build_layout(n_sites, total_spin_x2, trunc_x2)
     times, vectors = path_trotter_run(PathStep(basis, order),
                                       start_vector(basis), duration,
                                       n_layers, coupling, ramps)
@@ -711,4 +711,4 @@ def trotter_evolve_csf(n_sites: int, total_spin_x2: int, trunc_x2: int,
     bonds = np.array([bond_energies_csf(vec, bond_ops, coupling)
                       for vec in vectors])
     return (EvolutionRecord(times, bonds.sum(axis=1), bonds,
-                            path_vectors=vectors), basis, layout)
+                            path_vectors=vectors), basis)

@@ -265,15 +265,43 @@ def test_coupling_rescales(capsys):
 
 def test_sz_register_refused_beyond_cap(monkeypatch, capsys):
     # a lowered cap, so that a broken guard would allocate only 2^8
-    # amplitudes; the sz run and the sz column of a csf run both exit 3
+    # amplitudes
     monkeypatch.setattr(sim, "REGISTER_MAX_QUBITS", 6)
-    for argv in (["evolve", "--sites", "8", "--basis", "sz"],
-                 ["evolve", "--sites", "8", "--trunc", "1"]):
-        code = main(argv)
-        captured = capsys.readouterr()
-        assert code == 3
-        assert captured.out == ""
-        assert captured.err.startswith("resource guard:")
+    code = main(["evolve", "--sites", "8", "--basis", "sz"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("resource guard:")
+
+
+def test_csf_evolve_caps_only_its_encoded_register(monkeypatch, capsys):
+    # the bond reference runs on the spin paths, so a csf evolve needs no
+    # 2^N register: N=8 at truncation 1 (3 qubits) runs under a 6-qubit cap
+    # with the same output, and truncation 2 (6 qubits) is refused under 5
+    argv = ["evolve", "--sites", "8", "--trunc", "1"]
+    _, expected = run(argv, capsys)
+    monkeypatch.setattr(sim, "REGISTER_MAX_QUBITS", 6)
+    assert run(argv, capsys) == (0, expected)
+    monkeypatch.setattr(sim, "REGISTER_MAX_QUBITS", 5)
+    code = main(["evolve", "--sites", "8", "--trunc", "2"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("resource guard:")
+
+
+def test_csf_evolve_refuses_its_register_before_the_runs(monkeypatch, capsys):
+    # N=22 at truncation 2 needs a 27-qubit register: refused before either
+    # Trotter run starts
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Trotter run started before the refusal")
+
+    monkeypatch.setattr(sim, "trotter_evolve_csf", refuse)
+    code = main(["evolve", "--sites", "22", "--trunc", "2"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("resource guard:")
 
 
 def test_diag_refused_beyond_sector_budget(monkeypatch, capsys):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -7,7 +9,8 @@ from hypothesis import strategies as st
 from spinadapt import (ResourceLimitError, encode_hamiltonian,
                        enumerate_paths, singlet_pair_path)
 from spinadapt import sim
-from spinadapt.basis import initial_path
+from spinadapt.basis import (cardinality, initial_path, sector_bytes,
+                             untruncated_level)
 from spinadapt.circuits import (Circuit, Gate, csf_trotter_step, sublayers,
                                 sz_trotter_step)
 from spinadapt.encode import build_layout
@@ -597,7 +600,7 @@ def test_sz_trotter_conserves_symmetry_n8():
 
 
 def test_scalar_truncation_observables_constant():
-    record, basis, layout = trotter_evolve_csf(8, 0, 1, 4.0, 6, order=1)
+    record, _ = trotter_evolve_csf(8, 0, 1, 4.0, 6, order=1)
     assert np.abs(record.total_energy - record.total_energy[0]).max() < 1e-12
     assert record.total_energy[0] == pytest.approx(-3.0)  # -3/4 * 4 bonds
 
@@ -605,7 +608,7 @@ def test_scalar_truncation_observables_constant():
 def test_csf_evolution_stays_physical():
     # unit norm on the paths; test_path_basis_run_matches_register shows
     # the register holds the same vector, so it keeps no weight outside them
-    record, basis, layout = trotter_evolve_csf(8, 0, 3, 3.0, 6, order=1)
+    record, _ = trotter_evolve_csf(8, 0, 3, 3.0, 6, order=1)
     assert np.abs(np.linalg.norm(record.path_vectors, axis=1) - 1.0).max() \
         < 1e-10
 
@@ -636,9 +639,9 @@ def test_path_basis_run_matches_register(n_half, ts, trunc, order, ramps):
     # for the encoded run on the spin-path vector
     assume(trunc >= ts)   # below 2S the sector is empty
     n, duration, coupling = 2 * n_half, 1.3, 0.9
-    record, basis, layout = trotter_evolve_csf(n, ts, trunc, duration,
-                                               len(ramps), order, coupling,
-                                               ramps=ramps)
+    record, basis = trotter_evolve_csf(n, ts, trunc, duration, len(ramps),
+                                       order, coupling, ramps=ramps)
+    layout = build_layout(n, ts, trunc)
     state = basis_state(layout.n_qubits,
                         layout.encode_path(initial_path(n, ts)))
     dt = duration / len(ramps)
@@ -764,20 +767,48 @@ def test_sz_layer_refuses_non_finite_step():
 
 def test_sz_register_refused_beyond_cap(monkeypatch):
     # the cap is lowered so that a broken guard would allocate only 2^8
-    # amplitudes; the encoded run must not start either
+    # amplitudes
     monkeypatch.setattr(sim, "REGISTER_MAX_QUBITS", 6)
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("the encoded run started above the cap")
-
-    monkeypatch.setattr(sim, "trotter_evolve_csf", refuse)
     for build in (lambda: sz_reference_state(8, 0),
                   lambda: sz_reference_state(8, 2),
-                  lambda: trotter_evolve_sz(8, 0, 1.0, 2),
-                  lambda: trotter_comparison_csf(8, 0, 2, 1.0, 2)):
+                  lambda: trotter_evolve_sz(8, 0, 1.0, 2)):
         with pytest.raises(ResourceLimitError, match="6 qubits"):
             build()
     assert sz_reference_state(6, 2).amplitudes.size == 1 << 6
+
+
+@given(st.integers(min_value=1, max_value=7), st.sampled_from([0, 2]),
+       st.sampled_from([1, 2]), st.floats(min_value=-3.0, max_value=3.0),
+       st.integers(min_value=0, max_value=6),
+       st.floats(min_value=0.25, max_value=4.0))
+@example(7, 0, 2, 3.0, 6, 1.0)    # N=14: 429 paths against 2^14 amplitudes
+@example(7, 2, 1, -2.0, 5, 4.0)   # a negative duration in the triplet
+@example(1, 0, 1, 1.0, 0, 0.25)   # zero layers
+@settings(max_examples=40, deadline=None)
+def test_full_basis_run_matches_register(n_half, ts, order, duration, layers,
+                                         coupling):
+    # the bond reference of trotter_comparison_csf: the Trotter run on the
+    # untruncated spin-path basis against the computational-basis register
+    n = 2 * n_half
+    sz_record, _ = trotter_evolve_sz(n, ts, duration, layers, order, coupling)
+    record, _ = trotter_evolve_csf(n, ts, untruncated_level(n), duration,
+                                   layers, order, coupling)
+    assert np.array_equal(record.times, sz_record.times)
+    assert np.abs(record.bond_energies - sz_record.bond_energies).max() \
+        < 1e-12
+
+
+def test_comparison_memory_follows_the_path_sector():
+    # the N=20 singlet sector has 16 796 paths against 2^20 amplitudes: the
+    # bond reference runs on the paths and no 2^N register is allocated
+    n = 20
+    tracemalloc.start()
+    try:
+        trotter_comparison_csf(n, 0, 2, 5.0, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * sector_bytes(n, cardinality(n, 0))
 
 
 def test_exact_evolve_agrees_with_richardson_trotter():
