@@ -181,8 +181,9 @@ def untruncated_level(n_sites: int) -> int:
 
 # Byte budget of one sector: its int8 heights, the CSR bound of its
 # Hamiltonian (one diagonal entry and at most N-1 flips per row, float64
-# values and int32 indices) and ARPACK's Lanczos vectors (eigsh keeps 20
-# basis vectors and 4 work vectors of the dimension for a few eigenvalues).
+# values and int32 indices) and ARPACK's Lanczos vectors (ground_state keeps
+# sga.LANCZOS_NCV = 12 basis vectors and a few work vectors of the dimension
+# for a few eigenvalues; the 24 vectors counted are an upper bound).
 # Full N=28 (dim 2 674 440) is estimated at 1.4 GiB; full N=30
 # (dim 9 694 845) at 5.3 GiB.
 SECTOR_MAX_BYTES = 3 << 30

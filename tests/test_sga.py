@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -205,7 +206,8 @@ def test_matrix_free_apply_matches_matrix(n_half, ts, trunc):
 
 
 @given(*SECTORS)
-@example(6, 0, 12)   # dim 132: the Lanczos branch, not the dense fallback
+@example(6, 0, 12)   # dim 132: the dense branch
+@example(7, 0, 14)   # dim 429: the Lanczos branch
 @settings(max_examples=40, deadline=None)
 def test_matrix_free_eigensolve_matches_assembled(n_half, ts, trunc):
     basis = enumerate_paths(2 * n_half, ts, trunc)
@@ -216,6 +218,57 @@ def test_matrix_free_eigensolve_matches_assembled(n_half, ts, trunc):
         free = ground_energy_matrix_free(basis, mode, n_values=k)
         assembled = ground_state(build_hamiltonian(basis, mode), k)[0]
         assert np.abs(free - assembled).max() < 1e-10
+
+
+@given(*SECTORS)
+@example(6, 0, 12)   # dim 132: dense, below DENSE_MAX_DIM
+@example(7, 0, 14)   # dim 429: Lanczos
+@example(9, 0, 3)    # N=18 trunc 3/2, dim 1597: Lanczos
+@settings(max_examples=40, deadline=None)
+def test_ground_state_matches_dense_spectrum(n_half, ts, trunc):
+    basis = enumerate_paths(2 * n_half, ts, trunc)
+    for mode in ("height", "band"):
+        op = build_hamiltonian(basis, mode)
+        exact = np.linalg.eigvalsh(op.toarray())
+        for k in range(1, min(2, op.dim) + 1):
+            w, v = ground_state(op, k)
+            assert w.shape == (k,)
+            assert np.abs(w - exact[:k]).max() < 1e-10
+            assert np.linalg.norm(op.matrix @ v - w[0] * v) <= 1e-8
+            assert abs(np.linalg.norm(v) - 1) <= 1e-12
+
+
+def test_ground_state_matches_default_arpack_on_the_ladder():
+    # the replaced call: eigsh on the matrix with ARPACK's default ncv
+    for trunc in (2, 3, 4, None):
+        op = build_hamiltonian(enumerate_paths(18, 0, trunc), "height")
+        v0 = np.full(op.dim, 1 / np.sqrt(op.dim))
+        ref = np.sort(spla.eigsh(op.matrix, k=2, which="SA", v0=v0,
+                                 return_eigenvectors=False))
+        assert np.abs(ground_state(op, 2)[0] - ref).max() < 1e-12
+
+
+def test_ground_state_refuses_impossible_n_values():
+    op = build_hamiltonian(enumerate_paths(2, 0))   # dim 1
+    for n_values in (0, 2):
+        with pytest.raises(ValueError, match="N=2, 2S=0"):
+            ground_state(op, n_values)
+    w, v = ground_state(op, 1)
+    assert w.tolist() == [pytest.approx(-0.75)] and abs(v[0]) == 1.0
+
+
+def test_ground_state_widens_the_krylov_space_for_many_values():
+    op = build_hamiltonian(enumerate_paths(14, 0))   # dim 429: Lanczos
+    w, _ = ground_state(op, 12)
+    assert np.abs(w - np.linalg.eigvalsh(op.toarray())[:12]).max() < 1e-10
+
+
+def test_unconverged_lanczos_raises(monkeypatch):
+    eigsh = spla.eigsh
+    monkeypatch.setattr(spla, "eigsh",
+                        lambda *a, **kw: eigsh(*a, maxiter=1, **kw))
+    with pytest.raises(spla.ArpackNoConvergence):
+        ground_state(build_hamiltonian(enumerate_paths(14, 0)), 2)
 
 
 def test_rayleigh_quotient_singlet_pairs():
