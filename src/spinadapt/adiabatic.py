@@ -13,9 +13,12 @@ the continuous-time limit.  All intervals of one duration are one
 sim.exact_evolve call with a slope, checkpointed at the boundaries, so a
 sweep over 10, 20 and 40 layers makes one call per duration.
 
-A sweep prepares its sector once (PreparedSector: basis, compiled Trotter
-step, start vector, schedule pair and target ground energy) and hands it to
-every schedule of its grid, with one ReferenceRuns per duration.
+Each parameter of a schedule has one owner: a PreparedSector holds the
+sector and what is built from it once, a ReferenceRuns one duration and
+its exact reference, and run_schedule(runs, n_layers) reads both from
+`runs`.  A sweep prepares its sector once for its whole grid, with one
+ReferenceRuns per duration; a single schedule is the same with one
+duration and one layer count.
 """
 
 from __future__ import annotations
@@ -33,15 +36,7 @@ from .sga import PRUNE_TOL, SparseOperator, _bond_sums, ground_state
 from .sim import (PathStep, exact_evolve, path_trotter_run,  # noqa: F401
                   simulate, start_vector)
 
-@dataclass(frozen=True)
-class Schedule:
-    """Linear band ramp over one duration for one symmetry sector."""
-
-    total_spin_x2: int
-    trunc_x2: int
-    duration: float
-    n_layers: int
-    order: int = 2
+DEFAULT_ORDER = 2     # Trotter order of a schedule that names none
 
 
 @dataclass
@@ -88,23 +83,15 @@ def schedule_hamiltonians(basis: CsfBasis, coupling: float = 1.0):
                          shape=h_ramp.shape), h_ramp
 
 
-SECTOR_FIELDS = ("n_sites", "total_spin_x2", "trunc_x2", "order", "coupling")
-
-
-def _sector_key(schedule: Schedule, n_sites: int, coupling: float) -> tuple:
-    """The schedule's sector, as SECTOR_FIELDS."""
-    return (n_sites, schedule.total_spin_x2, schedule.trunc_x2,
-            schedule.order, coupling)
-
-
 @dataclass(frozen=True, eq=False)
 class PreparedSector:
     """What every schedule of one sector, order and coupling shares: the
-    basis, the compiled Trotter step, the start vector (read-only), the
-    schedule pair (H_start, H_ramp) and the ground energy of their sum."""
+    basis, the coupling, the Trotter step compiled at the order, the start
+    vector (read-only), the schedule pair (H_start, H_ramp) and the ground
+    energy of their sum."""
 
-    key: tuple                    # values of SECTOR_FIELDS
     basis: CsfBasis
+    coupling: float
     step: PathStep
     start: np.ndarray
     h_start: sp.csr_matrix
@@ -113,7 +100,7 @@ class PreparedSector:
 
     @classmethod
     def prepare(cls, n_sites: int, total_spin_x2: int, trunc_x2: int,
-                order: int = Schedule.order,
+                order: int = DEFAULT_ORDER,
                 coupling: float = 1.0) -> "PreparedSector":
         basis = enumerate_paths(n_sites, total_spin_x2, trunc_x2)
         step = PathStep(basis, order)
@@ -121,78 +108,69 @@ class PreparedSector:
         start.flags.writeable = False
         h_start, h_ramp = schedule_hamiltonians(basis, coupling)
         target = ground_state(SparseOperator(basis, h_start + h_ramp))[0][0]
-        return cls((n_sites, total_spin_x2, trunc_x2, order, coupling), basis,
-                   step, start, h_start, h_ramp, float(target))
+        return cls(basis, coupling, step, start, h_start, h_ramp,
+                   float(target))
 
 
 class ReferenceRuns:
-    """The exact evolution of one prepared sector at one duration, shared by
-    the schedules of several layer counts.
+    """The exact evolution of one prepared sector over one ramp duration,
+    shared by the schedules of several layer counts.
 
-    The ramp is integrated once, at the duration of the first schedule
-    asked for, by one exact_evolve of H_start with the ramp's slope
+    The ramp is integrated once, when the first schedule asks for its
+    boundaries, by one exact_evolve of H_start with the ramp's slope
     H_ramp / T, checkpointed at the sorted union of the layer boundaries k/n
     of every count n in `layer_counts`, kept as integers on the grid of
     1/lcm(layer_counts).  Each interval between boundaries is a Taylor
     series of the continuous ramp with no splitting error; each series runs
     to the 2^-53 tail test of exact_evolve, and one that does not converge
-    raises ResourceLimitError.  For counts 10, 20, 30 and 40 that is 60
-    intervals.
+    raises ResourceLimitError, as does a slope that overflows.  For counts
+    10, 20, 30 and 40 that is 60 intervals.
     """
 
-    def __init__(self, sector: PreparedSector, layer_counts):
+    def __init__(self, sector: PreparedSector, duration: float,
+                 layer_counts):
         self.sector = sector
+        self.duration = duration
         self.layer_counts = tuple(int(n) for n in layer_counts)
         self.grid = math.lcm(*self.layer_counts)
-        self.duration: float | None = None
         self.states: dict[int, np.ndarray] | None = None
 
-    def boundaries(self, schedule: Schedule) -> list[np.ndarray]:
-        """States at the schedule's layer boundaries."""
-        if schedule.n_layers not in self.layer_counts:
-            raise ValueError(f"{schedule.n_layers} layers is not one of the "
+    def boundaries(self, n_layers: int) -> list[np.ndarray]:
+        """States at the layer boundaries of n_layers layers, one of
+        `layer_counts`; another count raises ValueError."""
+        if n_layers not in self.layer_counts:
+            raise ValueError(f"{n_layers} layers is not one of the "
                              f"shared counts {self.layer_counts}")
         if self.states is None:
-            sector, duration = self.sector, schedule.duration
+            sector, duration = self.sector, self.duration
             keys = sorted({self.grid // n * k for n in self.layer_counts
                            for k in range(n + 1)})
-            slope = sector.h_ramp / duration if duration else None
+            # a T near the underflow limit overflows the slope, whose
+            # non-finite entries exact_evolve refuses
+            with np.errstate(over="ignore", invalid="ignore"):
+                slope = sector.h_ramp / duration if duration else None
             times = [key / self.grid * duration for key in keys[1:]]
             states = exact_evolve(sector.h_start, sector.start, times, slope)
             self.states = {0: sector.start, **dict(zip(keys[1:], states))}
-            self.duration = duration
-        elif schedule.duration != self.duration:
-            raise ValueError(f"these reference runs integrated duration "
-                             f"{self.duration}, not the schedule's "
-                             f"{schedule.duration}")
-        stride = self.grid // schedule.n_layers
-        return [self.states[k * stride] for k in range(schedule.n_layers + 1)]
+        stride = self.grid // n_layers
+        return [self.states[k * stride] for k in range(n_layers + 1)]
 
 
-def run_schedule(schedule: Schedule, n_sites: int, coupling: float = 1.0,
-                 runs: ReferenceRuns | None = None) -> ScheduleResult:
-    """Trotterized schedule on the spin-path vector vs the exact schedule.
+def run_schedule(runs: ReferenceRuns, n_layers: int) -> ScheduleResult:
+    """Trotterized schedule of n_layers layers on the spin-path vector vs
+    the exact schedule, over the sector and duration of `runs`.
 
     Energies are measured against the instantaneous interpolated Hamiltonian
     (the t=0 row therefore sits exactly at the initial ground energy);
-    fidelities are instantaneous overlaps with the refined exact evolution.
-    `runs` carries the prepared sector and the exact reference that other
-    schedules of the same sector and duration share (see sweep); without
-    it, both are built for this schedule alone.  A sector other than the
-    schedule's raises ValueError.
+    fidelities are instantaneous overlaps with the exact evolution.  The
+    Trotter layers run before the reference is integrated, so a refusal of
+    the layers' angles comes first.
     """
-    key = _sector_key(schedule, n_sites, coupling)
-    if runs is None:
-        runs = ReferenceRuns(PreparedSector.prepare(*key), [schedule.n_layers])
-    elif runs.sector.key != key:
-        fields = ", ".join(SECTOR_FIELDS)
-        raise ValueError(f"prepared sector ({fields}) = {runs.sector.key} "
-                         f"is not the schedule's {key}")
-    sector, n_layers = runs.sector, schedule.n_layers
+    sector = runs.sector
     times, vecs = path_trotter_run(
-        sector.step, sector.start, schedule.duration, n_layers, coupling,
+        sector.step, sector.start, runs.duration, n_layers, sector.coupling,
         ramps=[(k + 0.5) / n_layers for k in range(n_layers)])
-    refs = runs.boundaries(schedule)
+    refs = runs.boundaries(n_layers)
     # <H(t_k)> = <H_start> + (k/n) <H_ramp>, both over every vector at once
     e_start, e_ramp = (np.einsum("kd,dk->k", vecs.conj(), mat @ vecs.T).real
                        for mat in (sector.h_start, sector.h_ramp))
@@ -203,7 +181,7 @@ def run_schedule(schedule: Schedule, n_sites: int, coupling: float = 1.0,
 
 
 def sweep(n_sites: int, total_spin_x2: int, trunc_x2: int,
-          durations, layer_counts, order: int = Schedule.order,
+          durations, layer_counts, order: int = DEFAULT_ORDER,
           coupling: float = 1.0) -> list[dict]:
     """Final energy and fidelity over a (duration, layers) grid.  The
     sector is prepared once for the whole grid; the layer counts of one
@@ -213,11 +191,9 @@ def sweep(n_sites: int, total_spin_x2: int, trunc_x2: int,
                                     coupling)
     rows = []
     for duration in durations:
-        runs = ReferenceRuns(sector, layer_counts)
+        runs = ReferenceRuns(sector, float(duration), layer_counts)
         for n_layers in layer_counts:
-            sched = Schedule(total_spin_x2, trunc_x2, float(duration),
-                             int(n_layers), order)
-            res = run_schedule(sched, n_sites, coupling, runs)
+            res = run_schedule(runs, int(n_layers))
             rows.append({
                 "trunc_x2": trunc_x2,
                 "duration": float(duration),

@@ -156,7 +156,7 @@ def cmd_evolve(args) -> int:
         _refuse_trunc_on_sz(args)
         record, _ = sim.trotter_evolve_sz(
             args.sites, args.total_spin_x2, args.duration, args.layers,
-            args.order, args.coupling, track_symmetry=True)
+            args.order, args.coupling)
     else:
         trunc = _require_finite_trunc(args, "csf evolution")
         record, _ = sim.trotter_comparison_csf(
@@ -168,7 +168,7 @@ def cmd_evolve(args) -> int:
 
 def cmd_adiabatic(args) -> int:
     trunc = _require_finite_trunc(args, "adiabatic schedules")
-    order = adiabatic.Schedule.order if args.order is None else args.order
+    order = adiabatic.DEFAULT_ORDER if args.order is None else args.order
     if args.sweep:
         if args.duration is not None or args.layers is not None:
             raise InvalidQuantumNumbersError(
@@ -180,12 +180,13 @@ def cmd_adiabatic(args) -> int:
         _write(adiabatic.sweep_csv(rows), args.out)
     else:
         _refuse_order_on_scalar_step(args, trunc)
-        sched = adiabatic.Schedule(
-            args.total_spin_x2, trunc,
-            ADIABATIC_DURATION if args.duration is None else args.duration,
-            ADIABATIC_LAYERS if args.layers is None else args.layers, order)
-        res = adiabatic.run_schedule(sched, args.sites, args.coupling)
-        _write(res.to_csv(), args.out)
+        duration = ADIABATIC_DURATION if args.duration is None \
+            else args.duration
+        layers = ADIABATIC_LAYERS if args.layers is None else args.layers
+        sector = adiabatic.PreparedSector.prepare(
+            args.sites, args.total_spin_x2, trunc, order, args.coupling)
+        runs = adiabatic.ReferenceRuns(sector, duration, [layers])
+        _write(adiabatic.run_schedule(runs, layers).to_csv(), args.out)
     return EXIT_OK
 
 
@@ -259,14 +260,16 @@ def build_parser() -> argparse.ArgumentParser:
     # --order defaults to None so that an explicit one can be refused where
     # it changes nothing (--trunc 0.5)
     p.add_argument("--order", type=int, choices=[1, 2], default=None,
-                   help=f"Trotter order (default {adiabatic.Schedule.order})")
+                   help=f"Trotter order (default {adiabatic.DEFAULT_ORDER})")
     p.add_argument("--duration", type=POSITIVE, default=None,
                    help=f"ramp duration T (default {ADIABATIC_DURATION:g})")
     p.add_argument("--layers", type=POSITIVE_COUNT, default=None,
                    help=f"Trotter layers (default {ADIABATIC_LAYERS})")
     p.add_argument("--sweep", action="store_true",
-                   help="run the full duration x layers grid instead of "
-                        "one schedule")
+                   help=f"run durations {SWEEP_DURATIONS} x layer counts "
+                        f"{SWEEP_LAYERS} on one prepared sector, with one "
+                        "exact reference per duration, instead of one "
+                        "schedule")
     p.set_defaults(func=cmd_adiabatic)
 
     p = sub.add_parser("circuit", help="export one Trotter step as gates")

@@ -227,7 +227,8 @@ def exact_evolve(hamiltonian, amplitudes: np.ndarray, duration,
     times, running monotonically from 0, returns the state at each of them,
     shape (len(times), dim), from one integration: the shifts, norms and
     generator below are set up once per call.  A non-finite time or a
-    sequence that turns back raises ValueError.
+    sequence that turns back raises ValueError; a non-finite entry of H or
+    of the slope (one that overflowed) raises ResourceLimitError.
 
     Truncated Taylor series with scaling (Al-Mohy & Higham 2011, Algorithm
     3.2) on H shifted by mu = tr(H)/n and slope shifted by nu =
@@ -265,12 +266,16 @@ def exact_evolve(hamiltonian, amplitudes: np.ndarray, duration,
     times = _checked_times(duration)
     has_slope = slope is not None
     ham = _as_csr(hamiltonian)
+    ramp = _as_csr(slope) if has_slope else None
+    for what, mat in (("Hamiltonian", ham), ("slope", ramp)):
+        if mat is not None and not np.isfinite(mat.data).all():
+            raise ResourceLimitError(f"the {what} has a non-finite entry")
     n = ham.shape[0]
     eye = sp.identity(n, dtype=complex, format="csr")
     mu, nu, beta, ramp_data = ham.diagonal().sum() / n, 0.0, 0.0, 0.0
     gen = ham - mu * eye
     if has_slope:
-        ham, ramp = _one_pattern(ham, _as_csr(slope))
+        ham, ramp = _one_pattern(ham, ramp)
         nu = ramp.diagonal().sum() / n
         beta = np.bincount(ramp.indices, np.abs(ramp.data), n).max(
             initial=0.0) + abs(nu)
@@ -298,7 +303,7 @@ def exact_evolve(hamiltonian, amplitudes: np.ndarray, duration,
                     + span * (span * beta + np.sqrt(_DEGREES * beta))
                 steps = np.maximum(1.0, np.ceil(bound / _THETAS))
                 s = steps[np.argmin(_DEGREES * steps)]
-            if s > EXACT_MAX_STEPS:
+            if not s <= EXACT_MAX_STEPS:      # NaN included
                 raise ResourceLimitError(
                     f"evolving from t = {t_a:g} to {t_b:g} needs {s:.3g} "
                     f"Taylor steps, above {EXACT_MAX_STEPS}")
@@ -608,17 +613,17 @@ def sz_trotter_layer(n_sites: int, dt: float, order: int = 1,
 
 
 def trotter_evolve_sz(n_sites: int, total_spin_x2: int, duration: float,
-                      n_layers: int, order: int = 1, coupling: float = 1.0,
-                      track_symmetry: bool = False):
+                      n_layers: int, order: int = 1, coupling: float = 1.0):
     """Layered evolution in the computational basis from the sector's start
-    path (M = S), each layer a sz_trotter_layer, observables per layer."""
+    path (M = S), each layer a sz_trotter_layer, observables per layer:
+    bond energies, <S^2> and <S_z>."""
     state = sz_reference_state(n_sites, total_spin_x2)
     dt = duration / n_layers if n_layers else 0.0
     layer = sz_trotter_layer(n_sites, dt, order, coupling)
 
     def observe(state):
         aux = {"s_squared": s2_expectation_sz(state),
-               "total_sz": sz_expectation_sz(state)} if track_symmetry else {}
+               "total_sz": sz_expectation_sz(state)}
         return bond_energies_sz(state, coupling), aux
 
     times, seen, state = _trotter_loop(state, [layer] * n_layers, dt,
@@ -693,8 +698,7 @@ def trotter_comparison_csf(n_sites: int, total_spin_x2: int, trunc_x2: int,
 
 def trotter_evolve_csf(n_sites: int, total_spin_x2: int,
                        trunc_x2: int | None, duration: float, n_layers: int,
-                       order: int = 1, coupling: float = 1.0,
-                       ramps: Sequence[float] | None = None):
+                       order: int = 1, coupling: float = 1.0):
     """Layered encoded evolution from the sector's start path, run on the
     spin-path vector (path_trotter_run), observables per layer.
 
@@ -705,7 +709,7 @@ def trotter_evolve_csf(n_sites: int, total_spin_x2: int,
     basis = enumerate_paths(n_sites, total_spin_x2, trunc_x2)
     times, vectors = path_trotter_run(PathStep(basis, order),
                                       start_vector(basis), duration,
-                                      n_layers, coupling, ramps)
+                                      n_layers, coupling)
     bond_ops = [permutation_matrix(basis, p, p + 1).matrix
                 for p in range(1, n_sites)]
     bonds = np.array([bond_energies_csf(vec, bond_ops, coupling)

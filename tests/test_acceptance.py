@@ -38,8 +38,7 @@ def report(num, text):
 
 @pytest.fixture(scope="module")
 def fig8_runs():
-    sz_record, _ = trotter_evolve_sz(16, 0, 5.0, 10, order=1,
-                                     track_symmetry=True)
+    sz_record, _ = trotter_evolve_sz(16, 0, 5.0, 10, order=1)
     csf_records = {}
     for trunc in (1, 2, 3, 4):
         rec, *_ = trotter_evolve_csf(16, 0, trunc, 5.0, 10, order=1)

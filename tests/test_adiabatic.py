@@ -1,14 +1,11 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.integrate import solve_ivp
 
 from spinadapt import adiabatic, sim
-from spinadapt.adiabatic import (PreparedSector, ReferenceRuns, Schedule,
-                                 run_schedule, schedule_hamiltonians, sweep,
-                                 sweep_csv)
+from spinadapt.adiabatic import (PreparedSector, ReferenceRuns, run_schedule,
+                                 schedule_hamiltonians, sweep, sweep_csv)
 from spinadapt.basis import (enumerate_paths, initial_path, singlet_pair_path,
                              triplet_reference_path)
 from spinadapt.sga import build_hamiltonian, ground_state
@@ -17,14 +14,22 @@ from spinadapt.cli import main
 from spinadapt.errors import ResourceLimitError
 
 
+def _single_run(n_sites, total_spin_x2, trunc_x2, duration, n_layers,
+                order=2, coupling=1.0):
+    """One schedule on a fresh sector, as `spinadapt adiabatic` runs it."""
+    sector = PreparedSector.prepare(n_sites, total_spin_x2, trunc_x2, order,
+                                    coupling)
+    return run_schedule(ReferenceRuns(sector, duration, [n_layers]),
+                        n_layers)
+
+
 def test_initial_paths():
     assert initial_path(8, 0) == singlet_pair_path(8)
     assert initial_path(8, 2) == triplet_reference_path(8)
 
 
 def test_short_schedule_stays_put():
-    sched = Schedule(0, 2, 1e-8, 2, order=2)
-    res = run_schedule(sched, 8)
+    res = _single_run(8, 0, 2, 1e-8, 2, order=2)
     assert res.fidelity[0] == pytest.approx(1.0)
     assert res.final_fidelity == pytest.approx(1.0, abs=1e-8)
     start = np.zeros_like(res.final_state)
@@ -39,9 +44,8 @@ def _exact_ground_energy(n_sites, total_spin_x2):
 
 
 def test_energy_starts_at_initial_ground():
-    sched = Schedule(0, 2, 6.0, 12, order=2)
     sector = PreparedSector.prepare(8, 0, 2)
-    res = run_schedule(sched, 8)
+    res = _single_run(8, 0, 2, 6.0, 12, order=2)
     # H_start is diagonal: its ground energy is its least entry
     assert res.energy[0] == pytest.approx(sector.h_start.diagonal().min(),
                                           abs=1e-12)
@@ -66,8 +70,7 @@ def test_height_hierarchy_monotone_in_ground_truth():
 
 
 def test_triplet_schedule_runs_and_starts_faithful():
-    sched = Schedule(2, 3, 4.0, 8, order=2)
-    res = run_schedule(sched, 8)
+    res = _single_run(8, 2, 3, 4.0, 8, order=2)
     assert res.fidelity[0] == pytest.approx(1.0)
     assert res.final_fidelity > 0.99
     e_init = PreparedSector.prepare(8, 2, 3).h_start.diagonal().min()
@@ -77,7 +80,7 @@ def test_triplet_schedule_runs_and_starts_faithful():
 def test_fidelity_improves_with_layers_small():
     fids = []
     for layers in (4, 8, 16):
-        res = run_schedule(Schedule(0, 2, 6.0, layers, order=2), 8)
+        res = _single_run(8, 0, 2, 6.0, layers, order=2)
         fids.append(res.final_fidelity)
     assert fids[0] <= fids[1] + 1e-9 and fids[1] <= fids[2] + 1e-9
 
@@ -88,8 +91,8 @@ def test_sweep_rows_and_csv():
     rows = sweep(8, 0, 2, [2.0, 4.0], [4, 8, 16], order=2)
     assert len(rows) == 6
     for row in rows:
-        res = run_schedule(Schedule(0, 2, row["duration"], row["n_layers"],
-                                    order=2), 8)
+        res = _single_run(8, 0, 2, row["duration"], row["n_layers"],
+                          order=2)
         assert abs(row["final_energy"] - res.energy[-1]) < 1e-12
         assert abs(row["final_fidelity"] - res.final_fidelity) < 1e-12
     text = sweep_csv(rows)
@@ -105,9 +108,9 @@ def test_sweep_rows_equal_runs_on_a_fresh_sector():
     rows = sweep(8, 0, 3, [2.0, 4.0], counts, order=1, coupling=0.7)
     assert len(rows) == 6
     for row in rows:
-        runs = ReferenceRuns(PreparedSector.prepare(8, 0, 3, 1, 0.7), counts)
-        res = run_schedule(Schedule(0, 3, row["duration"], row["n_layers"],
-                                    order=1), 8, 0.7, runs)
+        runs = ReferenceRuns(PreparedSector.prepare(8, 0, 3, 1, 0.7),
+                             row["duration"], counts)
+        res = run_schedule(runs, row["n_layers"])
         assert row["final_energy"] == float(res.energy[-1])
         assert row["final_fidelity"] == res.final_fidelity
 
@@ -131,38 +134,20 @@ def test_sweep_prepares_the_sector_once(monkeypatch):
     assert calls == {"step": 1, "pair": 1, "eigensolve": 1}
 
 
-def test_reference_runs_refuse_a_second_duration():
-    runs = ReferenceRuns(PreparedSector.prepare(8, 0, 2), [4, 8])
-    sched = Schedule(0, 2, 2.0, 4)
-    runs.boundaries(sched)
-    runs.boundaries(replace(sched, n_layers=8))
-    with pytest.raises(ValueError, match=r"duration 2\.0, not the "
-                                         r"schedule's 4\.0"):
-        runs.boundaries(replace(sched, duration=4.0))
-
-
-@pytest.mark.parametrize("field, value", [
-    ("n_sites", 10), ("total_spin_x2", 2), ("trunc_x2", 3), ("order", 1),
-    ("coupling", 0.5)])
-def test_run_schedule_refuses_another_sector(field, value):
-    key = dict(zip(adiabatic.SECTOR_FIELDS, (8, 0, 2, 2, 1.0)))
-    wrong = PreparedSector.prepare(**{**key, field: value})
-    with pytest.raises(ValueError) as err:
-        run_schedule(Schedule(0, 2, 2.0, 4, order=2), 8, 1.0,
-                     ReferenceRuns(wrong, [4]))
-    assert str(wrong.key) in str(err.value)
-    assert str(tuple(key.values())) in str(err.value)
+def test_run_schedule_refuses_a_layer_count_outside_the_shared_ones():
+    runs = ReferenceRuns(PreparedSector.prepare(8, 0, 2), 2.0, [4, 8])
+    with pytest.raises(ValueError, match=r"6 layers is not one of the "
+                                         r"shared counts \(4, 8\)"):
+        run_schedule(runs, 6)
 
 
 def test_reference_within_tolerance_of_finer_run():
-    sched = Schedule(0, 3, 20.0, 10)
     sector = PreparedSector.prepare(8, 0, 3)
-    refs = ReferenceRuns(sector, [10]).boundaries(sched)
+    refs = ReferenceRuns(sector, 20.0, [10]).boundaries(10)
     # the same ramp through 4x finer intervals, and through the union of
     # the boundaries of 10, 20, 30 and 40 layers
-    finer = ReferenceRuns(sector, [40]).boundaries(
-        replace(sched, n_layers=40))
-    mixed = ReferenceRuns(sector, [10, 20, 30, 40]).boundaries(sched)
+    finer = ReferenceRuns(sector, 20.0, [40]).boundaries(40)
+    mixed = ReferenceRuns(sector, 20.0, [10, 20, 30, 40]).boundaries(10)
     for k, ref in enumerate(refs):
         assert np.linalg.norm(ref - finer[4 * k]) < 1e-12
         assert np.linalg.norm(ref - mixed[k]) < 1e-12
@@ -193,10 +178,9 @@ def test_sweep_integrates_each_boundary_interval_once(monkeypatch):
 
 def test_reference_matches_independent_ode_solver():
     # the continuous ramp integrated by an explicit Runge-Kutta method
-    sched = Schedule(0, 3, 20.0, 4)
     sector = PreparedSector.prepare(8, 0, 3)
     h_start, h_ramp, start = sector.h_start, sector.h_ramp, sector.start
-    final = ReferenceRuns(sector, [4]).boundaries(sched)[-1]
+    final = ReferenceRuns(sector, 20.0, [4]).boundaries(4)[-1]
     sol = solve_ivp(lambda t, y: -1j * ((h_start + t / 20.0 * h_ramp) @ y),
                     (0.0, 20.0), start, method="DOP853", rtol=1e-13,
                     atol=1e-13)
@@ -220,7 +204,7 @@ def test_schedule_hamiltonians_share_one_pattern():
 
 
 def test_trajectory_csv():
-    res = run_schedule(Schedule(0, 2, 2.0, 4, order=1), 8)
+    res = _single_run(8, 0, 2, 2.0, 4, order=1)
     lines = res.to_csv().splitlines()
     assert lines[0] == "t,energy,fidelity"
     assert len(lines) == 6
@@ -230,7 +214,7 @@ def test_unconverged_reference_raises(monkeypatch):
     # no series meets a zero tolerance
     monkeypatch.setattr(sim, "_TAYLOR_TOL", 0.0)
     with pytest.raises(ResourceLimitError):
-        run_schedule(Schedule(0, 2, 2.0, 4, order=2), 8)
+        _single_run(8, 0, 2, 2.0, 4, order=2)
     with pytest.raises(ResourceLimitError):
         sweep(8, 0, 2, [2.0], [4, 8], order=2)
     assert main(["adiabatic", "--sites", "8", "--trunc", "1",

@@ -237,6 +237,18 @@ def test_huge_duration_refused_before_the_exact_reference_runs(argv, refusal,
     assert refusal in captured.err
 
 
+# H_ramp / T overflows: to inf at T = 1e-320 and through a stored zero of
+# the N=10 ramp to nan at T = 1e-308; the Trotter layers themselves run
+@pytest.mark.parametrize("sites, duration", [("4", "1e-320"),
+                                             ("10", "1e-308")])
+def test_subnormal_adiabatic_duration_refused(sites, duration, capsys):
+    assert main(["adiabatic", "--sites", sites, "--trunc", "1", "--layers",
+                 "1", "--duration", duration]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "resource guard: the slope has a non-finite entry\n"
+
+
 def test_exit_code_resource_guard(capsys):
     code = main(["diag", "--sites", "16", "--oracle-check"])
     assert code == 3

@@ -21,8 +21,9 @@ from spinadapt.sga import SparseOperator, _bond_sums, build_hamiltonian
 from spinadapt.sim import (EvolutionRecord, PathStep, StateVector, basis_state,
                            bond_energies_sz, circuit_unitary,
                            decode_to_path_vector, embed_path_vector,
-                           exact_evolve, fidelity, s2_expectation_sz,
-                           simulate, sz_expectation_sz, sz_reference_state,
+                           exact_evolve, fidelity, path_trotter_run,
+                           s2_expectation_sz, simulate, start_vector,
+                           sz_expectation_sz, sz_reference_state,
                            sz_trotter_layer, trotter_comparison_csf,
                            trotter_evolve_csf, trotter_evolve_sz)
 
@@ -513,6 +514,31 @@ def test_exact_evolve_refuses_an_interval_beyond_the_step_cap(monkeypatch):
         exact_evolve(ham, vec, [1.0, 50.0])
 
 
+def test_exact_evolve_refuses_a_non_finite_entry_or_plan(monkeypatch):
+    basis = enumerate_paths(8, 0, 3)
+    ham, slope = schedule_hamiltonians(basis, 1.0)
+    vec = np.zeros(len(basis), complex)
+    vec[0] = 1.0
+    # the slope H_ramp / T of an adiabatic ramp overflows at T = 1e-320
+    with pytest.raises(ResourceLimitError,
+                       match="the slope has a non-finite entry"):
+        exact_evolve(ham, vec, [0.5e-320, 1e-320], slope / 1e-320)
+    for bad in (np.nan, np.inf, -np.inf):
+        broken = ham.copy()
+        broken.data[3] = bad
+        for ramp in (None, slope):
+            with pytest.raises(ResourceLimitError,
+                               match="the Hamiltonian has a non-finite entry"):
+                exact_evolve(broken, vec, 1.0, ramp)
+        with pytest.raises(ResourceLimitError,
+                           match="the slope has a non-finite entry"):
+            exact_evolve(ham, vec, 1.0, broken)
+    # a step plan that is not a number is refused, not truncated to int
+    monkeypatch.setattr(sim, "_THETAS", np.full_like(sim._THETAS, np.nan))
+    with pytest.raises(ResourceLimitError, match="nan Taylor steps"):
+        exact_evolve(ham, vec, 1.0)
+
+
 def test_one_pattern_keeps_both_matrices():
     rng = np.random.default_rng(3)
     a = sp.random(30, 30, density=0.1, random_state=rng, format="csr")
@@ -591,8 +617,7 @@ def test_fidelity_properties():
 def test_sz_trotter_conserves_symmetry_n8():
     for total_spin_x2 in (0, 2):
         spin = total_spin_x2 / 2
-        record, _ = trotter_evolve_sz(8, total_spin_x2, 4.0, 8, order=2,
-                                      track_symmetry=True)
+        record, _ = trotter_evolve_sz(8, total_spin_x2, 4.0, 8, order=2)
         assert np.abs(record.aux["s_squared"] - spin * (spin + 1)).max() < 1e-10
         assert np.abs(record.aux["total_sz"] - spin).max() < 1e-10
         assert record.times[0] == 0.0 and record.times.size == 9
@@ -639,8 +664,10 @@ def test_path_basis_run_matches_register(n_half, ts, trunc, order, ramps):
     # for the encoded run on the spin-path vector
     assume(trunc >= ts)   # below 2S the sector is empty
     n, duration, coupling = 2 * n_half, 1.3, 0.9
-    record, basis = trotter_evolve_csf(n, ts, trunc, duration, len(ramps),
-                                       order, coupling, ramps=ramps)
+    basis = enumerate_paths(n, ts, trunc)
+    _, path_vectors = path_trotter_run(PathStep(basis, order),
+                                       start_vector(basis), duration,
+                                       len(ramps), coupling, ramps)
     layout = build_layout(n, ts, trunc)
     state = basis_state(layout.n_qubits,
                         layout.encode_path(initial_path(n, ts)))
@@ -650,7 +677,7 @@ def test_path_basis_run_matches_register(n_half, ts, trunc, order, ramps):
         state = simulate(csf_trotter_step(n, ts, trunc, dt, order, ramp,
                                           coupling), state)
         vectors.append(decode_to_path_vector(state, basis, layout))
-    assert np.abs(np.array(vectors) - record.path_vectors).max() < 1e-12
+    assert np.abs(np.array(vectors) - path_vectors).max() < 1e-12
 
 
 def _parity_pieces(basis, parity):
@@ -697,9 +724,10 @@ def test_path_step_matches_dense_exponentials(n, raised, trunc, order, dt,
     (1.0, 1.0, float("nan")), (1.0, 1.0, np.inf)])
 def test_non_finite_step_raises(duration, coupling, ramp):
     for trunc in (1, 3):
+        basis = enumerate_paths(8, 0, trunc)
         with pytest.raises(ValueError, match="finite"):
-            trotter_evolve_csf(8, 0, trunc, duration, 2, coupling=coupling,
-                               ramps=[ramp, ramp])
+            path_trotter_run(PathStep(basis, 1), start_vector(basis),
+                             duration, 2, coupling, [ramp, ramp])
 
 
 def test_register_refused_beyond_cap():
@@ -732,7 +760,7 @@ def test_sz_layer_matches_gate_simulator(n, order, dt, coupling, seed):
 def test_sz_run_matches_gate_loop(n, ts, order):
     duration, layers, coupling = 2.3, 5, 0.7
     record, final = trotter_evolve_sz(n, ts, duration, layers, order,
-                                      coupling, track_symmetry=True)
+                                      coupling)
     state = sz_reference_state(n, ts)
     step = sz_trotter_step(n, duration / layers, order, coupling)
     seen = [state]
