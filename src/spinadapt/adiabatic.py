@@ -11,7 +11,8 @@ interval between layer boundaries, so it has no splitting error: on the
 benchmark sector (N=12, trunc 3/2, T=20) its states lie within 1.3e-13 of
 the continuous-time limit.  All intervals of one duration are one
 sim.exact_evolve call with a slope, checkpointed at the boundaries, so a
-sweep over 10, 20 and 40 layers makes one call per duration.
+sweep over 10, 20 and 40 layers makes one call per duration.  Preparing
+a sector runs no eigensolve.
 
 Each parameter of a schedule has one owner: a PreparedSector holds the
 sector and what is built from it once, a ReferenceRuns one duration and
@@ -30,7 +31,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .basis import CsfBasis, enumerate_paths
-from .sga import PRUNE_TOL, SparseOperator, _bond_sums, ground_state
+from .sga import _bond_sums, _csr
 # simulate is re-exported: bench/spans.py patches every module's copy of it
 # and checks the copy here.
 from .sim import (PathStep, exact_evolve, path_trotter_run,  # noqa: F401
@@ -44,7 +45,6 @@ class ScheduleResult:
     times: np.ndarray
     energy: np.ndarray            # <H(t)> along the run
     fidelity: np.ndarray          # vs the exact schedule at the same times
-    target_energy: float          # ground energy of the full-weight Hamiltonian
     final_state: np.ndarray       # spin-path coefficients at T
 
     @property
@@ -64,31 +64,21 @@ def schedule_hamiltonians(basis: CsfBasis, coupling: float = 1.0):
 
     H_start is the zeroth band with the identity shift, (J/2)(H_0 - (N-1)/2),
     which is diagonal; H_ramp = (J/2) sum_{1 <= s < trunc} H_s.  At t = T
-    they sum to the band-mode Hamiltonian.  Both come from one pass over the
-    bonds and share one sorted sparsity pattern, the full diagonal and the
-    ramp's flips, so H(t) is the axpy H_start.data + (t/T) H_ramp.data on
-    that pattern.
+    they sum to the band-mode Hamiltonian.  Each is built by sga._csr, like
+    every spin-path operator, on its own pattern; exact_evolve unites them.
     """
-    diag, rows, cols, off = _bond_sums(basis, [range(1), range(1, basis.trunc_x2)])
-    half = coupling / 2
-    ramp_diag = half * diag[1]
-    ramp_diag[np.abs(ramp_diag) <= PRUNE_TOL] = 0.0   # kept in the pattern
-    h_ramp = sp.csr_matrix((np.concatenate([ramp_diag, half * off]), (rows, cols)),
-                           shape=(len(basis),) * 2)
-    h_ramp.sort_indices()
-    row_of = np.repeat(np.arange(len(basis)), np.diff(h_ramp.indptr))
-    start = np.zeros_like(h_ramp.data)
-    start[h_ramp.indices == row_of] = half * (diag[0] - (basis.n_sites - 1) / 2)
-    return sp.csr_matrix((start, h_ramp.indices, h_ramp.indptr),
-                         shape=h_ramp.shape), h_ramp
+    half, shift = coupling / 2, (basis.n_sites - 1) / 2
+    diag, rows, cols, off = _bond_sums(basis, range(1))
+    h_start = _csr(basis, rows, cols, np.concatenate([diag - shift, off]), half)
+    diag, rows, cols, off = _bond_sums(basis, range(1, basis.trunc_x2))
+    return h_start, _csr(basis, rows, cols, np.concatenate([diag, off]), half)
 
 
 @dataclass(frozen=True, eq=False)
 class PreparedSector:
     """What every schedule of one sector, order and coupling shares: the
     basis, the coupling, the Trotter step compiled at the order, the start
-    vector (read-only), the schedule pair (H_start, H_ramp) and the ground
-    energy of their sum."""
+    vector (read-only) and the schedule pair (H_start, H_ramp)."""
 
     basis: CsfBasis
     coupling: float
@@ -96,7 +86,6 @@ class PreparedSector:
     start: np.ndarray
     h_start: sp.csr_matrix
     h_ramp: sp.csr_matrix
-    target_energy: float
 
     @classmethod
     def prepare(cls, n_sites: int, total_spin_x2: int, trunc_x2: int,
@@ -106,10 +95,8 @@ class PreparedSector:
         step = PathStep(basis, order)
         start = start_vector(basis)
         start.flags.writeable = False
-        h_start, h_ramp = schedule_hamiltonians(basis, coupling)
-        target = ground_state(SparseOperator(basis, h_start + h_ramp))[0][0]
-        return cls(basis, coupling, step, start, h_start, h_ramp,
-                   float(target))
+        return cls(basis, coupling, step, start,
+                   *schedule_hamiltonians(basis, coupling))
 
 
 class ReferenceRuns:
@@ -135,12 +122,16 @@ class ReferenceRuns:
         self.grid = math.lcm(*self.layer_counts)
         self.states: dict[int, np.ndarray] | None = None
 
-    def boundaries(self, n_layers: int) -> list[np.ndarray]:
-        """States at the layer boundaries of n_layers layers, one of
-        `layer_counts`; another count raises ValueError."""
+    def stride(self, n_layers: int) -> int:
+        """Grid steps per layer; a count not in `layer_counts` is refused."""
         if n_layers not in self.layer_counts:
             raise ValueError(f"{n_layers} layers is not one of the "
                              f"shared counts {self.layer_counts}")
+        return self.grid // n_layers
+
+    def boundaries(self, n_layers: int) -> list[np.ndarray]:
+        """States at the layer boundaries of n_layers layers (see stride)."""
+        stride = self.stride(n_layers)
         if self.states is None:
             sector, duration = self.sector, self.duration
             keys = sorted({self.grid // n * k for n in self.layer_counts
@@ -152,7 +143,6 @@ class ReferenceRuns:
             times = [key / self.grid * duration for key in keys[1:]]
             states = exact_evolve(sector.h_start, sector.start, times, slope)
             self.states = {0: sector.start, **dict(zip(keys[1:], states))}
-        stride = self.grid // n_layers
         return [self.states[k * stride] for k in range(n_layers + 1)]
 
 
@@ -163,9 +153,10 @@ def run_schedule(runs: ReferenceRuns, n_layers: int) -> ScheduleResult:
     Energies are measured against the instantaneous interpolated Hamiltonian
     (the t=0 row therefore sits exactly at the initial ground energy);
     fidelities are instantaneous overlaps with the exact evolution.  The
-    Trotter layers run before the reference is integrated, so a refusal of
-    the layers' angles comes first.
+    count is checked first, and the Trotter layers run before the reference
+    is integrated, so a refusal of the layers' angles comes next.
     """
+    runs.stride(n_layers)
     sector = runs.sector
     times, vecs = path_trotter_run(
         sector.step, sector.start, runs.duration, n_layers, sector.coupling,
@@ -176,8 +167,7 @@ def run_schedule(runs: ReferenceRuns, n_layers: int) -> ScheduleResult:
                        for mat in (sector.h_start, sector.h_ramp))
     energies = e_start + np.arange(n_layers + 1) / n_layers * e_ramp
     fids = [abs(np.vdot(ref, vec)) for ref, vec in zip(refs, vecs)]
-    return ScheduleResult(times, energies, np.array(fids),
-                          sector.target_energy, vecs[-1])
+    return ScheduleResult(times, energies, np.array(fids), vecs[-1])
 
 
 def sweep(n_sites: int, total_spin_x2: int, trunc_x2: int,

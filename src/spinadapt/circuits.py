@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from math import isfinite, pi
 
 from .encode import BandTerm, QubitLayout, band_terms, build_layout, z_parities
-from .errors import UnsupportedConfigurationError
+from .errors import ResourceLimitError, UnsupportedConfigurationError
 from .sga import band_coefficients
 
 GATE_KINDS = ("RY", "RZ", "CX", "PHASE")
@@ -117,12 +117,22 @@ def sz_bond_layers(n_sites: int, dt: float, order: int = 1,
             for parity, fraction in sublayers(order)]
 
 
+def _refuse_overflow(args, bounds) -> None:
+    """ResourceLimitError, before a step emits a gate, where finite (dt,
+    coupling, ...) `args` overflow a bound on its angles' magnitude."""
+    if all(map(isfinite, args)) and not all(map(isfinite, bounds)):
+        raise ResourceLimitError(f"time step {args[0]:g} at coupling "
+                                 f"{args[1]:g} gives a non-finite gate angle")
+
+
 def sz_trotter_step(n_sites: int, dt: float, order: int = 1,
                     coupling: float = 1.0) -> Circuit:
     """One Trotter step for the chain in the computational basis: each bond
     of sz_bond_layers as a three-CX heisenberg_bond_block."""
+    layers = sz_bond_layers(n_sites, dt, order, coupling)
+    _refuse_overflow((dt, coupling), [2 * theta for _, theta in layers])
     gates: list[Gate] = []
-    for qubits, theta in sz_bond_layers(n_sites, dt, order, coupling):
+    for qubits, theta in layers:
         for q in qubits:
             gates.extend(heisenberg_bond_block(q, q + 1, theta))
     return Circuit(n_sites, tuple(gates),
@@ -242,12 +252,6 @@ def identity_shift_angle(n_sites: int, dt: float, coupling: float) -> float:
     return dt * coupling * (n_sites - 1) / 4
 
 
-def scalar_energy(n_sites: int, coupling: float) -> float:
-    """Energy of the trunc-1/2 sector's single path; the whole step there is
-    the phase exp(-i dt E)."""
-    return (coupling / 2) * (-n_sites / 2 - (n_sites - 1) / 2)
-
-
 def csf_trotter_step(n_sites: int, total_spin_x2: int, trunc_x2: int,
                      dt: float, order: int = 1, ramp: float = 1.0,
                      coupling: float = 1.0, boundary: bool = True) -> Circuit:
@@ -258,17 +262,22 @@ def csf_trotter_step(n_sites: int, total_spin_x2: int, trunc_x2: int,
     identity shift -(N-1)J/4 is carried as an explicit PHASE so the circuit
     unitary equals the exponential of the encoded Hamiltonian, phase included.
     boundary=False emits the pre-projection register with every chain position
-    dynamical.  Terms are emitted in band_layers order.
+    dynamical.  Terms are emitted in band_layers order.  Their angles are
+    at most 2 band_angle (term weights are at most 1).
     """
-    if order not in (1, 2):
-        raise UnsupportedConfigurationError("Trotter order must be 1 or 2")
+    fractions = [fraction for _, fraction in sublayers(order)]
     layout = build_layout(n_sites, total_spin_x2, trunc_x2, boundary)
     if trunc_x2 == 1 and boundary:
-        # scalar subspace: a single global phase
-        energy = scalar_energy(n_sites, coupling)
+        # scalar subspace: the one path's energy E, the step exp(-i dt E)
+        energy = (coupling / 2) * (-n_sites / 2 - (n_sites - 1) / 2)
+        _refuse_overflow((dt, coupling, ramp), [dt * energy])
         return Circuit(0, (_phase(-dt * energy),),
                        {"basis": "csf", "trunc_x2": 1, "dt": dt,
                         "order": order, "scalar_energy": energy})
+    _refuse_overflow((dt, coupling, ramp), [
+        identity_shift_angle(n_sites, dt, coupling),
+        *(2 * band_angle(s_x2, fraction * dt, ramp, coupling)
+          for s_x2 in (0, 1) for fraction in fractions)])
     gates = [_phase(identity_shift_angle(n_sites, dt, coupling))]
     for fraction, terms in band_layers(layout, order):
         for term in terms:

@@ -28,12 +28,11 @@ import numpy as np
 from .basis import CsfBasis, SpinPath, allowed_heights
 from .errors import (InvalidQuantumNumbersError, ResourceLimitError,
                      UnsupportedConfigurationError)
-from .sga import band_coefficients
+from .sga import _scaled, band_coefficients
 
 SUPPORTED_TRUNC_X2 = (1, 2, 3, 4)
 GRAY_CODES = {0: (0, 0), 1: (0, 1), 2: (1, 1)}  # height rank -> (ext, main)
 DENSE_MATRIX_MAX_QUBITS = 14
-_PRUNE = 1e-14
 
 
 def _check_sector(n_sites: int, total_spin_x2: int, trunc_x2: int) -> None:
@@ -373,7 +372,8 @@ def encode_hamiltonian(n_sites: int, total_spin_x2: int, trunc_x2: int,
     """Band-truncated chain Hamiltonian as a qubit Pauli sum.
 
     Includes the (J/2) prefactor and the -(N-1)/4 J identity shift, so the
-    scalar truncation level comes out as one identity term.
+    scalar truncation level comes out as one identity term.  Coefficients
+    are summed at unit coupling and sga._scaled; exact zeros are dropped.
     """
     layout = build_layout(n_sites, total_spin_x2, trunc_x2)
     acc: dict[str, float] = {}
@@ -383,9 +383,9 @@ def encode_hamiltonian(n_sites: int, total_spin_x2: int, trunc_x2: int,
         for term in band_terms(layout, s_x2):
             _expand_term(term, layout.n_qubits, coeffs.a, coeffs.b, acc)
     acc[identity] = acc.get(identity, 0.0) - (n_sites - 1) / 2
-    terms = tuple(
-        PauliString(complex(coupling / 2 * v), k)
-        for k, v in sorted(acc.items()) if abs(coupling / 2 * v) > _PRUNE)
+    keys = sorted(acc)
+    coefs = _scaled(np.array([acc[k] for k in keys]), coupling / 2)
+    terms = tuple(PauliString(complex(c), k) for k, c in zip(keys, coefs) if c)
     meta = {"n_sites": n_sites, "total_spin_x2": total_spin_x2,
             "trunc_x2": trunc_x2,
             "bands": tuple(range(0, trunc_x2)),

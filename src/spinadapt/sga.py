@@ -38,7 +38,7 @@ import scipy.sparse.linalg as spla
 from scipy.sparse._sparsetools import csr_matvec
 
 from .basis import CsfBasis, enumerate_paths
-from .errors import InvalidQuantumNumbersError
+from .errors import InvalidQuantumNumbersError, ResourceLimitError
 
 PRUNE_TOL = 1e-14
 
@@ -133,38 +133,31 @@ def _partners(basis: CsfBasis, p: int, rows, band, up):
     return rows + np.where(up, shift, -shift)
 
 
-def _bond_sums(basis: CsfBasis, outputs, bonds=None):
-    """The transpositions (p, p+1), p in bonds (default: every bond), on
-    every basis row, taken one bond at a time and sorted into outputs by
-    band.
+def _bond_sums(basis: CsfBasis, bands: range, bonds=None):
+    """The pieces of the bands in the range `bands` of the transpositions
+    (p, p+1), p in bonds (default: every bond), on every basis row at unit
+    coupling, taken one bond at a time.
 
-    outputs is a list of band ranges.  For each bond, _height_rule runs on
-    the view heights[:, p-1:p+2]; each row's diagonal coefficients of the
-    bands in outputs[k] are added into diag[k], and the flips that stay in
-    the truncation, of a band in some output, are kept, with their
-    partners from _partners.
+    For each bond, _height_rule runs on the view heights[:, p-1:p+2]; each
+    row's diagonal coefficients of those bands are added into diag, and
+    their flips that stay in the truncation are kept, with partners from
+    _partners (band 0 has none: (0, 1, 0) would flip to height -1).
 
-    Returns (diag, rows, cols, off): diag of shape (len(outputs), dim); int32
-    rows and cols holding the diagonal positions 0..dim-1 first, then each
-    kept flip as (partner, row); and off, the flips' coefficients b.  The
-    flips carry no output: every caller sends them all to one matrix (band
-    0 has none, its only mixing triple (0, 1, 0) would flip to height -1).
+    Returns (diag, rows, cols, off): diag of length dim; int32 rows and cols
+    holding the diagonal positions 0..dim-1 first, then each kept flip as
+    (partner, row), no position twice; and off, the flips' coefficients b.
     int32 holds every row: the size guard of enumerate_paths keeps the
     dimension far below 2^31.
     """
     h, dim = basis.heights, len(basis)
-    slot = np.full(basis.walks.shape[1], -1)   # output of each band label
-    for k, bands in enumerate(outputs):
-        slot[bands.start:bands.stop] = k
-    diag = np.zeros((len(outputs), dim))
+    diag = np.zeros(dim)
     eye = np.arange(dim, dtype=np.int32)
     rows, cols, off = [eye], [eye], [np.zeros(0)]
     for p in range(1, basis.n_sites) if bonds is None else bonds:
         band, coeff, flip, b = _height_rule(h[:, p - 1:p + 2])
-        out = slot[band]
-        for k in range(len(outputs)):
-            diag[k] += np.where(out == k, coeff, 0.0)
-        hop = np.flatnonzero((flip >= 0) & (flip <= basis.trunc_x2) & (out >= 0))
+        inside = (band >= bands.start) & (band < bands.stop)
+        diag += np.where(inside, coeff, 0.0)
+        hop = np.flatnonzero((flip >= 0) & (flip <= basis.trunc_x2) & inside)
         rows.append(_partners(basis, p, hop, band[hop], flip[hop] > h[hop, p])
                     .astype(np.int32))
         cols.append(hop.astype(np.int32))
@@ -172,23 +165,32 @@ def _bond_sums(basis: CsfBasis, outputs, bonds=None):
     return diag, np.concatenate(rows), np.concatenate(cols), np.concatenate(off)
 
 
-def _csr(basis: CsfBasis, rows, cols, vals) -> sp.csr_matrix:
-    """COO entries as a matrix over the basis, round-off entries dropped."""
+def _scaled(vals: np.ndarray, scale: float) -> np.ndarray:
+    """Unit-coupling rule sums times scale, in place, round-off (at most
+    PRUNE_TOL) first set to 0, so the same values survive at every nonzero
+    scale; an overflowed value raises ResourceLimitError."""
+    vals[np.abs(vals) <= PRUNE_TOL] = 0.0
+    with np.errstate(over="ignore"):
+        vals *= scale
+    if not np.isfinite(vals).all():
+        raise ResourceLimitError(f"scaling by {scale:g} overflows an entry")
+    return vals
+
+
+def _csr(basis: CsfBasis, rows, cols, vals, scale=1.0) -> sp.csr_matrix:
+    """The constructor of every spin-path operator: unit-coupling COO
+    entries, duplicates summed, _scaled, exact zeros not stored."""
     dim = len(basis)
-    return _pruned(sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim)))
-
-
-def _pruned(mat: sp.csr_matrix) -> sp.csr_matrix:
-    """Drop the entries that sum to round-off level."""
-    mat.data[np.abs(mat.data) <= PRUNE_TOL] = 0.0
+    mat = sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
+    _scaled(mat.data, scale)
     mat.eliminate_zeros()
     return mat
 
 
 def _bond_matrix(basis: CsfBasis, p: int) -> sp.csr_matrix:
     """pi_{p,p+1} on the basis, flips out of the truncation dropped."""
-    diag, rows, cols, off = _bond_sums(basis, [range(basis.walks.shape[1])], [p])
-    return _csr(basis, rows, cols, np.concatenate([diag[0], off]))
+    diag, rows, cols, off = _bond_sums(basis, range(basis.walks.shape[1]), [p])
+    return _csr(basis, rows, cols, np.concatenate([diag, off]))
 
 
 def permutation_matrix(basis: CsfBasis, i: int, j: int) -> SparseOperator:
@@ -211,19 +213,20 @@ def permutation_matrix(basis: CsfBasis, i: int, j: int) -> SparseOperator:
         step = _bond_matrix(full, p)
         mat = step @ mat @ step
     sel = full.ranks(basis.heights)
-    return SparseOperator(basis, _pruned(mat[sel][:, sel]))
+    sub = mat[sel][:, sel].tocoo()
+    return SparseOperator(basis, _csr(basis, sub.row, sub.col, sub.data))
 
 
 def band_hamiltonian(basis: CsfBasis, s_x2: int) -> SparseOperator:
     """Band operator: all transpositions' band-s_x2 pieces, truncated."""
-    diag, rows, cols, off = _bond_sums(basis, [range(s_x2, s_x2 + 1)])
+    diag, rows, cols, off = _bond_sums(basis, range(s_x2, s_x2 + 1))
     return SparseOperator(basis, _csr(basis, rows, cols,
-                                      np.concatenate([diag[0], off])))
+                                      np.concatenate([diag, off])))
 
 
-def _hamiltonian_coo(basis: CsfBasis, mode: str, coupling: float):
-    """COO entries (rows, cols, vals) of (J/2)(sum_s H_s - (N-1)/2) over the
-    bands that mode keeps, one entry per diagonal position and per flip.
+def _hamiltonian_coo(basis: CsfBasis, mode: str):
+    """COO entries (rows, cols, vals) of H/(J/2) = sum_s H_s - (N-1)/2 over
+    the bands that mode keeps, one entry per diagonal position and per flip.
 
     mode="band" keeps the bands strictly below the truncation level (drops
     the boundary band: sparser, not variational); mode="height" keeps the
@@ -235,17 +238,16 @@ def _hamiltonian_coo(basis: CsfBasis, mode: str, coupling: float):
     if mode not in (BAND_MODE, HEIGHT_MODE):
         raise ValueError(f"mode must be '{BAND_MODE}' or '{HEIGHT_MODE}'")
     top = basis.trunc_x2 + (mode == HEIGHT_MODE)
-    diag, rows, cols, off = _bond_sums(basis, [range(top)])
-    shift = (basis.n_sites - 1) / 2
-    return rows, cols, (coupling / 2) * np.concatenate([diag[0] - shift, off])
+    diag, rows, cols, off = _bond_sums(basis, range(top))
+    return rows, cols, np.concatenate([diag - (basis.n_sites - 1) / 2, off])
 
 
 def build_hamiltonian(basis: CsfBasis, mode: str = HEIGHT_MODE,
                       coupling: float = 1.0) -> SparseOperator:
     """Chain Hamiltonian on the truncated basis, H = (J/2)(sum_s H_s - (N-1)/2),
     over the bands that mode ("band" or "height") keeps."""
-    return SparseOperator(basis, _csr(basis, *_hamiltonian_coo(basis, mode,
-                                                                coupling)))
+    return SparseOperator(basis, _csr(basis, *_hamiltonian_coo(basis, mode),
+                                      coupling / 2))
 
 
 def apply_hamiltonian(basis: CsfBasis, mode: str, vector: np.ndarray,
@@ -257,9 +259,9 @@ def apply_hamiltonian(basis: CsfBasis, mode: str, vector: np.ndarray,
     diagonalization runs on that matrix; the tests check this product
     against it.
     """
-    rows, cols, vals = _hamiltonian_coo(basis, mode, coupling)
+    rows, cols, vals = _hamiltonian_coo(basis, mode)
     out = np.zeros_like(vector, dtype=np.result_type(vector, float))
-    np.add.at(out, rows, vals * vector[cols])
+    np.add.at(out, rows, (coupling / 2) * vals * vector[cols])
     return out
 
 

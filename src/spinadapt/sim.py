@@ -173,9 +173,6 @@ def _as_csr(op) -> sp.csr_matrix:
 def _one_pattern(a: sp.csr_matrix, b: sp.csr_matrix):
     """a and b on one sorted sparsity pattern, the union of theirs, each
     holding stored zeros where only the other has an entry."""
-    if np.array_equal(a.indptr, b.indptr) and \
-            np.array_equal(a.indices, b.indices):
-        return a, b
     a, b = a.tocoo(), b.tocoo()
     rows = np.concatenate([a.row, b.row])
     cols = np.concatenate([a.col, b.col])

@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.integrate import solve_ivp
 
-from spinadapt import adiabatic, sim
+from spinadapt import adiabatic, sga, sim
 from spinadapt.adiabatic import (PreparedSector, ReferenceRuns, run_schedule,
                                  schedule_hamiltonians, sweep, sweep_csv)
 from spinadapt.basis import (enumerate_paths, initial_path, singlet_pair_path,
@@ -43,28 +43,33 @@ def _exact_ground_energy(n_sites, total_spin_x2):
     return float(ground_state(build_hamiltonian(full))[0][0])
 
 
+def _target_energy(basis):
+    """Ground energy of the band-mode Hamiltonian a schedule ramps to."""
+    return float(ground_state(build_hamiltonian(basis, "band"))[0][0])
+
+
 def test_energy_starts_at_initial_ground():
     sector = PreparedSector.prepare(8, 0, 2)
     res = _single_run(8, 0, 2, 6.0, 12, order=2)
     # H_start is diagonal: its ground energy is its least entry
     assert res.energy[0] == pytest.approx(sector.h_start.diagonal().min(),
                                           abs=1e-12)
-    assert res.target_energy == pytest.approx(sector.target_energy, abs=1e-12)
     # the schedule tracks the interpolated ground state to its endpoint
-    assert res.energy[-1] == pytest.approx(sector.target_energy, abs=0.05)
+    assert res.energy[-1] == pytest.approx(_target_energy(sector.basis),
+                                           abs=0.05)
 
 
 def test_ground_truth_small_cases():
     sector = PreparedSector.prepare(2, 0, 2)
     assert sector.h_start.diagonal().min() == pytest.approx(-0.75)
-    assert sector.target_energy == pytest.approx(-0.75)
+    assert _target_energy(sector.basis) == pytest.approx(-0.75)
     assert _exact_ground_energy(2, 0) == pytest.approx(-0.75)
 
 
 def test_height_hierarchy_monotone_in_ground_truth():
     # the target approaches the exact ground energy as the truncation grows
     e_exact = _exact_ground_energy(12, 0)
-    errors = [abs(PreparedSector.prepare(12, 0, trunc).target_energy - e_exact)
+    errors = [abs(_target_energy(enumerate_paths(12, 0, trunc)) - e_exact)
               for trunc in (2, 3)]
     assert errors[1] < errors[0]
 
@@ -127,14 +132,20 @@ def test_sweep_prepares_the_sector_once(monkeypatch):
     monkeypatch.setattr(adiabatic, "PathStep", counted("step", sim.PathStep))
     monkeypatch.setattr(adiabatic, "schedule_hamiltonians",
                         counted("pair", schedule_hamiltonians))
-    monkeypatch.setattr(adiabatic, "ground_state",
-                        counted("eigensolve", adiabatic.ground_state))
+    monkeypatch.setattr(sga, "ground_state",
+                        counted("eigensolve", sga.ground_state))
     rows = sweep(8, 0, 3, [2.0, 4.0], [10, 20, 40])
     assert len(rows) == 6
-    assert calls == {"step": 1, "pair": 1, "eigensolve": 1}
+    assert calls == {"step": 1, "pair": 1, "eigensolve": 0}
 
 
-def test_run_schedule_refuses_a_layer_count_outside_the_shared_ones():
+def test_run_schedule_refuses_a_layer_count_outside_the_shared_ones(
+        monkeypatch):
+    # refused before any Trotter layer runs
+    def refuse(*args, **kwargs):
+        raise AssertionError("the Trotter layers ran before the refusal")
+
+    monkeypatch.setattr(adiabatic, "path_trotter_run", refuse)
     runs = ReferenceRuns(PreparedSector.prepare(8, 0, 2), 2.0, [4, 8])
     with pytest.raises(ValueError, match=r"6 layers is not one of the "
                                          r"shared counts \(4, 8\)"):
@@ -187,20 +198,24 @@ def test_reference_matches_independent_ode_solver():
     assert np.linalg.norm(final - sol.y[:, -1]) < 1e-10
 
 
-def test_schedule_hamiltonians_share_one_pattern():
+def test_schedule_pair_sums_to_band_mode_and_evolves_on_one_pattern():
     basis = enumerate_paths(10, 2, 4)
     h_start, h_ramp = schedule_hamiltonians(basis, 1.3)
-    assert h_start.has_sorted_indices and h_ramp.has_sorted_indices
-    assert np.array_equal(h_start.indices, h_ramp.indices)
-    assert np.array_equal(h_start.indptr, h_ramp.indptr)
-    for lam in (0.0, 0.37, 1.0):
-        axpy = sp.csr_matrix((h_start.data + lam * h_ramp.data,
-                              h_start.indices, h_start.indptr),
-                             shape=h_start.shape)
-        assert abs(axpy - (h_start + lam * h_ramp)).max() == 0.0
+    # each member stores its own nonzeros only
+    assert np.all(h_start.data != 0) and np.all(h_ramp.data != 0)
     # at t = T: the band-mode Hamiltonian built from its bands
     full = build_hamiltonian(basis, "band", 1.3).matrix
     assert abs(h_start + h_ramp - full).max() < 1e-13
+    # the reference is exact_evolve of the pair placed on one pattern
+    sector = PreparedSector.prepare(10, 2, 4, coupling=1.3)
+    ham, ramp = sim._one_pattern(sim._as_csr(sector.h_start),
+                                 sim._as_csr(sector.h_ramp))
+    assert np.array_equal(ham.indices, ramp.indices)
+    duration = 3.0
+    times = [k / 4 * duration for k in range(1, 5)]
+    expected = exact_evolve(ham, sector.start, times, ramp / duration)
+    states = ReferenceRuns(sector, duration, [4]).boundaries(4)
+    assert np.array_equal(np.array(states[1:]), expected)
 
 
 def test_trajectory_csv():

@@ -1,5 +1,6 @@
 import argparse
 import time
+import warnings
 
 import pytest
 from spinadapt import basis, sga, sim
@@ -237,8 +238,8 @@ def test_huge_duration_refused_before_the_exact_reference_runs(argv, refusal,
     assert refusal in captured.err
 
 
-# H_ramp / T overflows: to inf at T = 1e-320 and through a stored zero of
-# the N=10 ramp to nan at T = 1e-308; the Trotter layers themselves run
+# H_ramp / T overflows to inf: every entry at T = 1e-320, the largest of
+# the N=10 ramp at T = 1e-308; the Trotter layers themselves run
 @pytest.mark.parametrize("sites, duration", [("4", "1e-320"),
                                              ("10", "1e-308")])
 def test_subnormal_adiabatic_duration_refused(sites, duration, capsys):
@@ -247,6 +248,85 @@ def test_subnormal_adiabatic_duration_refused(sites, duration, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "resource guard: the slope has a non-finite entry\n"
+
+
+# each angle overflows with finite flags: the csf band angles, the sz bond
+# angle J dt / 4, and the phase of the one-path sector at trunc 0.5
+@pytest.mark.parametrize("argv", [
+    ["--sites", "8", "--trunc", "1.5", "--duration", "3e307"],
+    ["--sites", "4", "--basis", "sz", "--duration", "1e308", "--coupling",
+     "4"],
+    ["--sites", "4", "--trunc", "0.5", "--duration", "1e308", "--coupling",
+     "2"]], ids=["csf", "sz", "scalar"])
+def test_circuit_refuses_an_overflowing_angle(argv, capsys):
+    assert main(["circuit"] + argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("resource guard:")
+    assert captured.err.count("\n") == 1
+
+
+# J/2 times a rule sum overflows: refused where the operator is built, with
+# no RuntimeWarning
+@pytest.mark.parametrize("argv", [
+    ["diag", "--sites", "8"],
+    ["ham", "--sites", "8", "--trunc", "full", "--format", "matrix",
+     "--mode", "height"],
+    ["ham", "--sites", "28", "--trunc", "2"],
+    ["adiabatic", "--sites", "8", "--trunc", "1.5"]],
+    ids=["diag", "ham-matrix", "ham-pauli", "adiabatic"])
+def test_overflowing_coupling_refused(argv, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv + ["--coupling", "1e308"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("resource guard: scaling by 5e+307 overflows "
+                            "an entry\n")
+
+
+def _table(text):
+    """Output lines after the header, split on commas or spaces."""
+    return [line.replace(",", " ").split() for line in text.splitlines()[1:]]
+
+
+# Round-off is cut at unit coupling, so every output scales exactly with a
+# power-of-two J: a multiplication by 2^k is exact in binary floating point
+@pytest.mark.parametrize("coupling", [2.0 ** -50, 2.0 ** 7])
+def test_outputs_scale_exactly_with_a_power_of_two_coupling(coupling, capsys):
+    def at(argv, j):
+        code, out = run(argv + ["--coupling", repr(j)], capsys)
+        assert code == 0
+        return _table(out)
+
+    for argv in (["ham", "--sites", "8", "--trunc", "full", "--format",
+                  "matrix", "--mode", "height"],
+                 ["ham", "--sites", "8", "--trunc", "1.5", "--format",
+                  "matrix", "--mode", "band"]):
+        unit, scaled = at(argv, 1.0), at(argv, coupling)
+        assert [row[:2] for row in scaled] == [row[:2] for row in unit]
+        assert [float(row[2]) for row in scaled] == \
+            [coupling * float(row[2]) for row in unit]
+    for argv in (["ham", "--sites", "8", "--trunc", "1.5"],
+                 ["ham", "--sites", "8", "--trunc", "2"]):
+        unit, scaled = at(argv, 1.0), at(argv, coupling)
+        assert [row[2:] for row in scaled] == [row[2:] for row in unit]
+        assert [float(row[0]) for row in scaled] == \
+            [coupling * float(row[0]) for row in unit]
+    for argv in (["diag", "--sites", "8"], ["diag", "--sites", "8", "--mode",
+                                            "band"]):
+        unit, scaled = at(argv, 1.0), at(argv, coupling)
+        assert [row[:3] for row in scaled] == [row[:3] for row in unit]
+        assert [[float(v) for v in row[3:]] for row in scaled] == \
+            [[coupling * float(v) for v in row[3:]] for row in unit]
+    argv = ["adiabatic", "--sites", "8", "--trunc", "1.5", "--layers", "10"]
+    unit = at(argv + ["--duration", "20"], 1.0)
+    scaled = at(argv + ["--duration", repr(20 / coupling)], coupling)
+    assert [float(row[0]) for row in scaled] == \
+        [float(row[0]) / coupling for row in unit]
+    assert [float(row[1]) for row in scaled] == \
+        [coupling * float(row[1]) for row in unit]
+    assert [row[2] for row in scaled] == [row[2] for row in unit]
 
 
 def test_exit_code_resource_guard(capsys):

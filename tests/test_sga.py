@@ -381,20 +381,21 @@ def _reference_matrix(basis, rows, cols, vals):
     return mat
 
 
-def _hamiltonian_entries(basis, mode):
-    """COO entries (rows, cols, vals) of sum_s H_s - (N-1)/2 over the bands
-    that mode keeps."""
+def _reference_sum(basis, bands, shift, coupling):
+    """(J/2)(sum_{s in bands} H_s - shift)."""
     band, rows, cols, vals = _rule_entries(basis, range(1, basis.n_sites))
-    keep = band <= basis.trunc_x2 if mode == "height" else band < basis.trunc_x2
+    keep = (band >= bands.start) & (band < bands.stop)
     diag = np.arange(len(basis))
-    shift = np.full(len(basis), -(basis.n_sites - 1) / 2)
-    return (np.concatenate([rows[keep], diag]), np.concatenate([cols[keep], diag]),
-            np.concatenate([vals[keep], shift]))
+    return _reference_matrix(
+        basis, np.concatenate([rows[keep], diag]),
+        np.concatenate([cols[keep], diag]),
+        (coupling / 2) * np.concatenate([vals[keep],
+                                         np.full(len(basis), -shift)]))
 
 
 def _reference_hamiltonian(basis, mode, coupling):
-    rows, cols, vals = _hamiltonian_entries(basis, mode)
-    return _reference_matrix(basis, rows, cols, (coupling / 2) * vals)
+    top = basis.trunc_x2 + (mode == "height")
+    return _reference_sum(basis, range(top), (basis.n_sites - 1) / 2, coupling)
 
 
 def _reference_band(basis, s_x2):
@@ -428,16 +429,12 @@ def test_bond_kernel_matches_all_bonds_route(n_half, ts, trunc):
         _assert_same_matrix(permutation_matrix(basis, p, p + 1).matrix,
                             _reference_matrix(basis,
                                               *_rule_entries(basis, [p])[1:]))
-    # the adiabatic pair, on the union of their own patterns
-    shift = (n - 1) / 2 * sp.identity(dim, format="csr")
-    ref_start = (coupling / 2) * (_reference_band(basis, 0) - shift)
-    ref_ramp = (coupling / 2) * sum((_reference_band(basis, s)
-                                     for s in range(1, trunc)),
-                                    sp.csr_matrix((dim, dim)))
+    # the adiabatic pair, each on its own pattern
     h_start, h_ramp = schedule_hamiltonians(basis, coupling)
-    assert h_start.nnz == h_ramp.nnz == (abs(ref_start) + abs(ref_ramp)).nnz
-    for mat, ref in ((h_start, ref_start), (h_ramp, ref_ramp)):
-        assert np.abs((mat - ref).toarray()).max() <= 1e-14
+    _assert_same_matrix(h_start,
+                        _reference_sum(basis, range(1), (n - 1) / 2, coupling))
+    _assert_same_matrix(h_ramp,
+                        _reference_sum(basis, range(1, trunc), 0.0, coupling))
 
 
 @pytest.mark.parametrize("mode", ["height", "band"])

@@ -683,12 +683,11 @@ def test_path_basis_run_matches_register(n_half, ts, trunc, order, ramps):
 def _parity_pieces(basis, parity):
     """Dense band-mode bond sums of the transpositions of one parity: the
     zeroth band's pieces and those of bands 1 .. trunc-1."""
-    dim = len(basis)
-    diag, rows, cols, off = _bond_sums(
-        basis, [range(1), range(1, basis.trunc_x2)],
-        range(1 + parity, basis.n_sites, 2))
+    dim, bonds = len(basis), range(1 + parity, basis.n_sites, 2)
+    fixed = _bond_sums(basis, range(1), bonds)[0]
+    diag, rows, cols, off = _bond_sums(basis, range(1, basis.trunc_x2), bonds)
     flips = sp.csr_matrix((off, (rows[dim:], cols[dim:])), shape=(dim, dim))
-    return np.diag(diag[0]), np.diag(diag[1]) + flips.toarray()
+    return np.diag(fixed), np.diag(diag) + flips.toarray()
 
 
 @given(st.integers(min_value=2, max_value=10), st.booleans(),
