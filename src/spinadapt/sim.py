@@ -10,7 +10,10 @@ gates either: sz_trotter_layer applies each bond of the step, in the order
 sz_trotter_step emits it, as one update on two slices of the register.
 The gate-level statevector simulator (simulate, circuit_unitary) is the
 cross-check of both kernels in the tests and runs the emitted circuits that
-serve export, the golden files and gate counts.
+serve export, the golden files and gate counts.  The bond energies of an
+encoded run (bond_energies_csf) are the quadratic form of each
+transposition's height rule over the recorded path vectors, bond by bond,
+with flips that leave the truncation dropped; no operator matrix is built.
 
 Amplitude indexing: qubit 0 is the most significant bit, so reshaping to
 [2]*n puts qubit q on axis q.  All kernels preserve the norm to float
@@ -38,8 +41,7 @@ from .circuits import (Circuit, band_angle, identity_shift_angle, sublayers,
                        sz_bond_layers)
 from .encode import QubitLayout, build_layout
 from .errors import InvalidQuantumNumbersError, ResourceLimitError
-from .sga import (SparseOperator, _height_rule, _partners, build_hamiltonian,
-                  permutation_matrix)
+from .sga import SparseOperator, _height_rule, _partners, build_hamiltonian
 
 
 @dataclass
@@ -401,15 +403,29 @@ def physical_weight(state: StateVector, basis: CsfBasis,
     return float(np.vdot(vec, vec).real)
 
 
-def bond_energies_csf(path_vector: np.ndarray, bond_ops,
+def bond_energies_csf(basis: CsfBasis, vectors: np.ndarray,
                       coupling: float = 1.0) -> np.ndarray:
-    """(J/2)(<pi_{p,p+1}> - 1/2) per bond on a spin-path coefficient vector."""
-    out = np.zeros(len(bond_ops))
-    nrm = np.vdot(path_vector, path_vector).real
-    for k, op in enumerate(bond_ops):
-        val = np.vdot(path_vector, op @ path_vector).real / nrm
-        out[k] = (coupling / 2) * (val - 0.5)
-    return out
+    """(J/2)(<pi_{p,p+1}> - 1/2) per bond, shape (len(vectors), N-1), on a
+    batch of spin-path coefficient vectors, shape (n_vectors, dim).
+
+    <v|pi|v> is the quadratic form of the transposition's height rule,
+    taken one bond at a time with no operator matrix:
+    sum_r diag[r] |v_r|^2 + 2 sum_valleys b Re(conj(v_peak) v_valley), over
+    the valleys whose upward flip stays within the truncation and their
+    peaks from _partners.  Flips that leave the truncation are dropped, as
+    in permutation_matrix.  Each row is divided by its |v|^2.
+    """
+    h = basis.heights
+    mod2 = vectors.real ** 2 + vectors.imag ** 2
+    out = np.empty((len(vectors), basis.n_sites - 1))
+    for p in range(1, basis.n_sites):
+        band, diag, flip, off = _height_rule(h[:, p - 1:p + 2])
+        valleys = np.flatnonzero((flip > h[:, p]) & (flip <= basis.trunc_x2))
+        peaks = _partners(basis, p, valleys, band[valleys], True)
+        pairs = (vectors[:, peaks].conj() * vectors[:, valleys]).real
+        out[:, p - 1] = mod2 @ diag + 2 * (pairs @ off[valleys])
+    out /= mod2.sum(axis=1)[:, None]
+    return (coupling / 2) * (out - 0.5)
 
 
 def fidelity(a, b) -> float:
@@ -584,14 +600,23 @@ def sz_trotter_layer(n_sites: int, dt: float, order: int = 1,
     reshaped to (2^q, 4, rest), the update d = k (a01 - a10) / 2,
     a01 += d, a10 -= d.  simulate(sz_trotter_step(...)) applies the same
     operator gate by gate and is its cross-check.
+
+    Non-finite arguments raise ValueError; finite ones whose step phase or
+    bond factors overflow raise ResourceLimitError.
     """
     if not np.isfinite([dt, coupling]).all():
         raise ValueError(f"time step {dt} and coupling {coupling} must be "
                          f"finite")
     layers = sz_bond_layers(n_sites, dt, order, coupling)
-    phase = np.exp(-1j * sum(theta * len(qubits) for qubits, theta in layers))
-    bonds = [(q, (np.exp(4j * theta) - 1) / 2)
-             for qubits, theta in layers for q in qubits]
+    with np.errstate(over="ignore", invalid="ignore"):
+        phase = np.exp(-1j * sum(theta * len(qubits)
+                                 for qubits, theta in layers))
+        factors = [(np.exp(4j * theta) - 1) / 2 for _, theta in layers]
+    if not np.isfinite([phase, *factors]).all():
+        raise ResourceLimitError(f"time step {dt:g} at coupling {coupling:g} "
+                                 f"gives a non-finite Trotter angle")
+    bonds = [(q, half_k) for (qubits, _), half_k in zip(layers, factors)
+             for q in qubits]
 
     def apply(state: StateVector) -> StateVector:
         if state.n_qubits != n_sites:
@@ -699,17 +724,16 @@ def trotter_evolve_csf(n_sites: int, total_spin_x2: int,
     """Layered encoded evolution from the sector's start path, run on the
     spin-path vector (path_trotter_run), observables per layer.
 
-    Any truncation runs, None (the full basis) included.  Bond energies use
-    the truncated transposition operators on the recorded path vectors.
+    Any truncation runs, None (the full basis) included.  Bond energies are
+    the quadratic form of each transposition's height rule over all the
+    recorded path vectors at once (bond_energies_csf), flips that leave the
+    truncation dropped; no operator matrix is built.
     Returns (record, basis); the final state is record.path_vectors[-1].
     """
     basis = enumerate_paths(n_sites, total_spin_x2, trunc_x2)
     times, vectors = path_trotter_run(PathStep(basis, order),
                                       start_vector(basis), duration,
                                       n_layers, coupling)
-    bond_ops = [permutation_matrix(basis, p, p + 1).matrix
-                for p in range(1, n_sites)]
-    bonds = np.array([bond_energies_csf(vec, bond_ops, coupling)
-                      for vec in vectors])
+    bonds = bond_energies_csf(basis, vectors, coupling)
     return (EvolutionRecord(times, bonds.sum(axis=1), bonds,
                             path_vectors=vectors), basis)

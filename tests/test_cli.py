@@ -285,6 +285,19 @@ def test_overflowing_coupling_refused(argv, capsys):
                             "an entry\n")
 
 
+def test_overflowing_sz_step_refused(capsys):
+    # the sz step phase and bond factors overflow at J dt = 2.5e308: refused
+    # before the t=0 row, with no RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["evolve", "--sites", "8", "--basis", "sz", "--coupling",
+                     "1e308", "--layers", "2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("resource guard: time step 2.5 at coupling "
+                            "1e+308 gives a non-finite Trotter angle\n")
+
+
 def _table(text):
     """Output lines after the header, split on commas or spaces."""
     return [line.replace(",", " ").split() for line in text.splitlines()[1:]]

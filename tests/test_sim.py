@@ -7,8 +7,8 @@ import scipy.sparse as sp
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from spinadapt import (ResourceLimitError, encode_hamiltonian,
-                       enumerate_paths, singlet_pair_path)
-from spinadapt import sim
+                       enumerate_paths, permutation_matrix, singlet_pair_path)
+from spinadapt import sga, sim
 from spinadapt.basis import (cardinality, initial_path, sector_bytes,
                              untruncated_level)
 from spinadapt.circuits import (Circuit, Gate, csf_trotter_step, sublayers,
@@ -19,7 +19,8 @@ from spinadapt.oracle import (apply_permutation, apply_total_s2,
 from spinadapt.adiabatic import schedule_hamiltonians
 from spinadapt.sga import SparseOperator, _bond_sums, build_hamiltonian
 from spinadapt.sim import (EvolutionRecord, PathStep, StateVector, basis_state,
-                           bond_energies_sz, circuit_unitary,
+                           bond_energies_csf, bond_energies_sz,
+                           circuit_unitary,
                            decode_to_path_vector, embed_path_vector,
                            exact_evolve, fidelity, path_trotter_run,
                            s2_expectation_sz, simulate, start_vector,
@@ -588,6 +589,46 @@ def test_bond_energies_match_permutation_route(n, coupling, seed):
     assert np.abs(got - _bond_energies_by_permutation(state, coupling)).max() \
         < 1e-12
     assert np.array_equal(state.amplitudes, kept)
+
+
+@given(st.integers(min_value=1, max_value=5), st.sampled_from([0, 2]),
+       st.integers(min_value=1, max_value=10),
+       st.integers(min_value=1, max_value=4),
+       st.floats(min_value=0.25, max_value=4.0), st.integers(0, 2**32 - 1))
+@example(5, 0, 10, 3, 1.0, 0)     # N=10 on the full basis
+@example(1, 2, 2, 1, 1.0, 1)      # the one-path triplet pair
+@settings(max_examples=60, deadline=None)
+def test_csf_bond_energies_match_permutation_matrices(n_half, ts, trunc,
+                                                      batch, coupling, seed):
+    # the quadratic form over the height rules against <v|pi|v>/<v|v> of
+    # the assembled transpositions, on unnormalised complex batches
+    n = 2 * n_half
+    assume(ts <= trunc <= untruncated_level(n))
+    basis = enumerate_paths(n, ts, trunc)
+    rng = np.random.default_rng(seed)
+    vectors = rng.normal(size=(batch, len(basis))) \
+        + 1j * rng.normal(size=(batch, len(basis)))
+    vectors *= rng.uniform(0.1, 10.0, size=(batch, 1))
+    kept = vectors.copy()
+    expected = np.array([[
+        (coupling / 2) * (np.vdot(v, permutation_matrix(basis, p, p + 1)
+                                  .matrix @ v).real / np.vdot(v, v).real - 0.5)
+        for p in range(1, n)] for v in vectors])
+    got = bond_energies_csf(basis, vectors, coupling)
+    assert got.shape == (batch, n - 1)
+    assert np.abs(got - expected).max() < 1e-13
+    assert np.array_equal(vectors, kept)
+
+
+def test_csf_runs_build_no_operator_matrix(monkeypatch):
+    # the bond energies of both runs of the comparison come from the height
+    # rules, so neither runs permutation_matrix's per-bond assembly
+    def refuse(*args, **kwargs):
+        raise AssertionError("a bond operator matrix was assembled")
+
+    monkeypatch.setattr(sga, "_bond_matrix", refuse)
+    record, _ = trotter_comparison_csf(10, 0, 4, 2.0, 4)
+    assert record.bond_energies.shape == (5, 9)
 
 
 @given(st.integers(min_value=1, max_value=12), st.integers(0, 2**32 - 1))
