@@ -1,6 +1,7 @@
 import argparse
 import time
 import warnings
+from pathlib import Path
 
 import pytest
 from spinadapt import basis, sga, sim
@@ -43,6 +44,23 @@ def test_ham_pauli_and_matrix(capsys):
     code, out = run(["ham", "--sites", "8", "--trunc", "full",
                      "--format", "matrix", "--mode", "height"], capsys)
     assert out.splitlines()[0] == "dim 14"
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+# Assembled operators, byte for byte: the exports use only elementwise
+# arithmetic and formatting, so one ulp of drift in any entry shows here
+@pytest.mark.parametrize("fname, argv", [
+    *[(f"ham_n10_j13_{mode}_trunc{trunc.replace('.', '')}.coo",
+       ["--format", "matrix", "--coupling", "1.3", "--mode", mode,
+        "--trunc", trunc])
+      for mode in ("band", "height") for trunc in ("1", "1.5", "full")],
+    ("ham_n10_trunc15.pauli", ["--trunc", "1.5"])])
+def test_ham_export_matches_golden(fname, argv, capsys):
+    code, out = run(["ham", "--sites", "10", *argv], capsys)
+    assert code == 0
+    assert out.encode() == (GOLDEN / fname).read_bytes(), f"{fname} drifted"
 
 
 def test_diag_command(capsys):
