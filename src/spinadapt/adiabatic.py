@@ -68,10 +68,8 @@ def schedule_hamiltonians(basis: CsfBasis, coupling: float = 1.0):
     every spin-path operator, on its own pattern; exact_evolve unites them.
     """
     half, shift = coupling / 2, (basis.n_sites - 1) / 2
-    diag, rows, cols, off = _bond_sums(basis, range(1))
-    h_start = _csr(basis, rows, cols, np.concatenate([diag - shift, off]), half)
-    diag, rows, cols, off = _bond_sums(basis, range(1, basis.trunc_x2))
-    return h_start, _csr(basis, rows, cols, np.concatenate([diag, off]), half)
+    return (_csr(basis, *_bond_sums(basis, range(1), shift=shift), half),
+            _csr(basis, *_bond_sums(basis, range(1, basis.trunc_x2)), half))
 
 
 @dataclass(frozen=True, eq=False)

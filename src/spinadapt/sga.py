@@ -15,12 +15,12 @@ band by band it matches the tensor-product operators used for the qubit
 encodings (ZZ pass-through between next-nearest neighbors plus a projected
 tilted field), which is the grouping the truncated Hamiltonians are built on.
 
-Every operator is assembled one bond at a time (_bond_sums): the rules run
-on the bond's three height columns, each row's kept diagonal coefficients
-are added into one vector, and only the flips that stay inside the
-truncation become int32 COO entries.  The diagonal thus has one entry per
-row rather than N-1 summed by the COO -> CSR conversion, and the peak
-allocation of build_hamiltonian stays near 3x the CSR it returns.
+One walk over the bonds (_bond_rules) runs the rules on each bond's three
+height columns and keeps the flips that stay in the truncation, one (valley,
+peak) pair each; every operator and sim's Trotter step read it.  _bond_sums
+adds each row's kept diagonal coefficients into one vector (one entry per
+row, not N-1 summed by the COO -> CSR conversion) and emits each pair as two
+int32 COO entries, so build_hamiltonian peaks near 3x the CSR it returns.
 
 All site/permutation indices here are 1-based; heights are twice-integers.
 """
@@ -124,45 +124,44 @@ class SparseOperator:
         return "\n".join(lines) + "\n"
 
 
-def _partners(basis: CsfBasis, p: int, rows, band, up):
-    """Rows reached by the flip at bond p from `rows`, whose triples mix in
-    band `band`: a valley's partner (up true) lies walks[p+1, band] rows
-    later, a peak's that many rows earlier.  The flip changes only the rank
-    terms of steps p and p+1."""
-    shift = basis.walks[p + 1, band]
-    return rows + np.where(up, shift, -shift)
-
-
-def _bond_sums(basis: CsfBasis, bands: range, bonds=None):
-    """The pieces of the bands in the range `bands` of the transpositions
-    (p, p+1), p in bonds (default: every bond), on every basis row at unit
-    coupling, taken one bond at a time.
-
-    For each bond, _height_rule runs on the view heights[:, p-1:p+2]; each
-    row's diagonal coefficients of those bands are added into diag, and
-    their flips that stay in the truncation are kept, with partners from
-    _partners (band 0 has none: (0, 1, 0) would flip to height -1).
-
-    Returns (diag, rows, cols, off): diag of length dim; int32 rows and cols
-    holding the diagonal positions 0..dim-1 first, then each kept flip as
-    (partner, row), no position twice; and off, the flips' coefficients b.
-    int32 holds every row: the size guard of enumerate_paths keeps the
-    dimension far below 2^31.
-    """
-    h, dim = basis.heights, len(basis)
-    diag = np.zeros(dim)
-    eye = np.arange(dim, dtype=np.int32)
-    rows, cols, off = [eye], [eye], [np.zeros(0)]
+def _bond_rules(basis: CsfBasis, bonds=None):
+    """Each transposition (p, p+1), p in bonds (default: every bond), on
+    every basis row, streamed one bond at a time: yields (p, band, diag,
+    valleys, peaks, off).  band and diag are _height_rule's per row; valleys
+    the rows whose upward flip stays within the truncation, peaks their
+    partners walks[p+1, band] rows later (the flip changes only the rank
+    terms of steps p and p+1), off the flips' coefficients b.  Every kept
+    flip is one (valley, peak) pair: a peak's downward flip always fits, and
+    band 0 has no valley."""
+    h = basis.heights
     for p in range(1, basis.n_sites) if bonds is None else bonds:
-        band, coeff, flip, b = _height_rule(h[:, p - 1:p + 2])
+        band, diag, flip, off = _height_rule(h[:, p - 1:p + 2])
+        valleys = np.flatnonzero((flip > h[:, p]) & (flip <= basis.trunc_x2))
+        peaks = valleys + basis.walks[p + 1, band[valleys]]
+        yield p, band, diag, valleys, peaks, off[valleys]
+
+
+def _bond_sums(basis: CsfBasis, bands: range, bonds=None, shift=0.0):
+    """COO entries (rows, cols, vals) at unit coupling of the bands in the
+    range `bands` of the transpositions (p, p+1), p in bonds (default: every
+    bond), from _bond_rules: the dim diagonal positions first, each row's
+    coefficients of those bands summed, minus shift; then each kept pair of
+    those bands as (peak, valley) and (valley, peak).  int32 holds every
+    row: the size guard of enumerate_paths keeps dim far below 2^31.
+    """
+    diag = np.zeros(len(basis))
+    eye = np.arange(len(basis), dtype=np.int32)
+    rows, cols, vals = [eye], [eye], [diag]
+    for _, band, coeff, valleys, peaks, off in _bond_rules(basis, bonds):
         inside = (band >= bands.start) & (band < bands.stop)
         diag += np.where(inside, coeff, 0.0)
-        hop = np.flatnonzero((flip >= 0) & (flip <= basis.trunc_x2) & inside)
-        rows.append(_partners(basis, p, hop, band[hop], flip[hop] > h[hop, p])
-                    .astype(np.int32))
-        cols.append(hop.astype(np.int32))
-        off.append(b[hop])
-    return diag, np.concatenate(rows), np.concatenate(cols), np.concatenate(off)
+        pair = inside[valleys]
+        lo, hi = valleys[pair].astype(np.int32), peaks[pair].astype(np.int32)
+        rows += [hi, lo]
+        cols += [lo, hi]
+        vals += [off[pair]] * 2
+    diag -= shift
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
 
 
 def _scaled(vals: np.ndarray, scale: float) -> np.ndarray:
@@ -189,8 +188,7 @@ def _csr(basis: CsfBasis, rows, cols, vals, scale=1.0) -> sp.csr_matrix:
 
 def _bond_matrix(basis: CsfBasis, p: int) -> sp.csr_matrix:
     """pi_{p,p+1} on the basis, flips out of the truncation dropped."""
-    diag, rows, cols, off = _bond_sums(basis, range(basis.walks.shape[1]), [p])
-    return _csr(basis, rows, cols, np.concatenate([diag, off]))
+    return _csr(basis, *_bond_sums(basis, range(basis.walks.shape[1]), [p]))
 
 
 def permutation_matrix(basis: CsfBasis, i: int, j: int) -> SparseOperator:
@@ -219,9 +217,8 @@ def permutation_matrix(basis: CsfBasis, i: int, j: int) -> SparseOperator:
 
 def band_hamiltonian(basis: CsfBasis, s_x2: int) -> SparseOperator:
     """Band operator: all transpositions' band-s_x2 pieces, truncated."""
-    diag, rows, cols, off = _bond_sums(basis, range(s_x2, s_x2 + 1))
-    return SparseOperator(basis, _csr(basis, rows, cols,
-                                      np.concatenate([diag, off])))
+    sums = _bond_sums(basis, range(s_x2, s_x2 + 1))
+    return SparseOperator(basis, _csr(basis, *sums))
 
 
 def _hamiltonian_coo(basis: CsfBasis, mode: str):
@@ -238,8 +235,7 @@ def _hamiltonian_coo(basis: CsfBasis, mode: str):
     if mode not in (BAND_MODE, HEIGHT_MODE):
         raise ValueError(f"mode must be '{BAND_MODE}' or '{HEIGHT_MODE}'")
     top = basis.trunc_x2 + (mode == HEIGHT_MODE)
-    diag, rows, cols, off = _bond_sums(basis, range(top))
-    return rows, cols, np.concatenate([diag - (basis.n_sites - 1) / 2, off])
+    return _bond_sums(basis, range(top), shift=(basis.n_sites - 1) / 2)
 
 
 def build_hamiltonian(basis: CsfBasis, mode: str = HEIGHT_MODE,

@@ -41,7 +41,7 @@ from .circuits import (Circuit, band_angle, identity_shift_angle, sublayers,
                        sz_bond_layers)
 from .encode import QubitLayout, build_layout
 from .errors import InvalidQuantumNumbersError, ResourceLimitError
-from .sga import SparseOperator, _height_rule, _partners, build_hamiltonian
+from .sga import SparseOperator, _bond_rules, build_hamiltonian
 
 
 @dataclass
@@ -409,21 +409,16 @@ def bond_energies_csf(basis: CsfBasis, vectors: np.ndarray,
     batch of spin-path coefficient vectors, shape (n_vectors, dim).
 
     <v|pi|v> is the quadratic form of the transposition's height rule,
-    taken one bond at a time with no operator matrix:
-    sum_r diag[r] |v_r|^2 + 2 sum_valleys b Re(conj(v_peak) v_valley), over
-    the valleys whose upward flip stays within the truncation and their
-    peaks from _partners.  Flips that leave the truncation are dropped, as
-    in permutation_matrix.  Each row is divided by its |v|^2.
+    taken one bond at a time (sga._bond_rules) with no operator matrix:
+    sum_r diag[r] |v_r|^2 + 2 sum_pairs b Re(conj(v_peak) v_valley), over
+    the kept (valley, peak) pairs, so flips that leave the truncation are
+    dropped, as in permutation_matrix.  Each row is divided by its |v|^2.
     """
-    h = basis.heights
     mod2 = vectors.real ** 2 + vectors.imag ** 2
     out = np.empty((len(vectors), basis.n_sites - 1))
-    for p in range(1, basis.n_sites):
-        band, diag, flip, off = _height_rule(h[:, p - 1:p + 2])
-        valleys = np.flatnonzero((flip > h[:, p]) & (flip <= basis.trunc_x2))
-        peaks = _partners(basis, p, valleys, band[valleys], True)
+    for p, _, diag, valleys, peaks, off in _bond_rules(basis):
         pairs = (vectors[:, peaks].conj() * vectors[:, valleys]).real
-        out[:, p - 1] = mod2 @ diag + 2 * (pairs @ off[valleys])
+        out[:, p - 1] = mod2 @ diag + 2 * (pairs @ off)
     out /= mod2.sum(axis=1)[:, None]
     return (coupling / 2) * (out - 0.5)
 
@@ -472,20 +467,18 @@ class PathStep:
         and weights[1] sum, per row, the diagonal coefficients that take the
         zeroth band's angle and the ramped one; each rotation is (valleys,
         peaks, a_s, b_s) of one bond and band s >= 1."""
-        h = basis.heights
         weights = np.zeros((2, len(basis)))
         rotations = []
-        for p in range(1 + parity, basis.n_sites, 2):
-            band, diag, flip, off = _height_rule(h[:, p - 1:p + 2])
-            kept = band < basis.trunc_x2
-            still = kept & (flip < 0)
+        bonds = range(1 + parity, basis.n_sites, 2)
+        for _, band, diag, valleys, peaks, off in _bond_rules(basis, bonds):
+            still = band < basis.trunc_x2
+            still[valleys] = still[peaks] = False
             weights[0] += np.where(still & (band == 0), diag, 0.0)
             weights[1] += np.where(still & (band > 0), diag, 0.0)
-            valleys = np.flatnonzero(kept & (flip > h[:, p]))
             for s in np.unique(band[valleys]):
-                rows = valleys[band[valleys] == s]
-                rotations.append((rows, _partners(basis, p, rows, s, True),
-                                  diag[rows[0]], off[rows[0]]))
+                pick = band[valleys] == s
+                rotations.append((valleys[pick], peaks[pick],
+                                  diag[valleys[pick][0]], off[pick][0]))
         return weights, rotations
 
     def layer(self, dt: float, ramp: float = 1.0, coupling: float = 1.0):
@@ -551,6 +544,16 @@ class EvolutionRecord:
             row += [f"{v:.17g}" for v in self.bond_energies[k]]
             lines.append(",".join(row))
         return "\n".join(lines) + "\n"
+
+
+def _total_energy(bonds: np.ndarray) -> np.ndarray:
+    """Row sums of bond energies; one that overflows is refused."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = bonds.sum(axis=1)
+    if not np.isfinite(total).all():
+        raise ResourceLimitError("the bond energies sum to a non-finite "
+                                 "total energy")
+    return total
 
 
 def _trotter_loop(state, layers, dt: float, observe):
@@ -652,7 +655,7 @@ def trotter_evolve_sz(n_sites: int, total_spin_x2: int, duration: float,
                                        observe)
     bonds = np.array([row[0] for row in seen])
     aux = {name: np.array([row[1][name] for row in seen]) for name in seen[0][1]}
-    return EvolutionRecord(times, bonds.sum(axis=1), bonds, aux), state
+    return EvolutionRecord(times, _total_energy(bonds), bonds, aux), state
 
 
 def start_vector(basis: CsfBasis) -> np.ndarray:
@@ -735,5 +738,5 @@ def trotter_evolve_csf(n_sites: int, total_spin_x2: int,
                                       start_vector(basis), duration,
                                       n_layers, coupling)
     bonds = bond_energies_csf(basis, vectors, coupling)
-    return (EvolutionRecord(times, bonds.sum(axis=1), bonds,
+    return (EvolutionRecord(times, _total_energy(bonds), bonds,
                             path_vectors=vectors), basis)

@@ -316,6 +316,21 @@ def test_overflowing_sz_step_refused(capsys):
                             "1e+308 gives a non-finite Trotter angle\n")
 
 
+# with no layer there is no Trotter angle to refuse the coupling: the bond
+# energies (-7.5e307 per singlet bond) are finite, their sum is refused
+@pytest.mark.parametrize("basis_argv", [["--basis", "sz"], ["--trunc", "2"]],
+                         ids=["sz", "csf"])
+def test_overflowing_total_energy_refused(basis_argv, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["evolve", "--sites", "8", *basis_argv, "--coupling",
+                     "1e308", "--layers", "0"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("resource guard: the bond energies sum to a "
+                            "non-finite total energy\n")
+
+
 def _table(text):
     """Output lines after the header, split on commas or spaces."""
     return [line.replace(",", " ").split() for line in text.splitlines()[1:]]

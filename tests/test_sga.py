@@ -12,8 +12,8 @@ from spinadapt import (SpinPath, apply_hamiltonian, band_coefficients,
                        permutation_matrix, singlet_pair_path, step_to_height)
 from spinadapt.adiabatic import schedule_hamiltonians
 from spinadapt.oracle import oracle_operator_matrix
-from spinadapt.sga import (PRUNE_TOL, _height_rule, ground_energy_matrix_free,
-                           ground_state)
+from spinadapt.sga import (PRUNE_TOL, _bond_rules, _height_rule,
+                           ground_energy_matrix_free, ground_state)
 
 
 def test_band_coefficients_values():
@@ -328,6 +328,29 @@ def test_step_rules_patterns():
     assert abs(coeff[sp8] - 0.5) < 1e-15
     up_up = SpinPath((0, 1, 2, 1, 0, 1, 0, 1, 0), 8).steps()
     assert step_permutation_apply(up_up, 1) == [(up_up, 1.0)]
+
+
+@given(st.integers(min_value=1, max_value=5), st.sampled_from([0, 2]),
+       st.one_of(st.none(), st.integers(min_value=1, max_value=10)))
+@settings(max_examples=60, deadline=None)
+def test_bond_rules_pair_each_kept_flip(n_half, ts, trunc):
+    # the partner arithmetic itself, not only the operators assembled on it
+    n = 2 * n_half
+    assume(trunc is None or ts <= trunc <= n)
+    basis = enumerate_paths(n, ts, trunc)
+    h = basis.heights.astype(int)
+    for p, band, diag, valleys, peaks, off in _bond_rules(basis):
+        assert (band[valleys] > 0).all()
+        assert (h[valleys, p] < h[valleys, p - 1]).all()
+        assert np.array_equal(h[valleys, p - 1], h[valleys, p + 1])
+        raised = h[valleys]
+        raised[:, p] += 2
+        assert np.array_equal(h[peaks], raised)
+        assert raised.max(initial=0) <= basis.trunc_x2
+        mat = permutation_matrix(basis, p, p + 1).matrix.tocoo()
+        flips = mat.row != mat.col
+        assert sorted(zip(mat.row[flips], mat.col[flips], mat.data[flips])) \
+            == sorted([*zip(valleys, peaks, off), *zip(peaks, valleys, off)])
 
 
 def test_export_coo_format():

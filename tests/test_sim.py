@@ -725,10 +725,9 @@ def _parity_pieces(basis, parity):
     """Dense band-mode bond sums of the transpositions of one parity: the
     zeroth band's pieces and those of bands 1 .. trunc-1."""
     dim, bonds = len(basis), range(1 + parity, basis.n_sites, 2)
-    fixed = _bond_sums(basis, range(1), bonds)[0]
-    diag, rows, cols, off = _bond_sums(basis, range(1, basis.trunc_x2), bonds)
-    flips = sp.csr_matrix((off, (rows[dim:], cols[dim:])), shape=(dim, dim))
-    return np.diag(fixed), np.diag(diag) + flips.toarray()
+    return [sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim)).toarray()
+            for rows, cols, vals in (_bond_sums(basis, bands, bonds) for bands
+                                     in (range(1), range(1, basis.trunc_x2)))]
 
 
 @given(st.integers(min_value=2, max_value=10), st.booleans(),
