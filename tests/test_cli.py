@@ -56,9 +56,21 @@ GOLDEN = Path(__file__).parent / "golden"
        ["--format", "matrix", "--coupling", "1.3", "--mode", mode,
         "--trunc", trunc])
       for mode in ("band", "height") for trunc in ("1", "1.5", "full")],
-    ("ham_n10_trunc15.pauli", ["--trunc", "1.5"])])
+    ("ham_n10_trunc15.pauli", ["--trunc", "1.5"]),
+    ("ham_n10_trunc2.pauli", ["--trunc", "2"]),
+    ("ham_n10_s1_trunc2.pauli", ["--trunc", "2", "--total-spin", "1"])])
 def test_ham_export_matches_golden(fname, argv, capsys):
     code, out = run(["ham", "--sites", "10", *argv], capsys)
+    assert code == 0
+    assert out.encode() == (GOLDEN / fname).read_bytes(), f"{fname} drifted"
+
+
+# Gray-coded (three-valued) positions in the emitted Trotter step
+@pytest.mark.parametrize("fname, argv", [
+    ("circuit_n8_trunc2.gates", []),
+    ("circuit_n8_trunc2_order2.gates", ["--order", "2"])])
+def test_circuit_export_matches_golden(fname, argv, capsys):
+    code, out = run(["circuit", "--sites", "8", "--trunc", "2", *argv], capsys)
     assert code == 0
     assert out.encode() == (GOLDEN / fname).read_bytes(), f"{fname} drifted"
 
