@@ -1,12 +1,13 @@
 """Qubit encodings of band-truncated spin-path Hamiltonians.
 
-Each chain position carries its set of reachable heights.  Two-valued
-positions map to one qubit (lower height -> |0>), the three-valued even
-positions that appear at the deepest supported truncation map to a
-(main, extension) qubit pair with the Gray code 0->00, 1->01, 2->11 so that
-neighboring heights differ in a single bit; the pattern 10 is unphysical.
-Boundary positions with a single reachable height are eliminated by constant
-substitution.
+Each chain position carries its set of reachable heights, and
+QubitLayout.code is the one map from a height to the (qubit, bit) pairs that
+carry it.  Two-valued positions map to one main qubit (lower height -> |0>);
+the three-valued even positions of the deepest supported truncation map to
+an (extension, main) pair with the Gray code 00, 01, 11, so that neighboring
+heights differ in a single bit; the pattern 10 is unphysical.  Positions
+with a single reachable height carry no qubit (constant substitution).
+Main qubits come first, in chain order, then the extension qubits.
 
 Band operators are assembled from a small diagonal/mixing term IR that the
 circuit builder consumes as well, so the emitted Pauli sum and the Trotter
@@ -21,7 +22,7 @@ and never map a physical state out of the physical sector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -58,41 +59,50 @@ class QubitLayout:
     ext_qubit: dict[int, int] = field(compare=False)
     n_qubits: int = 0
 
+    def code(self, pos: int, height: int) -> tuple[tuple[int, int], ...] | None:
+        """The (qubit, bit) pairs that carry height at pos: none at a fixed
+        position, the main bit at a two-valued one, (ext, main) under
+        GRAY_CODES at a three-valued one; None where height cannot occur."""
+        vals = self.site_values[pos]
+        if height not in vals:
+            return None
+        rank = vals.index(height)
+        if len(vals) == 1:
+            return ()
+        if len(vals) == 2:
+            return ((self.main_qubit[pos], rank),)
+        e, m = GRAY_CODES[rank]
+        return ((self.ext_qubit[pos], e), (self.main_qubit[pos], m))
+
+    def _word(self, pos: int, height: int) -> int:
+        """The code of height at pos as register bits, -1 if it has none."""
+        pairs = self.code(pos, height)
+        if pairs is None:
+            return -1
+        return sum(b << (self.n_qubits - 1 - q) for q, b in pairs)
+
     def encode_path(self, path: SpinPath) -> int:
         """Bit-string index of a path; qubit 0 is the most significant bit."""
-        bits = 0
-        for pos in range(self.n_sites + 1):
-            vals = self.site_values[pos]
-            h = path.heights[pos]
-            if h not in vals:
-                raise InvalidQuantumNumbersError(
-                    f"height {h} at position {pos} not representable")
-            if len(vals) == 1:
-                continue
-            rank = vals.index(h)
-            if len(vals) == 2:
-                bits |= rank << (self.n_qubits - 1 - self.main_qubit[pos])
-            else:
-                e, m = GRAY_CODES[rank]
-                bits |= m << (self.n_qubits - 1 - self.main_qubit[pos])
-                bits |= e << (self.n_qubits - 1 - self.ext_qubit[pos])
-        return bits
+        return int(self._encode(path.n_sites, np.array([path.heights]))[0])
 
     def physical_bitstrings(self, basis: CsfBasis) -> np.ndarray:
-        """encode_path of every basis path, read off the heights array."""
-        bits = np.zeros(len(basis), dtype=np.int64)
-        gray = np.array([GRAY_CODES[r] for r in range(3)], dtype=np.int64)
-        for pos, vals in enumerate(self.site_values):
-            col = basis.heights[:, pos]
-            if not np.isin(col, vals).all():
+        """encode_path of every basis path."""
+        return self._encode(basis.n_sites, basis.heights)
+
+    def _encode(self, n_sites: int, heights: np.ndarray) -> np.ndarray:
+        """OR of the code's bits over positions, for each row of heights,
+        read from one table per position indexed by height."""
+        if n_sites != self.n_sites:
+            raise InvalidQuantumNumbersError(
+                f"a {n_sites}-site chain on a {self.n_sites}-site layout")
+        bits = np.zeros(len(heights), dtype=np.int64)
+        top = int(heights.max(initial=0))
+        for pos, col in enumerate(heights.T):
+            words = np.array([self._word(pos, h) for h in range(top + 1)])[col]
+            if (words < 0).any():
                 raise InvalidQuantumNumbersError(
                     f"a height at position {pos} is not representable")
-            rank = np.searchsorted(vals, col)
-            if len(vals) == 2:
-                bits |= rank << (self.n_qubits - 1 - self.main_qubit[pos])
-            elif len(vals) == 3:
-                bits |= gray[rank, 1] << (self.n_qubits - 1 - self.main_qubit[pos])
-                bits |= gray[rank, 0] << (self.n_qubits - 1 - self.ext_qubit[pos])
+            bits |= words
         return bits
 
 
@@ -188,41 +198,31 @@ def _proj_factor(layout: QubitLayout, pos: int, value: int,
     projectors of tilted-field terms on three-valued (Gray) sites: height 0
     keeps only its main bit, height 1 widens to the anti-aligned pair bit.
     """
-    vals = layout.site_values[pos]
-    if len(vals) == 1:
-        return (1.0 if vals[0] == value else 0.0), ()
-    if value not in vals:
+    pairs = layout.code(pos, value)
+    if pairs is None:
         return 0.0, ()
-    rank = vals.index(value)
-    if len(vals) == 2:
-        q = layout.main_qubit[pos]
-        return 1.0, (DiagUnit((q,), +1 if rank == 0 else -1),)
-    m, e = layout.main_qubit[pos], layout.ext_qubit[pos]
-    if context == "mix-end":
-        if rank == 0:
-            return 1.0, (DiagUnit((m,), +1),)
-        if rank == 1:
-            return 1.0, (DiagUnit((e, m), -1),)
-        return 1.0, (DiagUnit((e,), -1),)
-    eb, mb = GRAY_CODES[rank]
-    return 1.0, (DiagUnit((e,), +1 if eb == 0 else -1),
-                 DiagUnit((m,), +1 if mb == 0 else -1))
+    if context == "mix-end" and len(pairs) == 2:
+        (e, eb), (m, mb) = pairs
+        return 1.0, ({(0, 0): DiagUnit((m,), +1), (0, 1): DiagUnit((e, m), -1),
+                      (1, 1): DiagUnit((e,), -1)}[eb, mb],)
+    return 1.0, tuple(DiagUnit((q,), +1 if b == 0 else -1) for q, b in pairs)
+
+
+def _separating_bit(code, other):
+    """The one (qubit, bit) of a height's code that the code of a
+    neighboring height lacks."""
+    (qb,) = set(code) - set(other)
+    return qb
 
 
 def _zz_pair_factor(layout, pos, value, s_x2):
-    """Pass-through side projector; on Gray sites only the separating bit."""
-    vals = layout.site_values[pos]
-    if len(vals) == 3:
-        # pair values are s_x2 -+ 1: heights {0,2} differ in main, {2,4} in ext
-        rank = vals.index(value) if value in vals else -1
-        if rank < 0:
-            return 0.0, ()
-        if s_x2 == 1:
-            q = layout.main_qubit[pos]
-            return 1.0, (DiagUnit((q,), +1 if rank == 0 else -1),)
-        q = layout.ext_qubit[pos]
-        return 1.0, (DiagUnit((q,), +1 if rank <= 1 else -1),)
-    return _proj_factor(layout, pos, value, "plain")
+    """Pass-through side projector; where both heights s_x2 -+ 1 can occur,
+    only their separating bit."""
+    code, other = layout.code(pos, value), layout.code(pos, 2 * s_x2 - value)
+    if code is None or other is None:
+        return _proj_factor(layout, pos, value, "plain")
+    q, b = _separating_bit(code, other)
+    return 1.0, (DiagUnit((q,), +1 if b == 0 else -1),)
 
 
 def band_terms(layout: QubitLayout, s_x2: int) -> list[BandTerm]:
@@ -231,6 +231,7 @@ def band_terms(layout: QubitLayout, s_x2: int) -> list[BandTerm]:
     gray = any(len(v) == 3 for v in layout.site_values)
     terms: list[BandTerm] = []
     coeffs = band_coefficients(s_x2)
+    lo, hi = s_x2 - 1, s_x2 + 1
     for p in range(1, n):
         # tilted-field piece: both neighbors at s_x2, center flips s_x2 -+ 1
         scalar = 1.0
@@ -241,32 +242,22 @@ def band_terms(layout: QubitLayout, s_x2: int) -> list[BandTerm]:
             scalar *= c
             units.extend(us)
         if scalar != 0.0:
-            cvals = layout.site_values[p]
-            lo, hi = s_x2 - 1, s_x2 + 1
-            has_lo, has_hi = lo in cvals, hi in cvals
+            code_lo, code_hi = layout.code(p, lo), layout.code(p, hi)
+            has_lo, has_hi = code_lo is not None, code_hi is not None
             if has_lo and has_hi:
-                if len(cvals) == 2:
-                    mq = layout.main_qubit[p]
-                elif s_x2 == 1:
-                    mq = layout.main_qubit[p]   # heights 0 <-> 2: main bit flips
-                else:
-                    mq = layout.ext_qubit[p]    # heights 2 <-> 4: ext bit flips
+                mq, _ = _separating_bit(code_lo, code_hi)
                 terms.append(BandTerm(p, s_x2, scalar, tuple(units), mq))
             elif has_hi or has_lo:
                 value = hi if has_hi else lo
                 diag = -coeffs.a if has_hi else coeffs.a
-                if gray and len(cvals) == 2 and s_x2 == 0:
+                _, us2 = _proj_factor(layout, p, value, "plain")
+                if gray and len(us2) == 1 and s_x2 == 0:
                     # bulk simplification: -a0 Z instead of -a0 |low><low|
-                    cu = (DiagUnit((layout.main_qubit[p],), +1, projector=False),)
-                    terms.append(BandTerm(p, s_x2, scalar * diag,
-                                          tuple(units) + cu, None))
-                else:
-                    c2, us2 = _proj_factor(layout, p, value, "plain")
-                    if c2 != 0.0:
-                        terms.append(BandTerm(p, s_x2, scalar * diag * c2,
-                                              tuple(units) + tuple(us2), None))
+                    us2 = (replace(us2[0], projector=False),)
+                terms.append(BandTerm(p, s_x2, scalar * diag,
+                                      tuple(units) + us2, None))
         # pass-through piece: neighbors anti-aligned across center height s_x2
-        for va, vb in ((s_x2 - 1, s_x2 + 1), (s_x2 + 1, s_x2 - 1)):
+        for va, vb in ((lo, hi), (hi, lo)):
             if va < 0 or vb < 0:
                 continue
             ca, ua = _zz_pair_factor(layout, p - 1, va, s_x2)

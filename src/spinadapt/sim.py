@@ -383,6 +383,8 @@ def sz_expectation_sz(state: StateVector) -> float:
 def decode_to_path_vector(state: StateVector, basis: CsfBasis,
                           layout: QubitLayout) -> np.ndarray:
     """Gather amplitudes of physical bit-strings into basis ordering."""
+    if state.n_qubits != layout.n_qubits:
+        raise InvalidQuantumNumbersError("state/layout qubit count mismatch")
     bits = layout.physical_bitstrings(basis)
     return state.amplitudes[bits]
 

@@ -1,4 +1,5 @@
 import argparse
+import shlex
 import time
 import warnings
 from pathlib import Path
@@ -73,6 +74,18 @@ def test_circuit_export_matches_golden(fname, argv, capsys):
     code, out = run(["circuit", "--sites", "8", "--trunc", "2", *argv], capsys)
     assert code == 0
     assert out.encode() == (GOLDEN / fname).read_bytes(), f"{fname} drifted"
+
+
+README = Path(__file__).parents[1] / "README.md"
+README_COMMANDS = [
+    shlex.split(line, comments=True)[1:] for line in
+    README.read_text().split("## Command line\n\n```\n")[1]
+    .split("```")[0].splitlines()]
+
+
+@pytest.mark.parametrize("argv", README_COMMANDS, ids=" ".join)
+def test_readme_command_runs(argv, capsys):
+    assert main(argv) == 0
 
 
 def test_diag_command(capsys):

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from spinadapt import (UnsupportedConfigurationError, build_layout,
+from spinadapt import (InvalidQuantumNumbersError,
+                       UnsupportedConfigurationError, build_layout,
                        encode_hamiltonian, enumerate_paths, qubit_count,
                        singlet_pair_path)
 from spinadapt.encode import _expand_term, band_terms
@@ -62,10 +63,60 @@ def test_encode_examples():
     pos = next(pos for pos in range(17) if path.heights[pos] == 4)
     # height 4 is the Gray pair 11; clearing its main bit gives the unused
     # pattern 10 (ext=1 main=0), which no path encodes to
-    main = 1 << (gray.n_qubits - 1 - gray.main_qubit[pos])
-    ext = 1 << (gray.n_qubits - 1 - gray.ext_qubit[pos])
+    (e, _), (m, _) = gray.code(pos, 4)
+    main = 1 << (gray.n_qubits - 1 - m)
+    ext = 1 << (gray.n_qubits - 1 - e)
     assert bits & main and bits & ext
     assert (bits ^ main) not in set(gray.physical_bitstrings(basis).tolist())
+
+
+@given(st.integers(min_value=1, max_value=8), st.sampled_from([0, 2]),
+       st.integers(min_value=1, max_value=4))
+@settings(max_examples=60, deadline=None)
+def test_qubit_code(n_half, ts, trunc):
+    assume(trunc >= ts)
+    n = 2 * n_half
+    layout = build_layout(n, ts, trunc)
+    basis = enumerate_paths(n, ts, trunc)
+    carried = []
+    for pos in range(n + 1):
+        reachable = set(basis.heights[:, pos].tolist())
+        codes = {h: layout.code(pos, h) for h in range(trunc + 3)}
+        # None exactly where no path of the sector goes
+        assert {h for h, c in codes.items() if c is not None} == reachable
+        # distinct heights get distinct codes
+        assert len({codes[h] for h in reachable}) == len(reachable)
+        for h in reachable:
+            if h + 2 in reachable:
+                # neighbors differ in exactly one bit of the same qubits
+                diff = set(codes[h]) ^ set(codes[h + 2])
+                assert len(diff) == 2 and len({q for q, _ in diff}) == 1
+                assert {q for q, _ in codes[h]} == {q for q, _ in codes[h + 2]}
+            if len(codes[h]) == 2:
+                (_, eb), (_, mb) = codes[h]
+                assert (eb, mb) != (1, 0)   # the unphysical Gray pattern
+        carried += [q for q, _ in codes[min(reachable)]]
+    # every qubit belongs to exactly one position
+    assert sorted(carried) == list(range(layout.n_qubits))
+
+
+def test_gray_code_pinned():
+    # N=8, trunc 2: position 4 holds heights 0, 2, 4 on main qubit 2 and
+    # extension qubit 5, the last qubit, as (ext, main) = 00, 01, 11
+    layout = build_layout(8, 0, 4)
+    assert [layout.code(4, h) for h in (0, 2, 4)] == \
+        [((5, 0), (2, 0)), ((5, 0), (2, 1)), ((5, 1), (2, 1))]
+    assert layout.code(4, 1) is None and layout.code(4, 6) is None
+
+
+@pytest.mark.parametrize("encode", [
+    lambda layout: layout.encode_path(singlet_pair_path(10)),
+    lambda layout: layout.encode_path(singlet_pair_path(6)),
+    lambda layout: layout.physical_bitstrings(enumerate_paths(6, 0, 2))],
+    ids=["longer-path", "shorter-path", "shorter-basis"])
+def test_other_chain_length_refused(encode):
+    with pytest.raises(InvalidQuantumNumbersError):
+        encode(build_layout(8, 0, 2))
 
 
 @pytest.mark.parametrize("n,ts", [(4, 0), (6, 0), (8, 0), (8, 2), (10, 0),

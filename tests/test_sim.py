@@ -6,7 +6,8 @@ import scipy.linalg
 import scipy.sparse as sp
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from spinadapt import (ResourceLimitError, encode_hamiltonian,
+from spinadapt import (InvalidQuantumNumbersError, ResourceLimitError,
+                       encode_hamiltonian,
                        enumerate_paths, permutation_matrix, singlet_pair_path)
 from spinadapt import sga, sim
 from spinadapt.basis import (cardinality, initial_path, sector_bytes,
@@ -677,6 +678,14 @@ def test_csf_evolution_stays_physical():
     record, _ = trotter_evolve_csf(8, 0, 3, 3.0, 6, order=1)
     assert np.abs(np.linalg.norm(record.path_vectors, axis=1) - 1.0).max() \
         < 1e-10
+
+
+def test_physical_weight_refuses_another_register():
+    # a 5-qubit register read through the 3-qubit N=8 trunc-1 layout
+    layout = build_layout(8, 0, 2)
+    with pytest.raises(InvalidQuantumNumbersError):
+        sim.physical_weight(basis_state(5, 0), enumerate_paths(8, 0, 2),
+                            layout)
 
 
 def test_csf_converges_to_exact_at_full_truncation():
