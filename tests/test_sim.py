@@ -7,8 +7,8 @@ import scipy.sparse as sp
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from spinadapt import (InvalidQuantumNumbersError, ResourceLimitError,
-                       encode_hamiltonian,
-                       enumerate_paths, permutation_matrix, singlet_pair_path)
+                       encode_hamiltonian, enumerate_paths,
+                       permutation_matrix, singlet_pair_path)
 from spinadapt import sga, sim
 from spinadapt.basis import (cardinality, initial_path, sector_bytes,
                              untruncated_level)
