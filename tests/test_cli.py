@@ -54,24 +54,35 @@ GOLDEN = Path(__file__).parent / "golden"
 # arithmetic and formatting, so one ulp of drift in any entry shows here
 @pytest.mark.parametrize("fname, argv", [
     *[(f"ham_n10_j13_{mode}_trunc{trunc.replace('.', '')}.coo",
-       ["--format", "matrix", "--coupling", "1.3", "--mode", mode,
-        "--trunc", trunc])
+       ["--sites", "10", "--format", "matrix", "--coupling", "1.3",
+        "--mode", mode, "--trunc", trunc])
       for mode in ("band", "height") for trunc in ("1", "1.5", "full")],
-    ("ham_n10_trunc15.pauli", ["--trunc", "1.5"]),
-    ("ham_n10_trunc2.pauli", ["--trunc", "2"]),
-    ("ham_n10_s1_trunc2.pauli", ["--trunc", "2", "--total-spin", "1"])])
+    ("ham_n10_trunc15.pauli", ["--sites", "10", "--trunc", "1.5"]),
+    ("ham_n10_trunc2.pauli", ["--sites", "10", "--trunc", "2"]),
+    ("ham_n10_s1_trunc2.pauli",
+     ["--sites", "10", "--trunc", "2", "--total-spin", "1"]),
+    ("ham_n12_s1_j13_trunc2.pauli",
+     ["--sites", "12", "--trunc", "2", "--total-spin", "1",
+      "--coupling", "1.3"])])
 def test_ham_export_matches_golden(fname, argv, capsys):
-    code, out = run(["ham", "--sites", "10", *argv], capsys)
+    code, out = run(["ham", *argv], capsys)
     assert code == 0
     assert out.encode() == (GOLDEN / fname).read_bytes(), f"{fname} drifted"
 
 
-# Gray-coded (three-valued) positions in the emitted Trotter step
+# Gray-coded (three-valued) positions in the emitted Trotter step, an S=1
+# step and a qasm export at J != 1
 @pytest.mark.parametrize("fname, argv", [
-    ("circuit_n8_trunc2.gates", []),
-    ("circuit_n8_trunc2_order2.gates", ["--order", "2"])])
+    ("circuit_n8_trunc2.gates", ["--sites", "8", "--trunc", "2"]),
+    ("circuit_n8_trunc2_order2.gates",
+     ["--sites", "8", "--trunc", "2", "--order", "2"]),
+    ("circuit_n12_s1_trunc2_order2.gates",
+     ["--sites", "12", "--trunc", "2", "--total-spin", "1", "--order", "2"]),
+    ("circuit_n10_j13_trunc15_t037.qasm",
+     ["--sites", "10", "--trunc", "1.5", "--format", "qasm",
+      "--coupling", "1.3", "--duration", "0.37"])])
 def test_circuit_export_matches_golden(fname, argv, capsys):
-    code, out = run(["circuit", "--sites", "8", "--trunc", "2", *argv], capsys)
+    code, out = run(["circuit", *argv], capsys)
     assert code == 0
     assert out.encode() == (GOLDEN / fname).read_bytes(), f"{fname} drifted"
 
