@@ -14,12 +14,11 @@ from .encode import (PauliString, PauliSum, QubitLayout, build_layout,
 from .errors import (InvalidQuantumNumbersError, ResourceLimitError,
                      SpinAdaptError, UnphysicalPathError,
                      UnsupportedConfigurationError)
-from .sga import (BandCoefficients, SparseOperator, apply_hamiltonian,
-                  band_coefficients, band_hamiltonian, build_hamiltonian,
-                  permutation_matrix)
+from .sga import (SparseOperator, apply_hamiltonian, band_coefficients,
+                  band_hamiltonian, build_hamiltonian, permutation_matrix)
 
 __all__ = [
-    "BandCoefficients", "CsfBasis", "PauliString", "PauliSum", "QubitLayout",
+    "CsfBasis", "PauliString", "PauliSum", "QubitLayout",
     "SparseOperator", "SpinPath", "InvalidQuantumNumbersError",
     "ResourceLimitError", "SpinAdaptError", "UnphysicalPathError",
     "UnsupportedConfigurationError", "apply_hamiltonian", "band_coefficients", "band_hamiltonian",

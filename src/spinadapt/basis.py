@@ -201,7 +201,9 @@ def sector_walks(n_sites: int, total_spin_x2: int,
     paths fit the storage types and its estimated footprint (sector_bytes)
     fits SECTOR_MAX_BYTES; nothing of the basis size is allocated.
 
-    Raises ResourceLimitError for a sector that does not fit.
+    Raises ResourceLimitError for a sector that does not fit: at once for a
+    truncation above int8's maximum height, at the first row that passes
+    int64's maximum count while the table fills.
     """
     _check_quantum_numbers(n_sites, total_spin_x2)
     if trunc_x2 is None:
@@ -210,23 +212,28 @@ def sector_walks(n_sites: int, total_spin_x2: int,
         raise InvalidQuantumNumbersError("truncation must be non-negative")
 
     top = min(trunc_x2, n_sites)
-    walks = np.zeros((n_sites + 1, top + 2), dtype=object)   # exact integers
+    too_big = (f"N={n_sites}, trunc {trunc_x2}: "
+               "paths too tall or too many to store")
+    if top > np.iinfo(np.int8).max:
+        raise ResourceLimitError(too_big)
+    # uint64 holds each entry exactly: two counts that passed the check
+    walks = np.zeros((n_sites + 1, top + 2), dtype=np.uint64)
     if total_spin_x2 <= top:
         walks[n_sites, total_spin_x2] = 1
     for i in range(n_sites - 1, -1, -1):
-        walks[i, 1:top + 1] += walks[i + 1, 0:top]
+        walks[i, 1:top + 1] = walks[i + 1, 0:top]
         walks[i, 0:top + 1] += walks[i + 1, 1:top + 2]
-    if top > np.iinfo(np.int8).max or walks.max() > np.iinfo(np.int64).max:
-        raise ResourceLimitError(
-            f"N={n_sites}, trunc {trunc_x2}: paths too tall or too many to store")
-    need = sector_bytes(n_sites, walks[0, 0])
+        if walks[i].max() > np.iinfo(np.int64).max:
+            raise ResourceLimitError(too_big)
+    dim = int(walks[0, 0])
+    need = sector_bytes(n_sites, dim)
     if need > SECTOR_MAX_BYTES:
         raise ResourceLimitError(
             f"N={n_sites}, 2S={total_spin_x2}, trunc {trunc_x2}: "
-            f"{walks[0, 0]} paths need an estimated {need / 2**30:.1f} GiB for "
+            f"{dim} paths need an estimated {need / 2**30:.1f} GiB for "
             f"heights, Hamiltonian and Lanczos vectors, above the "
             f"{SECTOR_MAX_BYTES / 2**30:g} GiB budget")
-    return walks.astype(np.int64)
+    return walks.view(np.int64)
 
 
 def enumerate_paths(n_sites: int, total_spin_x2: int,

@@ -3,8 +3,10 @@
 Two families: the reference step in the computational basis (three-CX
 splitting of each two-site exchange block) and the spin-adapted steps built
 from the encoded band terms (pass-through pieces become CX-RZ-CX pairs,
-tilted-field pieces become RY-conjugated controlled-Z rotations compiled as a
-CX ladder walking the control parities).
+tilted-field pieces become controlled-Z rotations conjugated by RY(acos a_s),
+a_s from sga.band_coefficients, compiled as a CX ladder walking the control
+parities).  Every term's weights are dyadic multiples of nonzero
+coefficients, so the emitter drops none of them.
 
 Conventions: gates apply in list order; RZ(t) = exp(-i t Z/2) and likewise
 RY; PHASE(t) multiplies the whole state by exp(i t) (its target slot is kept
@@ -13,8 +15,8 @@ only for the uniform text format); CX stores (control, target).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from math import isfinite, pi
+from dataclasses import dataclass
+from math import acos, isfinite, pi, prod
 
 from .encode import BandTerm, QubitLayout, band_terms, build_layout, z_parities
 from .errors import ResourceLimitError, UnsupportedConfigurationError
@@ -43,7 +45,6 @@ class Gate:
 class Circuit:
     n_qubits: int
     gates: tuple[Gate, ...]
-    metadata: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         for g in self.gates:
@@ -135,20 +136,14 @@ def sz_trotter_step(n_sites: int, dt: float, order: int = 1,
     for qubits, theta in layers:
         for q in qubits:
             gates.extend(heisenberg_bond_block(q, q + 1, theta))
-    return Circuit(n_sites, tuple(gates),
-                   {"basis": "sz", "dt": dt, "order": order})
+    return Circuit(n_sites, tuple(gates))
 
 
 def _gray_subsets(n_units: int):
-    """Binary-reflected Gray walk over unit subsets: (toggle_index, subset)."""
-    state = 0
-    seq = []
-    for k in range(1, 1 << n_units):
-        g = k ^ (k >> 1)
-        toggle = (g ^ state).bit_length() - 1
-        state = g
-        seq.append((toggle, state))
-    return seq
+    """Binary-reflected Gray walk over unit subsets, k = 1 .. 2^n - 1:
+    (toggle_index, subset) = (lowest set bit of k, k ^ (k >> 1))."""
+    return [((k & -k).bit_length() - 1, k ^ (k >> 1))
+            for k in range(1, 1 << n_units)]
 
 
 def _emit_diag_exp(term: BandTerm, phi: float, gates: list[Gate]) -> None:
@@ -156,8 +151,6 @@ def _emit_diag_exp(term: BandTerm, phi: float, gates: list[Gate]) -> None:
     parities = z_parities(term.units)
     for par in sorted(parities, key=sorted):
         w = term.coeff * parities[par]
-        if abs(w) < 1e-15:
-            continue
         if not par:
             gates.append(_phase(-phi * w))
         elif len(par) == 1:
@@ -173,14 +166,15 @@ def _emit_diag_exp(term: BandTerm, phi: float, gates: list[Gate]) -> None:
 
 
 def _emit_mix_exp(term: BandTerm, phi: float, gates: list[Gate]) -> None:
-    """Append exp(-i phi * coeff * controls x (a Z + b X)) via RY conjugation.
+    """Append exp(-i phi * coeff * controls x (a Z + b X)), (a, b) the
+    band_coefficients of the term's band, via RY(acos a) conjugation.
 
     The controlled-Z core walks the control-unit subsets in Gray order,
     rotating the center after every toggle, so k control units cost
     sum(|unit|) * 2 CX gates regardless of how the weights fall.
     """
     t = term.mix_qubit
-    theta = band_coefficients(term.s_x2).theta
+    theta = acos(band_coefficients(term.s_x2)[0])
     units = term.units
     k = len(units)
     base = term.coeff / (1 << k)
@@ -189,18 +183,12 @@ def _emit_mix_exp(term: BandTerm, phi: float, gates: list[Gate]) -> None:
     for toggle, state in _gray_subsets(k):
         for q in units[toggle].qubits:
             gates.append(_cx(q, t))
-        sign = 1.0
-        for j in range(k):
-            if (state >> j) & 1:
-                sign *= units[j].sign
+        sign = prod(u.sign for j, u in enumerate(units) if state >> j & 1)
         gates.append(_rz(t, 2 * phi * base * sign))
-    # unwind whatever units remain toggled after the walk
-    if k:
-        state = ((1 << k) - 1) ^ (((1 << k) - 1) >> 1)
-        for j in range(k):
-            if (state >> j) & 1:
-                for q in units[j].qubits:
-                    gates.append(_cx(q, t))
+    # the walk ends on the Gray code of 2^k - 1, 2^(k-1): only the last
+    # unit is still toggled
+    if units:
+        gates.extend(_cx(q, t) for q in units[-1].qubits)
     gates.append(_ry(t, theta))
 
 
@@ -271,9 +259,7 @@ def csf_trotter_step(n_sites: int, total_spin_x2: int, trunc_x2: int,
         # scalar subspace: the one path's energy E, the step exp(-i dt E)
         energy = (coupling / 2) * (-n_sites / 2 - (n_sites - 1) / 2)
         _refuse_overflow((dt, coupling, ramp), [dt * energy])
-        return Circuit(0, (_phase(-dt * energy),),
-                       {"basis": "csf", "trunc_x2": 1, "dt": dt,
-                        "order": order, "scalar_energy": energy})
+        return Circuit(0, (_phase(-dt * energy),))
     _refuse_overflow((dt, coupling, ramp), [
         identity_shift_angle(n_sites, dt, coupling),
         *(2 * band_angle(s_x2, fraction * dt, ramp, coupling)
@@ -283,10 +269,7 @@ def csf_trotter_step(n_sites: int, total_spin_x2: int, trunc_x2: int,
         for term in terms:
             _emit_band_term(term, band_angle(term.s_x2, fraction * dt, ramp,
                                              coupling), gates)
-    meta = {"basis": "csf", "n_sites": n_sites, "total_spin_x2": total_spin_x2,
-            "trunc_x2": trunc_x2, "dt": dt, "order": order,
-            "ramp": ramp, "layout": layout}
-    return Circuit(layout.n_qubits, tuple(gates), meta)
+    return Circuit(layout.n_qubits, tuple(gates))
 
 
 def export_gatelist(circuit: Circuit) -> str:

@@ -12,12 +12,15 @@ Main qubits come first, in chain order, then the extension qubits.
 Band operators are assembled from a small diagonal/mixing term IR that the
 circuit builder consumes as well, so the emitted Pauli sum and the Trotter
 blocks are one construction by definition; z_parities is the one reading of
-a product of diagonal units, for both.  At the Gray-coded truncation the
-bulk operators are simplified using the freedom to alter matrix elements
-outside the physical subspace (single-qubit projectors instead of pair
-projectors where the physical sector forces the partner bit); these
-replacements leave every matrix element between physical bit-strings intact
-and never map a physical state out of the physical sector.
+a product of diagonal units, for both.  The mixing coefficients (a_s, b_s)
+are sga.band_coefficients, as for the spin-path matrices, and sga._scaled
+alone decides round-off in the summed Pauli coefficients.  At the
+Gray-coded truncation the bulk operators are simplified using the freedom
+to alter matrix elements outside the physical subspace (single-qubit
+projectors instead of pair projectors where the physical sector forces the
+partner bit); these replacements leave every matrix element between
+physical bit-strings intact and never map a physical state out of the
+physical sector.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from .sga import _scaled, band_coefficients
 
 SUPPORTED_TRUNC_X2 = (1, 2, 3, 4)
 GRAY_CODES = {0: (0, 0), 1: (0, 1), 2: (1, 1)}  # height rank -> (ext, main)
-DENSE_MATRIX_MAX_QUBITS = 14
+DENSE_MATRIX_MAX_QUBITS = 12   # a 256 MiB complex matrix
 
 
 def _check_sector(n_sites: int, total_spin_x2: int, trunc_x2: int) -> None:
@@ -230,7 +233,7 @@ def band_terms(layout: QubitLayout, s_x2: int) -> list[BandTerm]:
     n = layout.n_sites
     gray = any(len(v) == 3 for v in layout.site_values)
     terms: list[BandTerm] = []
-    coeffs = band_coefficients(s_x2)
+    a, _ = band_coefficients(s_x2)
     lo, hi = s_x2 - 1, s_x2 + 1
     for p in range(1, n):
         # tilted-field piece: both neighbors at s_x2, center flips s_x2 -+ 1
@@ -249,7 +252,7 @@ def band_terms(layout: QubitLayout, s_x2: int) -> list[BandTerm]:
                 terms.append(BandTerm(p, s_x2, scalar, tuple(units), mq))
             elif has_hi or has_lo:
                 value = hi if has_hi else lo
-                diag = -coeffs.a if has_hi else coeffs.a
+                diag = -a if has_hi else a
                 _, us2 = _proj_factor(layout, p, value, "plain")
                 if gray and len(us2) == 1 and s_x2 == 0:
                     # bulk simplification: -a0 Z instead of -a0 |low><low|
@@ -281,7 +284,6 @@ class PauliString:
 class PauliSum:
     n_qubits: int
     terms: tuple[PauliString, ...]
-    metadata: dict = field(default_factory=dict, compare=False)
 
     def _term_action(self, term: PauliString, cols: np.ndarray):
         """Images and amplitudes of one string applied to column bit-strings."""
@@ -370,15 +372,11 @@ def encode_hamiltonian(n_sites: int, total_spin_x2: int, trunc_x2: int,
     acc: dict[str, float] = {}
     identity = "I" * layout.n_qubits
     for s_x2 in range(0, trunc_x2):
-        coeffs = band_coefficients(s_x2)
+        a, b = band_coefficients(s_x2)
         for term in band_terms(layout, s_x2):
-            _expand_term(term, layout.n_qubits, coeffs.a, coeffs.b, acc)
+            _expand_term(term, layout.n_qubits, a, b, acc)
     acc[identity] = acc.get(identity, 0.0) - (n_sites - 1) / 2
     keys = sorted(acc)
     coefs = _scaled(np.array([acc[k] for k in keys]), coupling / 2)
     terms = tuple(PauliString(complex(c), k) for k, c in zip(keys, coefs) if c)
-    meta = {"n_sites": n_sites, "total_spin_x2": total_spin_x2,
-            "trunc_x2": trunc_x2,
-            "bands": tuple(range(0, trunc_x2)),
-            "layout": layout}
-    return PauliSum(layout.n_qubits, terms, meta)
+    return PauliSum(layout.n_qubits, terms)

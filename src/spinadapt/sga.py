@@ -8,7 +8,9 @@ height triple (h[p-1], h[p], h[p+1]):
     ends equal at s, peak    -> -a_s * peak + b_s * valley
     ends equal at s, valley  -> +a_s * valley + b_s * peak
 
-with a_s = 1/(2s+1), b_s = sqrt(1-a_s^2).  Grouping terms by band: the mixing
+with a_s = 1/(2s+1), b_s = sqrt(1-a_s^2).  band_coefficients is the one
+statement of (a_s, b_s): the height rules, encode's Pauli sums and the
+circuits' mixing angles all read it.  Grouping terms by band: the mixing
 block belongs to band s = the shared end height, the monotone pass-through to
 band s = the center height.  Summed over bands this reproduces the full rules;
 band by band it matches the tensor-product operators used for the qubit
@@ -28,8 +30,7 @@ All site/permutation indices here are 1-based; heights are twice-integers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import acos, sqrt
+from math import sqrt
 
 import numpy as np
 import scipy.linalg as sla
@@ -54,30 +55,15 @@ BAND_MODE = "band"      # drop the boundary band entirely (sparse, not variation
 HEIGHT_MODE = "height"  # keep its surviving diagonal: exact projected Hamiltonian
 
 
-@dataclass(frozen=True)
-class BandCoefficients:
-    """Mixing coefficients of one intermediate-spin band."""
-
-    s_x2: int
-    a_exact: Fraction
-
-    @property
-    def a(self) -> float:
-        return float(self.a_exact)
-
-    @property
-    def b(self) -> float:
-        return sqrt(1.0 - self.a * self.a)
-
-    @property
-    def theta(self) -> float:
-        return acos(self.a)
-
-
-def band_coefficients(s_x2: int) -> BandCoefficients:
-    if s_x2 < 0:
+def band_coefficients(s_x2):
+    """(a_s, b_s) = (1/(2s+1), sqrt(1 - a_s^2)) of the band label s_x2 = 2s,
+    an int or an int array (elementwise): the one statement of the mixing
+    rule, read by the height rules, the Pauli sums and the circuits.  A
+    negative scalar label raises InvalidQuantumNumbersError."""
+    if np.ndim(s_x2) == 0 and s_x2 < 0:
         raise InvalidQuantumNumbersError("band label must be non-negative")
-    return BandCoefficients(s_x2, Fraction(1, s_x2 + 1))
+    a = 1.0 / (s_x2 + 1)
+    return a, np.sqrt(1.0 - a * a)
 
 
 def _height_rule(triples: np.ndarray):
@@ -93,10 +79,10 @@ def _height_rule(triples: np.ndarray):
     mix = hm == hp
     peak = hc > hm
     band = np.where(mix, hm, hc)
-    a = 1.0 / (band + 1)          # a_s = 1/(2s+1), as in band_coefficients
+    a, b = band_coefficients(band)
     diag = np.where(mix, np.where(peak, -a, a), 1.0)
     flip = np.where(mix, np.where(peak, hm - 1, hm + 1), -1)
-    off = np.where(mix, np.sqrt(1.0 - a * a), 0.0)
+    off = np.where(mix, b, 0.0)
     return band, diag, flip, off
 
 

@@ -14,10 +14,10 @@ def _band_step_reference(layout, dt, ramp=1.0):
     dim = 1 << layout.n_qubits
     layers = {0: np.zeros((dim, dim), complex), 1: np.zeros((dim, dim), complex)}
     for s in range(layout.trunc_x2):
-        co = band_coefficients(s)
+        a, b = band_coefficients(s)
         for term in band_terms(layout, s):
             acc = {}
-            _expand_term(term, layout.n_qubits, co.a, co.b, acc)
+            _expand_term(term, layout.n_qubits, a, b, acc)
             mini = PauliSum(layout.n_qubits, tuple(
                 PauliString(complex(v), k) for k, v in acc.items()))
             layers[(term.perm - 1) % 2] += (ramp if s else 1.0) * mini.to_dense()

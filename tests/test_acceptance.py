@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from spinadapt import (build_hamiltonian, cardinality, encode_hamiltonian,
-                       enumerate_paths, qubit_count, singlet_pair_path)
+from spinadapt import (build_hamiltonian, build_layout, cardinality,
+                       encode_hamiltonian, enumerate_paths, qubit_count,
+                       singlet_pair_path)
 from spinadapt.adiabatic import sweep
 from spinadapt.circuits import csf_trotter_step, export_gatelist, \
     sz_trotter_step
@@ -137,7 +138,7 @@ def test_criterion_4_encoding_equivalence():
                 if len(basis) == 0:
                     continue
                 pauli = encode_hamiltonian(n, ts, trunc)
-                layout = pauli.metadata["layout"]
+                layout = build_layout(n, ts, trunc)
                 bits = layout.physical_bitstrings(basis)
                 block = pauli.matrix_elements(bits, bits).real
                 ref = build_hamiltonian(basis, "band").toarray()
@@ -237,7 +238,7 @@ def test_criterion_10_golden_circuits(band_step_reference):
         assert export_gatelist(circ) == golden, f"{fname} drifted"
         # the circuit written as the golden text implements the product of
         # its band exponentials
-        ref = band_step_reference(circ.metadata["layout"], 0.1)
+        ref = band_step_reference(build_layout(n, ts, trunc), 0.1)
         assert np.abs(circuit_unitary(circ) - ref).max() < 1e-10
     report(10, "golden gate lists are byte-stable and equal their band "
                "exponential products to 1e-10")

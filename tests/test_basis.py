@@ -1,5 +1,6 @@
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -177,6 +178,45 @@ def test_sector_refused_beyond_budget(monkeypatch):
     assert len(enumerate_paths(20, 0, 4)) < dim   # a smaller sector still fits
     monkeypatch.setattr(basis, "SECTOR_MAX_BYTES", need)
     assert len(enumerate_paths(20, 0)) == dim
+
+
+@pytest.mark.parametrize("args", [(3000, 0), (10000, 0, 4)],
+                         ids=["full-n3000", "trunc2-n10000"])
+def test_sector_walks_refuses_before_it_fills_the_table(args):
+    # full N=3000 is too tall for int8 heights, and trunc 2 at N=10000 has
+    # too many paths for int64 counts: a table of exact counts filled before
+    # the check takes hundreds of MiB for the first, 13 MiB for the second
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="too tall or too many"):
+            basis.sector_walks(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
+
+
+def _exact_walks(n_sites, top):
+    """walks[i][h] of the 2S=0 sector in Python integers: the reference for
+    sector_walks' fixed-width table."""
+    rows = [[0] * (top + 2) for _ in range(n_sites + 1)]
+    rows[n_sites][0] = 1
+    for i in range(n_sites - 1, -1, -1):
+        for h in range(top + 1):
+            rows[i][h] = rows[i + 1][h + 1] + (rows[i + 1][h - 1] if h else 0)
+    return rows
+
+
+# the last even N whose counts fit int64 at trunc 1, 2 and full
+@pytest.mark.parametrize("n_sites, trunc_x2", [(126, 2), (80, 4), (68, None)])
+def test_sector_walks_counts_exactly_up_to_int64(n_sites, trunc_x2):
+    rows = _exact_walks(n_sites, n_sites if trunc_x2 is None else trunc_x2)
+    assert max(map(max, rows)) <= np.iinfo(np.int64).max
+    # the budget refuses the sector and quotes its exact path count
+    with pytest.raises(ResourceLimitError, match=f" {rows[0][0]} paths"):
+        basis.sector_walks(n_sites, 0, trunc_x2)
+    with pytest.raises(ResourceLimitError, match="too tall or too many"):
+        basis.sector_walks(n_sites + 2, 0, trunc_x2)
 
 
 def test_budget_admits_n28_and_refuses_n30():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from spinadapt import encode_hamiltonian, enumerate_paths
+from spinadapt import build_layout, encode_hamiltonian, enumerate_paths
 from spinadapt.circuits import (Circuit, Gate, csf_trotter_step, export_gatelist,
                                 export_qasm, heisenberg_bond_block,
                                 sz_trotter_step)
@@ -82,7 +82,7 @@ def test_csf_step_unitary_and_exact_layers(n, ts, trunc, band_step_reference):
     dim = u.shape[0]
     assert np.abs(u @ u.conj().T - np.eye(dim)).max() < 1e-12
     # the step equals the product of the two exact layer exponentials
-    ref = band_step_reference(circ.metadata["layout"], dt)
+    ref = band_step_reference(build_layout(n, ts, trunc), dt)
     assert np.abs(u - ref).max() < 1e-10
     # and approximates the full exponential at first order
     full = expm(-1j * dt * ham)
@@ -106,14 +106,15 @@ def test_band_weights_scale_band_angles(band_step_reference):
     lam, dt = 0.37, 0.4
     circ = csf_trotter_step(8, 0, 2, dt, order=1, ramp=lam)
     # reference: exponentials of weighted layer Hamiltonians
-    ref = band_step_reference(circ.metadata["layout"], dt, lam)
+    ref = band_step_reference(build_layout(8, 0, 2), dt, lam)
     assert np.abs(circuit_unitary(circ) - ref).max() < 1e-10
 
 
-def _physical_block(circuit, basis):
-    """The circuit's unitary between the basis paths' bit-strings: one
-    simulate of just those columns, batched behind the register."""
-    bits = circuit.metadata["layout"].physical_bitstrings(basis)
+def _physical_block(circuit, layout, basis):
+    """The circuit's unitary between the basis paths' bit-strings under
+    layout: one simulate of just those columns, batched behind the
+    register."""
+    bits = layout.physical_bitstrings(basis)
     cols = np.zeros((1 << circuit.n_qubits, bits.size), complex)
     cols[bits, np.arange(bits.size)] = 1.0
     out = simulate(circuit, StateVector(circuit.n_qubits, cols.reshape(-1)))
@@ -125,8 +126,9 @@ def test_constant_folding_exact_on_pinned_sector():
         folded = csf_trotter_step(n, ts, trunc, 0.31, order=1)
         unfolded = csf_trotter_step(n, ts, trunc, 0.31, order=1, boundary=False)
         basis = enumerate_paths(n, ts, trunc)
-        uf = _physical_block(folded, basis)
-        uu = _physical_block(unfolded, basis)
+        uf = _physical_block(folded, build_layout(n, ts, trunc), basis)
+        uu = _physical_block(unfolded, build_layout(n, ts, trunc, False),
+                             basis)
         assert np.abs(uf - uu).max() < 1e-10
 
 

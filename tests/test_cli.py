@@ -1,6 +1,7 @@
 import argparse
 import shlex
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -266,6 +267,22 @@ def test_empty_sector_refused_with_one_message(command, capsys):
     assert captured.out == ""
     assert captured.err == ("error: --trunc 0.5 is below the total spin 1: "
                             "the sector is empty\n")
+
+
+@pytest.mark.parametrize("trunc", [[], ["--trunc", "full"]],
+                         ids=["ladder", "full"])
+def test_diag_refuses_a_chain_too_long_to_store(trunc, capsys):
+    tracemalloc.start()
+    try:
+        assert main(["diag", "--sites", "3000", *trunc]) == 3
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("resource guard:")
+    assert peak < 2 << 20
 
 
 # the exact reference refuses the first two; in the last two the Trotter

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from spinadapt import (InvalidQuantumNumbersError,
+from spinadapt import (InvalidQuantumNumbersError, PauliSum, ResourceLimitError,
                        UnsupportedConfigurationError, build_layout,
                        encode_hamiltonian, enumerate_paths, qubit_count,
                        singlet_pair_path)
@@ -127,7 +127,7 @@ def test_pauli_sum_matches_band_matrix(n, ts, trunc):
     if len(basis) == 0:
         pytest.skip("empty sector")
     pauli = encode_hamiltonian(n, ts, trunc)
-    layout = pauli.metadata["layout"]
+    layout = build_layout(n, ts, trunc)
     bits = layout.physical_bitstrings(basis)
     block = pauli.matrix_elements(bits, bits)
     assert np.abs(block.imag).max() < 1e-12
@@ -161,15 +161,14 @@ def test_locality_bounds():
             pauli = encode_hamiltonian(n, ts, trunc)
             assert max(len(t.letters) - t.letters.count("I")
                        for t in pauli.terms) <= 3
-        pauli = encode_hamiltonian(n, ts, 4)
         by_band = {0: 3, 1: 3, 2: 5, 3: 3}
         # per-band maxima after the physical-sector simplifications
-        layout = pauli.metadata["layout"]
+        layout = build_layout(n, ts, 4)
         for s, bound in by_band.items():
             acc = {}
-            co = band_coefficients(s)
+            a, b = band_coefficients(s)
             for term in band_terms(layout, s):
-                _expand_term(term, layout.n_qubits, co.a, co.b, acc)
+                _expand_term(term, layout.n_qubits, a, b, acc)
             width = max((sum(1 for c in k if c != "I") for k in acc
                          if abs(acc[k]) > 1e-14), default=0)
             assert width <= bound, (n, ts, s, width)
@@ -190,7 +189,7 @@ def test_term_count_linear_in_sites():
 def test_no_leakage_from_physical_sector(n_half, ts, trunc):
     assume(trunc >= ts)
     pauli = encode_hamiltonian(2 * n_half, ts, trunc)
-    layout = pauli.metadata["layout"]
+    layout = build_layout(2 * n_half, ts, trunc)
     basis = enumerate_paths(2 * n_half, ts, trunc)
     phys = set(int(b) for b in layout.physical_bitstrings(basis))
     unphys = np.array([b for b in range(1 << pauli.n_qubits)
@@ -219,3 +218,10 @@ def test_export_deterministic():
     a = encode_hamiltonian(12, 0, 4).export_text()
     b = encode_hamiltonian(12, 0, 4).export_text()
     assert a == b
+
+
+def test_dense_pauli_matrix_refused_above_12_qubits():
+    # 13 qubits would be a 1 GiB complex matrix
+    with pytest.raises(ResourceLimitError, match="12 qubits"):
+        PauliSum(13, ()).to_dense()
+    assert PauliSum(2, ()).to_dense().shape == (4, 4)

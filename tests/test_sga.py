@@ -7,9 +7,10 @@ import scipy.sparse.linalg as spla
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from spinadapt import (SpinPath, apply_hamiltonian, band_coefficients,
-                       band_hamiltonian, build_hamiltonian, enumerate_paths,
-                       permutation_matrix, singlet_pair_path, step_to_height)
+from spinadapt import (InvalidQuantumNumbersError, SpinPath, apply_hamiltonian,
+                       band_coefficients, band_hamiltonian, build_hamiltonian,
+                       enumerate_paths, permutation_matrix, singlet_pair_path,
+                       step_to_height)
 from spinadapt.adiabatic import schedule_hamiltonians
 from spinadapt.oracle import oracle_operator_matrix
 from spinadapt.sga import (PRUNE_TOL, _bond_rules, _height_rule,
@@ -17,36 +18,58 @@ from spinadapt.sga import (PRUNE_TOL, _bond_rules, _height_rule,
 
 
 def test_band_coefficients_values():
-    c0 = band_coefficients(0)
-    assert c0.a == 1.0 and c0.b == 0.0
-    c1 = band_coefficients(1)
-    assert c1.a == 0.5 and abs(c1.b - np.sqrt(3) / 2) < 1e-15
-    c2 = band_coefficients(2)
-    assert abs(c2.a - 1 / 3) < 1e-15 and abs(c2.b - 2 * np.sqrt(2) / 3) < 1e-15
-    for c in (c0, c1, c2):
-        assert abs(c.a ** 2 + c.b ** 2 - 1) < 1e-14
-        assert abs(np.cos(c.theta) - c.a) < 1e-14
-        assert abs(np.sin(c.theta) - c.b) < 1e-14
+    a0, b0 = band_coefficients(0)
+    assert a0 == 1.0 and b0 == 0.0
+    a1, b1 = band_coefficients(1)
+    assert a1 == 0.5 and abs(b1 - np.sqrt(3) / 2) < 1e-15
+    a2, b2 = band_coefficients(2)
+    assert abs(a2 - 1 / 3) < 1e-15 and abs(b2 - 2 * np.sqrt(2) / 3) < 1e-15
+    for a, b in ((a0, b0), (a1, b1), (a2, b2)):
+        theta = np.arccos(a)
+        assert abs(a ** 2 + b ** 2 - 1) < 1e-14
+        assert abs(np.cos(theta) - a) < 1e-14
+        assert abs(np.sin(theta) - b) < 1e-14
+
+
+def test_band_coefficients_one_rule_for_scalars_arrays_and_height_rules():
+    labels = np.arange(300)
+    a, b = band_coefficients(labels)
+    scalar = [band_coefficients(int(s)) for s in labels]
+    # elementwise on an array, bit for bit the scalar values
+    assert a.tobytes() == np.array([sa for sa, _ in scalar]).tobytes()
+    assert b.tobytes() == np.array([sb for _, sb in scalar]).tobytes()
+    with pytest.raises(InvalidQuantumNumbersError):
+        band_coefficients(-1)
+    # the height rules on mixing triples (s, s-+1, s) read the same values:
+    # -a on the peak, +a on the valley, b on both flips
+    ends = labels[1:]
+    peaks = np.stack([ends, ends + 1, ends], axis=1)
+    valleys = np.stack([ends, ends - 1, ends], axis=1)
+    for triples, sign in ((peaks, -1.0), (valleys, 1.0)):
+        band, diag, _, off = _height_rule(triples)
+        assert band.tolist() == ends.tolist()
+        assert diag.tobytes() == (sign * a[ends]).tobytes()
+        assert off.tobytes() == b[ends].tobytes()
 
 
 def test_elementary_rules_peak_valley():
-    c1 = band_coefficients(2)
+    a2, b2 = band_coefficients(2)
     # monotone (0,1,2), valley (2,1,2) and peak (2,3,2) at p=3
     band, diag, flip, off = _height_rule(np.array([[0, 1, 2], [2, 1, 2],
                                                    [2, 3, 2]]))
     assert band.tolist() == [1, 2, 2] and flip.tolist() == [-1, 3, 1]
-    assert np.abs(diag - [1.0, c1.a, -c1.a]).max() < 1e-15
-    assert np.abs(off - [0.0, c1.b, c1.b]).max() < 1e-15
+    assert np.abs(diag - [1.0, a2, -a2]).max() < 1e-15
+    assert np.abs(off - [0.0, b2, b2]).max() < 1e-15
     # the valley path and its flip mix through pi_{3,4}, and pi_{1,2} passes
     # the monotone (0,1,2) through
     basis = enumerate_paths(5, 1)
     valley = basis.position(SpinPath((0, 1, 2, 1, 2, 1), 5))
     flipped = basis.position(SpinPath((0, 1, 2, 3, 2, 1), 5))
     mat = permutation_matrix(basis, 3, 4).toarray()
-    assert abs(mat[valley, valley] - c1.a) < 1e-15
-    assert abs(mat[flipped, flipped] + c1.a) < 1e-15
-    assert abs(mat[flipped, valley] - c1.b) < 1e-15
-    assert abs(mat[valley, flipped] - c1.b) < 1e-15
+    assert abs(mat[valley, valley] - a2) < 1e-15
+    assert abs(mat[flipped, flipped] + a2) < 1e-15
+    assert abs(mat[flipped, valley] - b2) < 1e-15
+    assert abs(mat[valley, flipped] - b2) < 1e-15
     column = permutation_matrix(basis, 1, 2).toarray()[:, valley]
     assert column.tolist() == np.eye(len(basis))[valley].tolist()
 
@@ -69,11 +92,11 @@ def test_band_filter_selects_mixing_vs_pass():
 def test_truncated_application_drops_flips():
     # pi_{2,3} on the valley (1,0,1) of (0,1,0,1,0): trunc 1/2 drops its
     # flip to height 2 and keeps the diagonal a
-    c = band_coefficients(1)
+    a, b = band_coefficients(1)
     full = permutation_matrix(enumerate_paths(4, 0), 2, 3).toarray()
-    assert np.abs(full - [[c.a, c.b], [c.b, -c.a]]).max() < 1e-15
+    assert np.abs(full - [[a, b], [b, -a]]).max() < 1e-15
     clipped = permutation_matrix(enumerate_paths(4, 0, 1), 2, 3).toarray()
-    assert clipped.tolist() == [[c.a]]
+    assert clipped.tolist() == [[a]]
 
 
 @pytest.mark.parametrize("n,ts", [(4, 0), (6, 0), (6, 2), (8, 0)])
@@ -295,8 +318,7 @@ def step_permutation_apply(steps, p: int, band_x2: int | None = None):
         return []
     if su == sv:
         return [(tuple(steps), 1.0)]
-    coeff = band_coefficients(s_after)
-    a, b = coeff.a, coeff.b
+    a, b = band_coefficients(s_after)
     swapped = list(steps)
     swapped[p - 1], swapped[p] = sv, su
     if su == 1:   # (u, d): local peak

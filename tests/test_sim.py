@@ -173,7 +173,7 @@ def test_exact_evolve_accepts_operator_types():
     vec[0] = 1.0
     out_op = exact_evolve(op, vec, 0.7)
     pauli = encode_hamiltonian(8, 0, 3)
-    layout = pauli.metadata["layout"]
+    layout = build_layout(8, 0, 3)
     qvec = np.zeros(1 << pauli.n_qubits, complex)
     qvec[layout.encode_path(next(iter(basis)))] = 1.0
     out_q = exact_evolve(pauli.to_dense(), qvec, 0.7)
