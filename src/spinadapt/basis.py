@@ -223,7 +223,7 @@ def sector_walks(n_sites: int, total_spin_x2: int,
     for i in range(n_sites - 1, -1, -1):
         walks[i, 1:top + 1] = walks[i + 1, 0:top]
         walks[i, 0:top + 1] += walks[i + 1, 1:top + 2]
-        if walks[i].max() > np.iinfo(np.int64).max:
+        if walks[i].max() > np.uint64(np.iinfo(np.int64).max):
             raise ResourceLimitError(too_big)
     dim = int(walks[0, 0])
     need = sector_bytes(n_sites, dim)

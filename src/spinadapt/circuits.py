@@ -16,7 +16,7 @@ only for the uniform text format); CX stores (control, target).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import acos, isfinite, pi, prod
+from math import acos, isfinite, pi
 
 from .encode import BandTerm, QubitLayout, band_terms, build_layout, z_parities
 from .errors import ResourceLimitError, UnsupportedConfigurationError
@@ -140,10 +140,15 @@ def sz_trotter_step(n_sites: int, dt: float, order: int = 1,
 
 
 def _gray_subsets(n_units: int):
-    """Binary-reflected Gray walk over unit subsets, k = 1 .. 2^n - 1:
-    (toggle_index, subset) = (lowest set bit of k, k ^ (k >> 1))."""
-    return [((k & -k).bit_length() - 1, k ^ (k >> 1))
-            for k in range(1, 1 << n_units)]
+    """Binary-reflected Gray walk over unit subsets: (toggle_index, subset)."""
+    state = 0
+    seq = []
+    for k in range(1, 1 << n_units):
+        g = k ^ (k >> 1)
+        toggle = (g ^ state).bit_length() - 1
+        state = g
+        seq.append((toggle, state))
+    return seq
 
 
 def _emit_diag_exp(term: BandTerm, phi: float, gates: list[Gate]) -> None:
@@ -153,9 +158,6 @@ def _emit_diag_exp(term: BandTerm, phi: float, gates: list[Gate]) -> None:
         w = term.coeff * parities[par]
         if not par:
             gates.append(_phase(-phi * w))
-        elif len(par) == 1:
-            (q,) = par
-            gates.append(_rz(q, 2 * phi * w))
         else:
             qs = sorted(par)
             for q in qs[:-1]:
@@ -183,7 +185,10 @@ def _emit_mix_exp(term: BandTerm, phi: float, gates: list[Gate]) -> None:
     for toggle, state in _gray_subsets(k):
         for q in units[toggle].qubits:
             gates.append(_cx(q, t))
-        sign = prod(u.sign for j, u in enumerate(units) if state >> j & 1)
+        sign = 1.0
+        for j in range(k):
+            if (state >> j) & 1:
+                sign *= units[j].sign
         gates.append(_rz(t, 2 * phi * base * sign))
     # the walk ends on the Gray code of 2^k - 1, 2^(k-1): only the last
     # unit is still toggled

@@ -59,11 +59,14 @@ def band_coefficients(s_x2):
     """(a_s, b_s) = (1/(2s+1), sqrt(1 - a_s^2)) of the band label s_x2 = 2s,
     an int or an int array (elementwise): the one statement of the mixing
     rule, read by the height rules, the Pauli sums and the circuits.  A
-    negative scalar label raises InvalidQuantumNumbersError."""
-    if np.ndim(s_x2) == 0 and s_x2 < 0:
+    negative scalar label raises InvalidQuantumNumbersError; a scalar label
+    gives Python floats."""
+    scalar = np.ndim(s_x2) == 0
+    if scalar and s_x2 < 0:
         raise InvalidQuantumNumbersError("band label must be non-negative")
     a = 1.0 / (s_x2 + 1)
-    return a, np.sqrt(1.0 - a * a)
+    b = np.sqrt(1.0 - a * a)
+    return (float(a), float(b)) if scalar else (a, b)
 
 
 def _height_rule(triples: np.ndarray):

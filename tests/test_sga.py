@@ -38,6 +38,9 @@ def test_band_coefficients_one_rule_for_scalars_arrays_and_height_rules():
     # elementwise on an array, bit for bit the scalar values
     assert a.tobytes() == np.array([sa for sa, _ in scalar]).tobytes()
     assert b.tobytes() == np.array([sb for _, sb in scalar]).tobytes()
+    # a scalar label, a Python or a numpy int, gives Python floats
+    for label in (3, np.int64(3)):
+        assert all(type(c) is float for c in band_coefficients(label))
     with pytest.raises(InvalidQuantumNumbersError):
         band_coefficients(-1)
     # the height rules on mixing triples (s, s-+1, s) read the same values:
