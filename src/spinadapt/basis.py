@@ -216,14 +216,17 @@ def sector_walks(n_sites: int, total_spin_x2: int,
                "paths too tall or too many to store")
     if top > np.iinfo(np.int8).max:
         raise ResourceLimitError(too_big)
-    # uint64 holds each entry exactly: two counts that passed the check
+    # uint64 holds each entry exactly: two counts that passed the check.
+    # Row i counts at most 2^(N-i) walks, so only a row 63 or more steps
+    # before the end can pass int64.
     walks = np.zeros((n_sites + 1, top + 2), dtype=np.uint64)
     if total_spin_x2 <= top:
         walks[n_sites, total_spin_x2] = 1
     for i in range(n_sites - 1, -1, -1):
         walks[i, 1:top + 1] = walks[i + 1, 0:top]
         walks[i, 0:top + 1] += walks[i + 1, 1:top + 2]
-        if walks[i].max() > np.uint64(np.iinfo(np.int64).max):
+        if (n_sites - i > 62
+                and walks[i].max() > np.uint64(np.iinfo(np.int64).max)):
             raise ResourceLimitError(too_big)
     dim = int(walks[0, 0])
     need = sector_bytes(n_sites, dim)

@@ -61,7 +61,7 @@ def band_coefficients(s_x2):
     rule, read by the height rules, the Pauli sums and the circuits.  A
     negative scalar label raises InvalidQuantumNumbersError; a scalar label
     gives Python floats."""
-    scalar = np.ndim(s_x2) == 0
+    scalar = not isinstance(s_x2, np.ndarray)
     if scalar and s_x2 < 0:
         raise InvalidQuantumNumbersError("band label must be non-negative")
     a = 1.0 / (s_x2 + 1)
