@@ -99,11 +99,8 @@ def initial_path(n_sites: int, total_spin_x2: int) -> SpinPath:
     raise UnsupportedConfigurationError("start paths cover 2S in (0, 2) only")
 
 
-def step_to_height(steps: Sequence[int], n_sites: int | None = None) -> SpinPath:
+def step_to_height(steps: Sequence[int]) -> SpinPath:
     """Cumulative-sum bijection from +-1 steps to a height path."""
-    n = len(steps) if n_sites is None else n_sites
-    if n != len(steps):
-        raise UnphysicalPathError("step count must equal n_sites")
     heights = [0]
     for k, s in enumerate(steps):
         if s not in (STEP_UP, STEP_DOWN):
@@ -113,7 +110,7 @@ def step_to_height(steps: Sequence[int], n_sites: int | None = None) -> SpinPath
             raise UnphysicalPathError(
                 f"steps yield a negative intermediate spin after site {k + 1}")
         heights.append(h)
-    return SpinPath(tuple(heights), n)
+    return SpinPath(tuple(heights), len(steps))
 
 
 @dataclass(frozen=True)

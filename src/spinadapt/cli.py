@@ -12,9 +12,7 @@ import argparse
 import math
 import sys
 
-import numpy as np
-
-from . import adiabatic, circuits, encode, oracle, sga, sim
+from . import adiabatic, circuits, encode, sga, sim
 from .basis import enumerate_paths, sector_walks, untruncated_level
 from .errors import (InvalidQuantumNumbersError, ResourceLimitError,
                      SpinAdaptError)
@@ -24,7 +22,6 @@ EXIT_INVALID = 2
 EXIT_RESOURCE = 3
 
 TRUNC_CHOICES = {"0.5": 1, "1": 2, "1.5": 3, "2": 4, "full": None}
-ORACLE_CHECK_MAX_SITES = 10
 ADIABATIC_DURATION = 20.0
 ADIABATIC_LAYERS = 40
 SWEEP_DURATIONS = (5.0, 10.0, 15.0, 20.0)
@@ -86,21 +83,6 @@ def _refuse_order_on_scalar_step(args, trunc_x2: int) -> None:
         raise InvalidQuantumNumbersError(
             "--order has no effect at --trunc 0.5: the sector has one spin "
             "path and its Trotter step is one exact phase")
-
-
-def _oracle_check(args) -> None:
-    """Compare every adjacent permutation matrix against the expansion route."""
-    if args.sites > ORACLE_CHECK_MAX_SITES:
-        raise ResourceLimitError(
-            f"--oracle-check limited to N <= {ORACLE_CHECK_MAX_SITES}")
-    basis = enumerate_paths(args.sites, args.total_spin_x2)
-    for p in range(1, args.sites):
-        lhs = sga.permutation_matrix(basis, p, p + 1).toarray()
-        rhs = oracle.oracle_operator_matrix(("perm", p, p + 1), basis)
-        if np.abs(lhs - rhs).max() > 1e-10:
-            raise SpinAdaptError(f"oracle mismatch at permutation ({p},{p + 1})")
-    sys.stderr.write(f"oracle check passed for N={args.sites}, "
-                     f"2S={args.total_spin_x2}\n")
 
 
 def cmd_basis(args) -> int:
@@ -229,8 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--coupling", type=FINITE, default=1.0,
                            help="exchange constant J (rescales outputs)")
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--oracle-check", action="store_true",
-                       help=argparse.SUPPRESS)
 
     p = sub.add_parser("basis", help="enumerate spin paths as CSV")
     common(p, coupling=False)
@@ -303,8 +283,6 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         _validate(args)
-        if args.oracle_check:
-            _oracle_check(args)
         return args.func(args)
     except ResourceLimitError as exc:
         sys.stderr.write(f"resource guard: {exc}\n")

@@ -192,23 +192,23 @@ class BandTerm:
     mix_qubit: int | None = None
 
 
-def _proj_factor(layout: QubitLayout, pos: int, value: int,
-                 context: str):
-    """Projector onto one height at one position, as diagonal units.
+def _proj_units(layout: QubitLayout, pos: int, value: int):
+    """Projector onto one height at one position, as diagonal units; None
+    where the height cannot occur.
 
-    Returns (scalar, units) where scalar 0 kills the term.  context
-    'mix-end' applies the physical-sector simplifications to the end
-    projectors of tilted-field terms on three-valued (Gray) sites: height 0
-    keeps only its main bit, height 1 widens to the anti-aligned pair bit.
+    Only the end projectors of tilted-field terms reach a three-valued
+    (Gray) position, and there the physical-sector simplifications apply:
+    the lowest height keeps only its main bit, the middle one widens to the
+    anti-aligned pair bit, the highest keeps only its extension bit.
     """
     pairs = layout.code(pos, value)
     if pairs is None:
-        return 0.0, ()
-    if context == "mix-end" and len(pairs) == 2:
+        return None
+    if len(pairs) == 2:
         (e, eb), (m, mb) = pairs
-        return 1.0, ({(0, 0): DiagUnit((m,), +1), (0, 1): DiagUnit((e, m), -1),
-                      (1, 1): DiagUnit((e,), -1)}[eb, mb],)
-    return 1.0, tuple(DiagUnit((q,), +1 if b == 0 else -1) for q, b in pairs)
+        return ({(0, 0): DiagUnit((m,), +1), (0, 1): DiagUnit((e, m), -1),
+                 (1, 1): DiagUnit((e,), -1)}[eb, mb],)
+    return tuple(DiagUnit((q,), +1 if b == 0 else -1) for q, b in pairs)
 
 
 def _separating_bit(code, other):
@@ -218,14 +218,14 @@ def _separating_bit(code, other):
     return qb
 
 
-def _zz_pair_factor(layout, pos, value, s_x2):
+def _zz_pair_units(layout, pos, value, s_x2):
     """Pass-through side projector; where both heights s_x2 -+ 1 can occur,
     only their separating bit."""
     code, other = layout.code(pos, value), layout.code(pos, 2 * s_x2 - value)
     if code is None or other is None:
-        return _proj_factor(layout, pos, value, "plain")
+        return _proj_units(layout, pos, value)
     q, b = _separating_bit(code, other)
-    return 1.0, (DiagUnit((q,), +1 if b == 0 else -1),)
+    return (DiagUnit((q,), +1 if b == 0 else -1),)
 
 
 def band_terms(layout: QubitLayout, s_x2: int) -> list[BandTerm]:
@@ -237,37 +237,29 @@ def band_terms(layout: QubitLayout, s_x2: int) -> list[BandTerm]:
     lo, hi = s_x2 - 1, s_x2 + 1
     for p in range(1, n):
         # tilted-field piece: both neighbors at s_x2, center flips s_x2 -+ 1
-        scalar = 1.0
-        units: list[DiagUnit] = []
-        for side in (p - 1, p + 1):
-            c, us = _proj_factor(layout, side, s_x2,
-                                 "mix-end" if gray else "plain")
-            scalar *= c
-            units.extend(us)
-        if scalar != 0.0:
+        left, right = (_proj_units(layout, side, s_x2)
+                       for side in (p - 1, p + 1))
+        if left is not None and right is not None:
             code_lo, code_hi = layout.code(p, lo), layout.code(p, hi)
             has_lo, has_hi = code_lo is not None, code_hi is not None
             if has_lo and has_hi:
                 mq, _ = _separating_bit(code_lo, code_hi)
-                terms.append(BandTerm(p, s_x2, scalar, tuple(units), mq))
+                terms.append(BandTerm(p, s_x2, 1.0, left + right, mq))
             elif has_hi or has_lo:
-                value = hi if has_hi else lo
-                diag = -a if has_hi else a
-                _, us2 = _proj_factor(layout, p, value, "plain")
-                if gray and len(us2) == 1 and s_x2 == 0:
+                center = _proj_units(layout, p, hi if has_hi else lo)
+                if gray and len(center) == 1 and s_x2 == 0:
                     # bulk simplification: -a0 Z instead of -a0 |low><low|
-                    us2 = (replace(us2[0], projector=False),)
-                terms.append(BandTerm(p, s_x2, scalar * diag,
-                                      tuple(units) + us2, None))
+                    center = (replace(center[0], projector=False),)
+                terms.append(BandTerm(p, s_x2, -a if has_hi else a,
+                                      left + right + center, None))
         # pass-through piece: neighbors anti-aligned across center height s_x2
         for va, vb in ((lo, hi), (hi, lo)):
             if va < 0 or vb < 0:
                 continue
-            ca, ua = _zz_pair_factor(layout, p - 1, va, s_x2)
-            cb, ub = _zz_pair_factor(layout, p + 1, vb, s_x2)
-            if ca * cb != 0.0:
-                terms.append(BandTerm(p, s_x2, ca * cb, tuple(ua) + tuple(ub),
-                                      None))
+            ua = _zz_pair_units(layout, p - 1, va, s_x2)
+            ub = _zz_pair_units(layout, p + 1, vb, s_x2)
+            if ua is not None and ub is not None:
+                terms.append(BandTerm(p, s_x2, 1.0, ua + ub, None))
     return terms
 
 

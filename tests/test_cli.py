@@ -1,5 +1,8 @@
 import argparse
+import os
 import shlex
+import subprocess
+import sys
 import time
 import tracemalloc
 import warnings
@@ -429,13 +432,12 @@ def test_outputs_scale_exactly_with_a_power_of_two_coupling(coupling, capsys):
 
 
 def test_exit_code_resource_guard(capsys):
-    code = main(["diag", "--sites", "16", "--oracle-check"])
-    assert code == 3
-
-
-def test_oracle_check_passes_small(capsys):
-    code = main(["diag", "--sites", "6", "--oracle-check", "--trunc", "full"])
-    assert code == 0
+    # a second subcommand refused from the walk counts, besides diag
+    assert main(["basis", "--sites", "30"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("resource guard:")
+    assert "9694845 paths" in captured.err
 
 
 def test_output_file(tmp_path, capsys):
@@ -523,6 +525,31 @@ def test_diag_refuses_full_n30(capsys):
     assert "9694845 paths" in capsys.readouterr().err
 
 
+# The exit status of the process itself, not only main's return value:
+# success, an unknown flag (--oracle-check no longer exists) and a refusal
+@pytest.mark.parametrize("argv, code", [
+    (["diag", "--sites", "8"], 0),
+    (["diag", "--sites", "8", "--oracle-check"], 2),
+    (["diag", "--sites", "30"], 3)], ids=["ok", "unknown-flag", "refused"])
+def test_process_exit_codes(argv, code):
+    src = Path(__file__).parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONWARNINGS": "error"}
+    proc = subprocess.run([sys.executable, "-m", "spinadapt.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == code, proc.stderr
+    if code == 0:
+        assert proc.stdout.startswith("trunc,mode,dim,ground_energy,gap\n")
+        assert proc.stderr == ""
+    else:
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1
+    if code == 2:
+        assert proc.stderr.startswith("error:")
+        assert "unrecognized arguments: --oracle-check" in proc.stderr
+    if code == 3:
+        assert proc.stderr.startswith("resource guard:")
+
+
 # One default run per subcommand, and per branch where a subcommand has two
 # (--basis, --sweep); every flag the subcommand takes is checked against it.
 SCENARIOS = {
@@ -596,5 +623,6 @@ def test_every_flag_changes_output_or_is_refused(scenario, flag, capsys,
         assert captured.out == ""
         assert captured.err.startswith("error:")
     else:
+        # a flag that only adds a stderr line changes nothing a run outputs
         assert code == 0
-        assert (captured.out, captured.err) != (default.out, default.err)
+        assert captured.out != default.out

@@ -102,7 +102,10 @@ def test_truncated_application_drops_flips():
     assert clipped.tolist() == [[a]]
 
 
-@pytest.mark.parametrize("n,ts", [(4, 0), (6, 0), (6, 2), (8, 0)])
+# N=2 here and N 4-10 in acceptance criterion 2: every even chain up to
+# N=10 is compared against the expansion route in both sectors
+@pytest.mark.parametrize("n,ts", [(2, 0), (2, 2), (4, 0), (6, 0), (6, 2),
+                                  (8, 0)])
 def test_adjacent_permutations_match_oracle(n, ts):
     basis = enumerate_paths(n, ts)
     for p in range(1, n):
