@@ -237,8 +237,8 @@ def band_terms(layout: QubitLayout, s_x2: int) -> list[BandTerm]:
     lo, hi = s_x2 - 1, s_x2 + 1
     for p in range(1, n):
         # tilted-field piece: both neighbors at s_x2, center flips s_x2 -+ 1
-        left, right = (_proj_units(layout, side, s_x2)
-                       for side in (p - 1, p + 1))
+        left = _proj_units(layout, p - 1, s_x2)
+        right = _proj_units(layout, p + 1, s_x2)
         if left is not None and right is not None:
             code_lo, code_hi = layout.code(p, lo), layout.code(p, hi)
             has_lo, has_hi = code_lo is not None, code_hi is not None

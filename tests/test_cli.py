@@ -526,7 +526,7 @@ def test_diag_refuses_full_n30(capsys):
 
 
 # The exit status of the process itself, not only main's return value:
-# success, an unknown flag (--oracle-check no longer exists) and a refusal
+# success, an unknown flag and a refusal
 @pytest.mark.parametrize("argv, code", [
     (["diag", "--sites", "8"], 0),
     (["diag", "--sites", "8", "--oracle-check"], 2),
