@@ -182,12 +182,20 @@ def untruncated_level(n_sites: int) -> int:
 # sga.LANCZOS_NCV = 12 basis vectors and a few work vectors of the dimension
 # for a few eigenvalues; the 24 vectors counted are an upper bound).
 # Full N=28 (dim 2 674 440) is estimated at 1.4 GiB; full N=30
-# (dim 9 694 845) at 5.3 GiB.
+# (dim 9 694 845) at 5.3 GiB.  The estimate is not a bound on the process
+# peak, which can exceed it: the assembly's COO pieces, their conversion and
+# the interpreter come on top.  Measured peak RSS of diag: full N=28
+# 1504-1532 MiB against 1.40 GiB estimated, --sites 34 --trunc 1.5 2731 MiB
+# against 2.10 GiB.  Making the estimate a bound of the peak is ROADMAP
+# item 5.
 SECTOR_MAX_BYTES = 3 << 30
 
 
 def sector_bytes(n_sites: int, dim: int) -> int:
-    """Estimated bytes of a sector's heights, Hamiltonian and eigensolve."""
+    """Estimated bytes of a sector's heights, Hamiltonian and eigensolve.
+
+    An estimate, not a bound: a process's peak can exceed it (see
+    SECTOR_MAX_BYTES)."""
     return dim * (n_sites + 1) + dim * n_sites * 12 + (dim + 1) * 4 \
         + 24 * dim * 8
 

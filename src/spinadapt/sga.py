@@ -17,12 +17,17 @@ band by band it matches the tensor-product operators used for the qubit
 encodings (ZZ pass-through between next-nearest neighbors plus a projected
 tilted field), which is the grouping the truncated Hamiltonians are built on.
 
-One walk over the bonds (_bond_rules) runs the rules on each bond's three
-height columns and keeps the flips that stay in the truncation, one (valley,
-peak) pair each; every operator and sim's Trotter step read it.  _bond_sums
-adds each row's kept diagonal coefficients into one vector (one entry per
-row, not N-1 summed by the COO -> CSR conversion) and emits each pair as two
-int32 COO entries, so build_hamiltonian peaks near 3x the CSR it returns.
+One walk over the bonds (_bond_rules) applies the rules to every row of each
+bond and keeps the flips that stay in the truncation, one (valley, peak) pair
+each; every operator, sim's Trotter step and the bond energies read it.  The
+walk evaluates the rules once, on the triples the sector can hold (a peak, a
+pass-through and a valley per centre height, _rule_table), and each bond
+gathers its rows' values from those tables by the triple's code
+2 (h[p-1] + h[p+1]) + h[p].  _bond_sums adds each row's kept diagonal
+coefficients into one vector (one entry per row, not N-1 summed by the
+COO -> CSR conversion) and emits each pair as two int32 COO entries, so
+build_hamiltonian peaks near 3x the CSR it returns (full N=24: an 83 MiB
+rise of the process's peak RSS for a 29 MiB CSR).
 
 All site/permutation indices here are 1-based; heights are twice-integers.
 """
@@ -113,6 +118,30 @@ class SparseOperator:
         return "\n".join(lines) + "\n"
 
 
+def _rule_table(basis: CsfBasis):
+    """_height_rule on every height triple the sector can hold, as tables
+    (band, diag, kept, off) indexed by the triple's code 2 (h[p-1] +
+    h[p+1]) + h[p]: 5h - 4 for a peak at centre height h, 5h for a
+    pass-through (both directions share the rule), 5h + 4 for a valley.
+    kept marks the valleys whose upward flip stays within the truncation.
+    Triples with an end below height 0 cannot occur and are left out (the
+    rule would divide by zero on band -1), so every code is non-negative;
+    the codes between those of real triples are never read."""
+    centre = np.arange(basis.walks.shape[1] - 1)    # every height
+    hm = (centre[:, None] + [-1, -1, 1]).ravel()    # peak, pass, valley
+    hp = (centre[:, None] + [-1, 1, 1]).ravel()
+    triples = np.stack([hm, np.repeat(centre, 3), hp], axis=1)[hm >= 0]
+    band, diag, flip, off = _height_rule(triples)
+    kept = (flip > triples[:, 1]) & (flip <= basis.trunc_x2)
+    code = 2 * (triples[:, 0] + triples[:, 2]) + triples[:, 1]
+    tables = []
+    for rule in (band, diag, kept, off):
+        table = np.zeros(5 * len(centre), dtype=rule.dtype)
+        table[code] = rule
+        tables.append(table)
+    return tables
+
+
 def _bond_rules(basis: CsfBasis, bonds=None):
     """Each transposition (p, p+1), p in bonds (default: every bond), on
     every basis row, streamed one bond at a time: yields (p, band, diag,
@@ -121,13 +150,19 @@ def _bond_rules(basis: CsfBasis, bonds=None):
     partners walks[p+1, band] rows later (the flip changes only the rank
     terms of steps p and p+1), off the flips' coefficients b.  Every kept
     flip is one (valley, peak) pair: a peak's downward flip always fits, and
-    band 0 has no valley."""
+    band 0 has no valley.  The rule runs once per call (_rule_table); each
+    bond gathers its rows' values by triple code."""
     h = basis.heights
+    band_of, diag_of, kept_of, off_of = _rule_table(basis)
     for p in range(1, basis.n_sites) if bonds is None else bonds:
-        band, diag, flip, off = _height_rule(h[:, p - 1:p + 2])
-        valleys = np.flatnonzero((flip > h[:, p]) & (flip <= basis.trunc_x2))
+        code = np.add(h[:, p - 1], h[:, p + 1], dtype=np.intp)
+        code *= 2
+        code += h[:, p]
+        band = band_of.take(code)
+        valleys = np.flatnonzero(kept_of.take(code))
         peaks = valleys + basis.walks[p + 1, band[valleys]]
-        yield p, band, diag, valleys, peaks, off[valleys]
+        yield p, band, diag_of.take(code), valleys, peaks, \
+            off_of.take(code[valleys])
 
 
 def _bond_sums(basis: CsfBasis, bands: range, bonds=None, shift=0.0):
@@ -143,7 +178,7 @@ def _bond_sums(basis: CsfBasis, bands: range, bonds=None, shift=0.0):
     rows, cols, vals = [eye], [eye], [diag]
     for _, band, coeff, valleys, peaks, off in _bond_rules(basis, bonds):
         inside = (band >= bands.start) & (band < bands.stop)
-        diag += np.where(inside, coeff, 0.0)
+        np.add(diag, coeff, out=diag, where=inside)
         pair = inside[valleys]
         lo, hi = valleys[pair].astype(np.int32), peaks[pair].astype(np.int32)
         rows += [hi, lo]

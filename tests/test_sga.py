@@ -12,6 +12,7 @@ from spinadapt import (InvalidQuantumNumbersError, SpinPath, apply_hamiltonian,
                        enumerate_paths, permutation_matrix, singlet_pair_path,
                        step_to_height)
 from spinadapt.adiabatic import schedule_hamiltonians
+from spinadapt import sga
 from spinadapt.oracle import oracle_operator_matrix
 from spinadapt.sga import (PRUNE_TOL, _bond_rules, _height_rule,
                            ground_energy_matrix_free, ground_state)
@@ -379,6 +380,58 @@ def test_bond_rules_pair_each_kept_flip(n_half, ts, trunc):
         flips = mat.row != mat.col
         assert sorted(zip(mat.row[flips], mat.col[flips], mat.data[flips])) \
             == sorted([*zip(valleys, peaks, off), *zip(peaks, valleys, off)])
+
+
+# The per-row walk that the per-triple tables of sga._bond_rules replaced,
+# kept as its cross-check: _height_rule on every row of every bond.
+
+def _per_row_bond_rules(basis, bonds=None):
+    h = basis.heights
+    for p in range(1, basis.n_sites) if bonds is None else bonds:
+        band, diag, flip, off = _height_rule(h[:, p - 1:p + 2])
+        valleys = np.flatnonzero((flip > h[:, p]) & (flip <= basis.trunc_x2))
+        peaks = valleys + basis.walks[p + 1, band[valleys]]
+        yield p, band, diag, valleys, peaks, off[valleys]
+
+
+@given(st.integers(min_value=1, max_value=7), st.sampled_from([0, 2]),
+       st.one_of(st.none(), st.integers(min_value=0, max_value=14)))
+@example(4, 0, 1)     # trunc 1/2 and 1: rows with h[p] = 0 at every bond
+@example(4, 0, 2)
+@example(7, 2, 2)
+@example(7, 0, None)
+@settings(max_examples=60, deadline=None)
+def test_bond_rules_match_the_per_row_rule(n_half, ts, trunc):
+    n = 2 * n_half
+    assume(trunc is None or ts <= trunc <= n)
+    basis = enumerate_paths(n, ts, trunc)
+    for bonds in (None, range(2, n, 2)):
+        table = list(_bond_rules(basis, bonds))
+        per_row = list(_per_row_bond_rules(basis, bonds))
+        assert len(table) == len(per_row)
+        for got, want in zip(table, per_row):
+            assert got[0] == want[0]
+            for a, b in zip(got[1:], want[1:]):
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert np.array_equal(a, b) and a.tobytes() == b.tobytes()
+
+
+def test_bond_rules_run_the_height_rule_once_per_call(monkeypatch):
+    calls = []
+
+    def counted(triples):
+        calls.append(len(triples))
+        return _height_rule(triples)
+
+    monkeypatch.setattr(sga, "_height_rule", counted)
+    for trunc in (1, 2, None):
+        basis = enumerate_paths(12, 0, trunc)
+        for bonds in (None, [3], range(2, 12, 2)):
+            calls.clear()
+            for _ in _bond_rules(basis, bonds):
+                pass
+            # peak, pass-through and valley at every height, at 0 a valley
+            assert calls == [3 * (basis.walks.shape[1] - 1) - 2]
 
 
 def test_export_coo_format():
