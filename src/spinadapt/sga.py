@@ -49,12 +49,21 @@ from .errors import InvalidQuantumNumbersError, ResourceLimitError
 PRUNE_TOL = 1e-14
 
 # ground_state solves blocks up to DENSE_MAX_DIM densely, the measured
-# crossover (on a 2-vCPU host dense takes half the Lanczos time at dim 132
-# and more from dim 233 on).  Above it ARPACK keeps LANCZOS_NCV vectors: its
+# crossover (two lowest pairs, medians of 21 solves on a 2-vCPU host, dense
+# against Lanczos: 0.66/1.16 ms at dim 132, 1.56/2.02 at 196, 1.76/1.94 at
+# 208, 2.08/1.61 at 221).  Above it ARPACK keeps LANCZOS_NCV vectors: its
 # reorthogonalisation against all of them, not the sparse product, dominates
 # a solve on these sectors.
 DENSE_MAX_DIM = 200
 LANCZOS_NCV = 12
+# ARPACK stops once each Ritz estimate ||r|| is at most LANCZOS_TOL |theta|.
+# A Ritz value's error is at most ||r||^2 / delta <= LANCZOS_TOL^2 theta^2 /
+# delta (Kato-Temple), with delta its distance to the rest of the spectrum:
+# every eigenvalue with delta above about 1e-4 |theta| comes back to 2^-53
+# relative, and the returned vector's residual is at most LANCZOS_TOL |theta|.
+# ARPACK's default, tol=0, drives ||r|| itself to machine precision: 129
+# rather than 90 products for the full N=18 singlet.
+LANCZOS_TOL = 1e-10
 
 BAND_MODE = "band"      # drop the boundary band entirely (sparse, not variational)
 HEIGHT_MODE = "height"  # keep its surviving diagonal: exact projected Hamiltonian
@@ -293,9 +302,11 @@ def ground_state(op: SparseOperator, n_values: int = 1):
     A larger one runs ARPACK's implicitly restarted Lanczos with LANCZOS_NCV
     basis vectors (2 n_values + 1 above n_values = 5: ARPACK wants about
     twice k) on one raw csr_matvec per product, the kernel `matrix @ x`
-    runs without its dispatch, from a fixed start vector and to ARPACK's
-    default tolerance (machine precision).  A run that does not converge
-    raises ArpackNoConvergence.  Raises ValueError unless
+    runs without its dispatch, from a fixed pseudo-random start vector,
+    until each Ritz estimate is at most LANCZOS_TOL times its value: the
+    eigenvalues come back to machine precision, the vector's residual is at
+    most LANCZOS_TOL |E0|.  A run that does not converge raises
+    ArpackNoConvergence.  Raises ValueError unless
     1 <= n_values <= op.dim.
     """
     dim, basis = op.dim, op.basis
@@ -315,9 +326,14 @@ def ground_state(op: SparseOperator, n_values: int = 1):
         return out
 
     linop = spla.LinearOperator((dim, dim), matvec=matvec, dtype=mat.dtype)
-    v0 = np.full(dim, 1.0 / sqrt(dim))
+    # Not the uniform vector: it is even under symmetries of H (path
+    # reversal at 2S = 0), so its Krylov space misses every odd eigenvector
+    # but for round-off.  At N=18, 2S=2, trunc 1 in band mode the second
+    # eigenvector is odd, and at LANCZOS_TOL the third eigenvalue came back
+    # in its place.
+    v0 = np.random.default_rng(0).standard_normal(dim)
     w, v = spla.eigsh(linop, k=n_values, which="SA", v0=v0,
-                      ncv=max(LANCZOS_NCV, 2 * n_values + 1))
+                      ncv=max(LANCZOS_NCV, 2 * n_values + 1), tol=LANCZOS_TOL)
     order = np.argsort(w)
     return w[order], v[:, order[0]]
 

@@ -278,6 +278,40 @@ def test_ground_state_matches_default_arpack_on_the_ladder():
         assert np.abs(ground_state(op, 2)[0] - ref).max() < 1e-12
 
 
+def test_lanczos_tolerance_cuts_the_products(monkeypatch):
+    # full N=18 singlet, dim 4862: 129 products at ARPACK's tol=0, 90 at
+    # LANCZOS_TOL, from the same start vector
+    calls = []
+    csr_matvec = sga.csr_matvec
+    monkeypatch.setattr(sga, "csr_matvec",
+                        lambda *a: calls.append(1) or csr_matvec(*a))
+    op = build_hamiltonian(enumerate_paths(18, 0))
+    ground_state(op, 2)
+    products = len(calls)
+    monkeypatch.setattr(sga, "LANCZOS_TOL", 0.0)
+    ground_state(op, 2)
+    assert 0 < products <= 0.8 * (len(calls) - products)
+
+
+@pytest.mark.parametrize("coupling", [1 / 16, 1, 16])
+@pytest.mark.parametrize("mode", ["height", "band"])
+@pytest.mark.parametrize("n, ts, trunc", [
+    (16, 0, 4),   # dim 1094
+    (15, 1, 3),   # dim 610
+    (14, 2, 4),   # dim 729
+    (22, 2, 2),   # dim 1024: in band mode the second eigenvector is odd
+])
+def test_lanczos_eigenvalues_stay_at_machine_precision(n, ts, trunc, mode,
+                                                       coupling):
+    op = build_hamiltonian(enumerate_paths(n, ts, trunc), mode, coupling)
+    assert op.dim > sga.DENSE_MAX_DIM
+    exact = np.linalg.eigvalsh(op.toarray())[:2]
+    w, v = ground_state(op, 2)
+    assert np.abs(w - exact).max() <= 1e-13 * abs(exact[0])
+    residual = np.linalg.norm(op.matrix @ v - w[0] * v)
+    assert residual <= sga.LANCZOS_TOL * abs(w[0])
+
+
 def test_ground_state_refuses_impossible_n_values():
     op = build_hamiltonian(enumerate_paths(2, 0))   # dim 1
     for n_values in (0, 2):
