@@ -200,6 +200,17 @@ def sector_bytes(n_sites: int, dim: int) -> int:
         + 24 * dim * 8
 
 
+def check_budget(need: int, what: str) -> None:
+    """Raise ResourceLimitError when an estimate of `need` bytes
+    (sector_bytes, or a sum of them for sectors held at once) exceeds
+    SECTOR_MAX_BYTES; `what` names the sectors."""
+    if need > SECTOR_MAX_BYTES:
+        raise ResourceLimitError(
+            f"{what} need an estimated {need / 2**30:.1f} GiB for heights, "
+            f"Hamiltonian and Lanczos vectors, above the "
+            f"{SECTOR_MAX_BYTES / 2**30:g} GiB budget")
+
+
 def sector_walks(n_sites: int, total_spin_x2: int,
                  trunc_x2: int | None = None) -> np.ndarray:
     """walks[i, h] of the sector (see CsfBasis), after checking that its
@@ -234,13 +245,9 @@ def sector_walks(n_sites: int, total_spin_x2: int,
                 and walks[i].max() > np.uint64(np.iinfo(np.int64).max)):
             raise ResourceLimitError(too_big)
     dim = int(walks[0, 0])
-    need = sector_bytes(n_sites, dim)
-    if need > SECTOR_MAX_BYTES:
-        raise ResourceLimitError(
-            f"N={n_sites}, 2S={total_spin_x2}, trunc {trunc_x2}: "
-            f"{dim} paths need an estimated {need / 2**30:.1f} GiB for "
-            f"heights, Hamiltonian and Lanczos vectors, above the "
-            f"{SECTOR_MAX_BYTES / 2**30:g} GiB budget")
+    check_budget(sector_bytes(n_sites, dim),
+                 f"N={n_sites}, 2S={total_spin_x2}, trunc {trunc_x2}: "
+                 f"{dim} paths")
     return walks.view(np.int64)
 
 

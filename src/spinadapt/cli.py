@@ -9,11 +9,13 @@ byte-identical outputs.  Exit codes: 0 success, 2 invalid configuration,
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
 from . import adiabatic, circuits, encode, sga, sim
-from .basis import enumerate_paths, sector_walks, untruncated_level
+from .basis import (check_budget, enumerate_paths, sector_bytes, sector_walks,
+                    untruncated_level)
 from .errors import (InvalidQuantumNumbersError, ResourceLimitError,
                      SpinAdaptError)
 
@@ -111,23 +113,38 @@ def cmd_ham(args) -> int:
 
 
 def cmd_diag(args) -> int:
-    lines = ["trunc,mode,dim,ground_energy,gap"]
+    n, spin = args.sites, args.total_spin_x2
     labels = list(TRUNC_CHOICES) if args.trunc is None else [args.trunc]
-    rungs = []
-    for label in labels:
-        trunc = TRUNC_CHOICES[label] or untruncated_level(args.sites)
-        if trunc < args.total_spin_x2:
-            continue   # the default ladder starts where the sector has paths
-        # the size guard of every rung, before the first one runs
-        sector_walks(args.sites, args.total_spin_x2, trunc)
-        rungs.append((label, trunc))
+    rungs = [(label, TRUNC_CHOICES[label] or untruncated_level(n))
+             for label in labels]
+    # the default ladder starts where the sector has paths
+    rungs = [(label, trunc) for label, trunc in rungs if trunc >= spin]
+    # the size guard of every rung, before the first one runs
+    dims = [int(sector_walks(n, spin, trunc)[0, 0]) for _, trunc in rungs]
+    sliced = args.mode == sga.HEIGHT_MODE and len(rungs) > 1
+    if sliced:
+        # one assembly, of the full (last) rung, held while every lower
+        # rung is sliced out of it and solved
+        widest = max(dims[:-1])
+        check_budget(sector_bytes(n, dims[-1]) + sector_bytes(n, widest),
+                     f"N={n}, 2S={spin} height ladder: the full rung "
+                     f"({dims[-1]} paths) and its largest truncated rung "
+                     f"({widest} paths) held at once")
+        top = sga.build_hamiltonian(enumerate_paths(n, spin, rungs[-1][1]),
+                                    args.mode, args.coupling)
+    lines = ["trunc,mode,dim,ground_energy,gap"]
     for label, trunc in rungs:
-        basis = enumerate_paths(args.sites, args.total_spin_x2, trunc)
-        k = min(2, len(basis))
-        vals, _ = sga.ground_state(
-            sga.build_hamiltonian(basis, args.mode, args.coupling), n_values=k)
+        if not sliced:
+            op = sga.build_hamiltonian(enumerate_paths(n, spin, trunc),
+                                       args.mode, args.coupling)
+        elif trunc == top.basis.trunc_x2:
+            op = top
+        else:
+            op = sga.height_rung(top, trunc)
+        k = min(2, op.dim)
+        vals, _ = sga.ground_state(op, n_values=k)
         gap = vals[1] - vals[0] if k == 2 else 0.0
-        lines.append(f"{label},{args.mode},{len(basis)},"
+        lines.append(f"{label},{args.mode},{op.dim},"
                      f"{vals[0]:.17g},{gap:.17g}")
     _write("\n".join(lines) + "\n", args.out)
     return EXIT_OK
@@ -278,10 +295,16 @@ def _validate(args) -> None:
             f"{args.total_spin_x2 / 2:g}: the sector is empty")
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on the first main call, not at
+    import."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         _validate(args)
         return args.func(args)
     except ResourceLimitError as exc:

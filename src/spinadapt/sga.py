@@ -29,13 +29,19 @@ COO -> CSR conversion) and emits each pair as two int32 COO entries, so
 build_hamiltonian peaks near 3x the CSR it returns (full N=24: an 83 MiB
 rise of the process's peak RSS for a 29 MiB CSR).
 
+A height-mode rung is the exact projection of any taller height-mode rung
+onto its paths, which keep their lexicographic order, so height_rung slices
+a lower rung out of an assembled taller one, entry for entry what assembling
+it gives.  diag's default height ladder is therefore one assembly (its full
+rung) sliced by maximum height; band mode drops a different boundary band at
+every truncation and assembles each rung on its own.
+
 All site/permutation indices here are 1-based; heights are twice-integers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
 
 import numpy as np
 import scipy.linalg as sla
@@ -43,7 +49,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse._sparsetools import csr_matvec
 
-from .basis import CsfBasis, enumerate_paths
+from .basis import CsfBasis, enumerate_paths, sector_walks
 from .errors import InvalidQuantumNumbersError, ResourceLimitError
 
 PRUNE_TOL = 1e-14
@@ -279,6 +285,29 @@ def build_hamiltonian(basis: CsfBasis, mode: str = HEIGHT_MODE,
                                       coupling / 2))
 
 
+def height_rung(op: SparseOperator, trunc_x2: int) -> SparseOperator:
+    """The height-mode Hamiltonian of op's sector truncated at trunc_x2,
+    sliced out of op, a height-mode operator of the same sector at that
+    truncation or above: the rows and columns of the paths whose maximum
+    height is at most trunc_x2, in op's (lexicographic) order.  Equal, array
+    for array, to build_hamiltonian(enumerate_paths(N, 2S, trunc_x2),
+    "height", J) at op's J.  A band-mode op gives no band-mode rung: band
+    mode is not a projection.  Raises ValueError when op's basis is
+    truncated below trunc_x2."""
+    basis = op.basis
+    n = basis.n_sites
+    if min(trunc_x2, n) > min(basis.trunc_x2, n):
+        raise ValueError(f"trunc {trunc_x2} is above the operator's "
+                         f"truncation {basis.trunc_x2}")
+    rows = np.flatnonzero(basis.heights.max(axis=1) <= trunc_x2)
+    heights = basis.heights[rows]
+    heights.setflags(write=False)
+    walks = sector_walks(n, basis.total_spin_x2, trunc_x2)
+    walks.setflags(write=False)
+    rung = CsfBasis(n, basis.total_spin_x2, trunc_x2, heights, walks)
+    return SparseOperator(rung, op.matrix[rows][:, rows])
+
+
 def apply_hamiltonian(basis: CsfBasis, mode: str, vector: np.ndarray,
                       coupling: float = 1.0) -> np.ndarray:
     """Matrix-free product with build_hamiltonian(basis, mode)'s matrix.
@@ -292,6 +321,17 @@ def apply_hamiltonian(basis: CsfBasis, mode: str, vector: np.ndarray,
     out = np.zeros_like(vector, dtype=np.result_type(vector, float))
     np.add.at(out, rows, (coupling / 2) * vals * vector[cols])
     return out
+
+
+def _start_vector(dim: int) -> np.ndarray:
+    """The Lanczos start vector of every eigensolve, a fixed pseudo-random
+    one.  Not the uniform vector: it is even under symmetries of H (path
+    reversal at 2S = 0), so its Krylov space misses every odd eigenvector
+    but for round-off.  At N=18, 2S=2, trunc 1 in band mode the second
+    eigenvector is odd, and at LANCZOS_TOL the third eigenvalue came back in
+    its place; at N=20, 2S=2, trunc 1 in band mode the uniform vector's
+    overlap with the ground state itself is round-off."""
+    return np.random.default_rng(0).standard_normal(dim)
 
 
 def ground_state(op: SparseOperator, n_values: int = 1):
@@ -326,13 +366,7 @@ def ground_state(op: SparseOperator, n_values: int = 1):
         return out
 
     linop = spla.LinearOperator((dim, dim), matvec=matvec, dtype=mat.dtype)
-    # Not the uniform vector: it is even under symmetries of H (path
-    # reversal at 2S = 0), so its Krylov space misses every odd eigenvector
-    # but for round-off.  At N=18, 2S=2, trunc 1 in band mode the second
-    # eigenvector is odd, and at LANCZOS_TOL the third eigenvalue came back
-    # in its place.
-    v0 = np.random.default_rng(0).standard_normal(dim)
-    w, v = spla.eigsh(linop, k=n_values, which="SA", v0=v0,
+    w, v = spla.eigsh(linop, k=n_values, which="SA", v0=_start_vector(dim),
                       ncv=max(LANCZOS_NCV, 2 * n_values + 1), tol=LANCZOS_TOL)
     order = np.argsort(w)
     return w[order], v[:, order[0]]
@@ -340,7 +374,8 @@ def ground_state(op: SparseOperator, n_values: int = 1):
 
 def ground_energy_matrix_free(basis: CsfBasis, mode: str,
                               coupling: float = 1.0, n_values: int = 1):
-    """Lanczos on apply_hamiltonian, no matrix materialized.
+    """Lanczos on apply_hamiltonian, no matrix materialized, from
+    ground_state's start vector.
 
     Cross-check route only: ground_state(build_hamiltonian(...)) is the
     eigensolve every caller uses, and the tests check that both agree.
@@ -353,7 +388,6 @@ def ground_energy_matrix_free(basis: CsfBasis, mode: str,
         return np.linalg.eigvalsh(mat)[:n_values]
     linop = spla.LinearOperator(
         (dim, dim), matvec=lambda x: apply_hamiltonian(basis, mode, x, coupling))
-    v0 = np.full(dim, 1.0 / sqrt(dim))
-    w = spla.eigsh(linop, k=n_values, which="SA", v0=v0,
+    w = spla.eigsh(linop, k=n_values, which="SA", v0=_start_vector(dim),
                    return_eigenvectors=False)
     return np.sort(w)

@@ -9,7 +9,7 @@ import warnings
 from pathlib import Path
 
 import pytest
-from spinadapt import basis, sga, sim
+from spinadapt import basis, cli, sga, sim
 from spinadapt.basis import cardinality, enumerate_paths
 from spinadapt.cli import TRUNC_CHOICES, build_parser, main
 
@@ -155,6 +155,63 @@ def test_diag_diagonalizes_assembled_matrix(mode, capsys, monkeypatch):
         label, _, _, energy, gap = line.split(",")
         assert abs(float(energy) - expected[label][0]) < 1e-12
         assert abs(float(gap) - expected[label][1]) < 1e-12
+
+
+def _count_calls(monkeypatch, module, name, calls):
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+@pytest.mark.parametrize("argv, rows, assemblies", [
+    (["diag", "--sites", "12"], 5, 1),
+    (["diag", "--sites", "10", "--total-spin", "1"], 4, 1),
+    (["diag", "--sites", "12", "--mode", "band"], 5, 5),
+    (["diag", "--sites", "10", "--total-spin", "1", "--mode", "band"], 4, 4),
+    (["diag", "--sites", "12", "--trunc", "1.5"], 1, 1),
+    (["diag", "--sites", "12", "--trunc", "full"], 1, 1)])
+def test_diag_assemblies(argv, rows, assemblies, monkeypatch, capsys):
+    # the height ladder enumerates and assembles its full rung only and
+    # slices the rest out of it; band mode and a single rung assemble
+    # each rung on its own
+    enumerated, assembled = [], []
+    _count_calls(monkeypatch, cli, "enumerate_paths", enumerated)
+    _count_calls(monkeypatch, sga, "build_hamiltonian", assembled)
+    code, out = run(argv, capsys)
+    assert code == 0
+    assert len(out.splitlines()) == 1 + rows
+    assert len(enumerated) == len(assembled) == assemblies
+    if "--trunc" in argv and argv[-1] != "full":
+        # a truncated rung never enumerates the untruncated sector
+        assert [args[2] for args in enumerated] == [TRUNC_CHOICES[argv[-1]]]
+
+
+@pytest.mark.parametrize("argv", [
+    ["diag", "--sites", "12"],
+    ["diag", "--sites", "10", "--total-spin", "1"],
+    ["diag", "--sites", "16", "--coupling", "0.25"]], ids=" ".join)
+def test_diag_ladder_prints_what_per_rung_assembly_prints(argv, monkeypatch,
+                                                          capsys):
+    # in one process, the same rows bit for bit: the slices are the rung
+    # matrices themselves, so every eigensolve sees the same input
+    code, sliced = run(argv, capsys)
+    assert code == 0
+    coupling = float(argv[-1]) if "--coupling" in argv else 1.0
+
+    def assemble(op, trunc):
+        sector = op.basis
+        return sga.build_hamiltonian(
+            enumerate_paths(sector.n_sites, sector.total_spin_x2, trunc),
+            "height", coupling)
+
+    monkeypatch.setattr(sga, "height_rung", assemble)
+    code, per_rung = run(argv, capsys)
+    assert code == 0
+    assert sliced == per_rung
 
 
 def test_diag_band_vs_height_differ(capsys):
@@ -519,6 +576,34 @@ def test_diag_refused_beyond_sector_budget(monkeypatch, capsys):
         assert captured.err.startswith("resource guard:")
 
 
+def test_height_ladder_refused_when_full_and_widest_rung_exceed_budget(
+        monkeypatch, capsys):
+    # the full rung stays held while the lower rungs are sliced and solved:
+    # a budget between the full rung's estimate and that plus trunc 2's
+    # admits the full rung alone and the band ladder, which holds one rung
+    # at a time, but refuses the height ladder before any rung runs
+    full = basis.sector_bytes(12, cardinality(12, 0))
+    widest = basis.sector_bytes(12, len(enumerate_paths(12, 0, 4)))
+    monkeypatch.setattr(basis, "SECTOR_MAX_BYTES", full + widest)
+    assert main(["diag", "--sites", "12"]) == 0
+    monkeypatch.setattr(basis, "SECTOR_MAX_BYTES", full)
+    for argv in (["diag", "--sites", "12", "--trunc", "full"],
+                 ["diag", "--sites", "12", "--mode", "band"]):
+        assert main(argv) == 0
+    capsys.readouterr()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a rung was diagonalized before the refusal")
+
+    monkeypatch.setattr(sga, "ground_state", refuse)
+    code = main(["diag", "--sites", "12"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("resource guard:")
+    assert "held at once" in captured.err
+
+
 def test_diag_refuses_full_n30(capsys):
     # the real budget; refused from the walk counts alone
     assert main(["diag", "--sites", "30"]) == 3
@@ -548,6 +633,52 @@ def test_process_exit_codes(argv, code):
         assert "unrecognized arguments: --oracle-check" in proc.stderr
     if code == 3:
         assert proc.stderr.startswith("resource guard:")
+
+
+def test_main_reuses_its_parser(capsys):
+    # refusals in between leave the one parser of the process as it was
+    argv_diag = ["diag", "--sites", "10", "--total-spin", "1"]
+    argv_basis = ["basis", "--sites", "6", "--trunc", "1"]
+    first = {"diag": run(argv_diag, capsys), "basis": run(argv_basis, capsys)}
+    assert first["diag"][0] == first["basis"][0] == 0
+    for argv in (["diag", "--sites", "ten"],
+                 ["diag", "--sites", "10", "--oracle-check"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:")
+    assert run(argv_basis, capsys) == first["basis"]
+    assert run(argv_diag, capsys) == first["diag"]
+
+
+def test_parser_built_on_first_main_call_only():
+    # counted in a fresh interpreter: importing spinadapt.cli builds no
+    # parser (setup cost of every command), main builds it once
+    script = "\n".join([
+        "import argparse, contextlib, io",
+        "built = []",
+        "init = argparse.ArgumentParser.__init__",
+        "def counted(self, *args, **kwargs):",
+        "    built.append(type(self))",
+        "    init(self, *args, **kwargs)",
+        "argparse.ArgumentParser.__init__ = counted",
+        "from spinadapt import cli",
+        "print(len(built))",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    for _ in range(3):",
+        "        assert cli.main(['basis', '--sites', '4']) == 0",
+        "print(len(built))",
+        "cli.build_parser()",
+        "print(len(built))"])
+    src = Path(__file__).parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONWARNINGS": "error"}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    at_import, after_main, after_build = map(int, proc.stdout.split())
+    assert at_import == 0
+    # the parser and one subparser per subcommand
+    assert after_main == 1 + len(_subparsers())
+    assert after_build == 2 * after_main
 
 
 # One default run per subcommand, and per branch where a subcommand has two

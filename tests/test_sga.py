@@ -589,3 +589,59 @@ def test_assembly_peak_allocation_bounded(n, trunc, mode):
         tracemalloc.stop()
     csr_bytes = mat.data.nbytes + mat.indices.nbytes + mat.indptr.nbytes
     assert peak <= 5 * csr_bytes
+
+
+def _operator_arrays(op):
+    """Everything an operator stores: its CSR arrays and its basis's."""
+    mat, basis = op.matrix, op.basis
+    return [(basis.n_sites, basis.total_spin_x2, basis.trunc_x2, mat.shape),
+            *((a.dtype, a.shape, a.tobytes()) for a in
+              (mat.indptr, mat.indices, mat.data, basis.heights,
+               basis.walks))]
+
+
+@given(st.integers(2, 16), st.sampled_from([0, 2]),
+       st.sampled_from([1.0, 0.25, 4.0, -1.3, 0.3]))
+@example(16, 0, -1.3)
+@example(16, 2, 0.3)
+@settings(max_examples=40, deadline=None)
+def test_height_rung_slices_the_rung_assembly_gives(n, ts, coupling):
+    assume((n - ts) % 2 == 0)
+    top = build_hamiltonian(enumerate_paths(n, ts), "height", coupling)
+    for trunc in range(ts, n + 1):
+        rung = sga.height_rung(top, trunc)
+        assembled = build_hamiltonian(enumerate_paths(n, ts, trunc), "height",
+                                      coupling)
+        assert _operator_arrays(rung) == _operator_arrays(assembled)
+        assert not rung.basis.heights.flags.writeable
+        assert not rung.basis.walks.flags.writeable
+
+
+def test_height_rung_refuses_a_taller_rung():
+    op = build_hamiltonian(enumerate_paths(10, 0, 3), "height")
+    assert _operator_arrays(sga.height_rung(op, 3)) == _operator_arrays(op)
+    with pytest.raises(ValueError, match="above the operator's truncation"):
+        sga.height_rung(op, 4)
+
+
+def test_matrix_free_start_vector_overlaps_the_ground_state(monkeypatch):
+    # the sector where the uniform vector is orthogonal to the ground state
+    basis = enumerate_paths(20, 2, 2)
+    op = build_hamiltonian(basis, "band")
+    vals, vecs = np.linalg.eigh(op.toarray())
+    starts = []
+
+    def capture(dim):
+        starts.append(start(dim))
+        return starts[-1]
+
+    start = sga._start_vector
+    monkeypatch.setattr(sga, "_start_vector", capture)
+    free = ground_energy_matrix_free(basis, "band", n_values=2)
+    assert len(starts) == 1
+    v0 = starts[0] / np.linalg.norm(starts[0])
+    assert abs(v0 @ vecs[:, 0]) > 1e-2
+    assert abs(np.full(len(basis), len(basis) ** -0.5) @ vecs[:, 0]) < 1e-12
+    assembled = ground_state(op, 2)[0]
+    assert np.abs(free - assembled).max() < 1e-12
+    assert np.abs(free - vals[:2]).max() < 1e-12
