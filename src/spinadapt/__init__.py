@@ -8,7 +8,7 @@ ground-state preparation schedules on top.
 """
 
 from .basis import (CsfBasis, SpinPath, cardinality, enumerate_paths,
-                    singlet_pair_path, step_to_height, triplet_reference_path)
+                    singlet_pair_path, triplet_reference_path)
 from .encode import (PauliString, PauliSum, QubitLayout, build_layout,
                      encode_hamiltonian, qubit_count)
 from .errors import (InvalidQuantumNumbersError, ResourceLimitError,
@@ -24,7 +24,7 @@ __all__ = [
     "UnsupportedConfigurationError", "apply_hamiltonian", "band_coefficients", "band_hamiltonian",
     "build_hamiltonian", "build_layout", "cardinality", "encode_hamiltonian",
     "enumerate_paths", "permutation_matrix", "qubit_count", "singlet_pair_path",
-    "step_to_height", "triplet_reference_path",
+    "triplet_reference_path",
 ]
 
 __version__ = "0.1.0"

@@ -109,7 +109,8 @@ class ReferenceRuns:
     series of the continuous ramp with no splitting error; each series runs
     to the 2^-53 tail test of exact_evolve, and one that does not converge
     raises ResourceLimitError, as does a slope that overflows.  For counts
-    10, 20, 30 and 40 that is 60 intervals.
+    10, 20, 30 and 40 that is 60 intervals.  A count below 1 is refused
+    with ValueError.
     """
 
     def __init__(self, sector: PreparedSector, duration: float,
@@ -117,6 +118,9 @@ class ReferenceRuns:
         self.sector = sector
         self.duration = duration
         self.layer_counts = tuple(int(n) for n in layer_counts)
+        for n in self.layer_counts:
+            if n < 1:
+                raise ValueError(f"layer count {n} is below 1")
         self.grid = math.lcm(*self.layer_counts)
         self.states: dict[int, np.ndarray] | None = None
 

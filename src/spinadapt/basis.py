@@ -5,23 +5,21 @@ sequence of intermediate total spins S_0=0, S_1, ..., S_N = S.  We store twice
 these values as integers ("heights"), so a path is a lattice walk that starts
 at 0, moves by +-1 per site, never goes negative, and ends at 2S.  Truncating
 the maximum height yields a nested family of subspaces; the untruncated count
-for fixed (N, S) is (2S+1)/(N+1) * C(N+1, N/2-S).
+for fixed (N, S) is (2S+1)/(N+1) * C(N+1, N/2-S).  The package works on
+heights alone; the step variables (+-1 per site) and their cumulative-sum
+map back to heights are a cross-check route kept in tests/references.py.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import comb
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
 from .errors import (InvalidQuantumNumbersError, ResourceLimitError,
                      UnphysicalPathError, UnsupportedConfigurationError)
-
-STEP_UP = 1
-STEP_DOWN = -1
-
 
 @dataclass(frozen=True)
 class SpinPath:
@@ -45,10 +43,6 @@ class SpinPath:
     @property
     def total_spin_x2(self) -> int:
         return self.heights[-1]
-
-    def steps(self) -> tuple[int, ...]:
-        """Per-site coupling direction, +1 (up) or -1 (down)."""
-        return tuple(self.heights[i + 1] - self.heights[i] for i in range(self.n_sites))
 
     def __str__(self):
         return "/".join(str(h) for h in self.heights)
@@ -97,20 +91,6 @@ def initial_path(n_sites: int, total_spin_x2: int) -> SpinPath:
     if total_spin_x2 == 2:
         return triplet_reference_path(n_sites)
     raise UnsupportedConfigurationError("start paths cover 2S in (0, 2) only")
-
-
-def step_to_height(steps: Sequence[int]) -> SpinPath:
-    """Cumulative-sum bijection from +-1 steps to a height path."""
-    heights = [0]
-    for k, s in enumerate(steps):
-        if s not in (STEP_UP, STEP_DOWN):
-            raise UnphysicalPathError(f"step {k + 1} must be +1 or -1, got {s!r}")
-        h = heights[-1] + s
-        if h < 0:
-            raise UnphysicalPathError(
-                f"steps yield a negative intermediate spin after site {k + 1}")
-        heights.append(h)
-    return SpinPath(tuple(heights), len(steps))
 
 
 @dataclass(frozen=True)

@@ -247,24 +247,33 @@ def identity_shift_angle(n_sites: int, dt: float, coupling: float) -> float:
 
 def csf_trotter_step(n_sites: int, total_spin_x2: int, trunc_x2: int,
                      dt: float, order: int = 1, ramp: float = 1.0,
-                     coupling: float = 1.0, boundary: bool = True) -> Circuit:
+                     coupling: float = 1.0) -> Circuit:
     """One Trotter step of the band-truncated Hamiltonian on the qubit register.
 
     ramp multiplies the effective time step of every band s >= 1 (the
     adiabatic schedule's t/T); the zeroth band always runs at 1.  The
     identity shift -(N-1)J/4 is carried as an explicit PHASE so the circuit
     unitary equals the exponential of the encoded Hamiltonian, phase included.
-    boundary=False emits the pre-projection register with every chain position
-    dynamical.  Terms are emitted in band_layers order.  Their angles are
-    at most 2 band_angle (term weights are at most 1).
+    Terms are emitted in band_layers order.  Their angles are at most
+    2 band_angle (term weights are at most 1).
     """
-    fractions = [fraction for _, fraction in sublayers(order)]
-    layout = build_layout(n_sites, total_spin_x2, trunc_x2, boundary)
-    if trunc_x2 == 1 and boundary:
+    sublayers(order)      # an unsupported order is refused first
+    layout = build_layout(n_sites, total_spin_x2, trunc_x2)
+    if trunc_x2 == 1:
         # scalar subspace: the one path's energy E, the step exp(-i dt E)
         energy = (coupling / 2) * (-n_sites / 2 - (n_sites - 1) / 2)
         _refuse_overflow((dt, coupling, ramp), [dt * energy])
         return Circuit(0, (_phase(-dt * energy),))
+    return _emit_step(layout, dt, order, ramp, coupling)
+
+
+def _emit_step(layout: QubitLayout, dt: float, order: int, ramp: float,
+               coupling: float) -> Circuit:
+    """The gates of one step (csf_trotter_step) on the register of
+    `layout`: the identity-shift phase, then the band terms of the layout
+    in band_layers order."""
+    fractions = [fraction for _, fraction in sublayers(order)]
+    n_sites = layout.n_sites
     _refuse_overflow((dt, coupling, ramp), [
         identity_shift_angle(n_sites, dt, coupling),
         *(2 * band_angle(s_x2, fraction * dt, ramp, coupling)

@@ -21,6 +21,10 @@ projectors instead of pair projectors where the physical sector forces the
 partner bit); these replacements leave every matrix element between
 physical bit-strings intact and never map a physical state out of the
 physical sector.
+
+The package builds no dense matrix of a Pauli sum: the dense matrices and
+matrix elements that check the encoding, and the bit-string of a single
+path, are test references (tests/references.py).
 """
 
 from __future__ import annotations
@@ -29,14 +33,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .basis import CsfBasis, SpinPath, allowed_heights
-from .errors import (InvalidQuantumNumbersError, ResourceLimitError,
-                     UnsupportedConfigurationError)
+from .basis import CsfBasis, allowed_heights
+from .errors import InvalidQuantumNumbersError, UnsupportedConfigurationError
 from .sga import _scaled, band_coefficients
 
 SUPPORTED_TRUNC_X2 = (1, 2, 3, 4)
 GRAY_CODES = {0: (0, 0), 1: (0, 1), 2: (1, 1)}  # height rank -> (ext, main)
-DENSE_MATRIX_MAX_QUBITS = 12   # a 256 MiB complex matrix
 
 
 def _check_sector(n_sites: int, total_spin_x2: int, trunc_x2: int) -> None:
@@ -84,12 +86,9 @@ class QubitLayout:
             return -1
         return sum(b << (self.n_qubits - 1 - q) for q, b in pairs)
 
-    def encode_path(self, path: SpinPath) -> int:
-        """Bit-string index of a path; qubit 0 is the most significant bit."""
-        return int(self._encode(path.n_sites, np.array([path.heights]))[0])
-
     def physical_bitstrings(self, basis: CsfBasis) -> np.ndarray:
-        """encode_path of every basis path."""
+        """Bit-string index of every basis path; qubit 0 is the most
+        significant bit."""
         return self._encode(basis.n_sites, basis.heights)
 
     def _encode(self, n_sites: int, heights: np.ndarray) -> np.ndarray:
@@ -109,25 +108,24 @@ class QubitLayout:
         return bits
 
 
-def build_layout(n_sites: int, total_spin_x2: int, trunc_x2: int,
-                 boundary: bool = True) -> QubitLayout:
-    """Assign qubits to chain positions.
-
-    boundary=False keeps every position dynamical with only the parity and
-    truncation constraints (the pre-projection register used to check that
-    constant folding is exact on the pinned sector).
-    """
+def build_layout(n_sites: int, total_spin_x2: int, trunc_x2: int) -> QubitLayout:
+    """Assign qubits to chain positions, each carrying the heights that some
+    basis path takes there (allowed_heights)."""
     _check_sector(n_sites, total_spin_x2, trunc_x2)
-    values = []
-    for pos in range(n_sites + 1):
-        if boundary:
-            vals = allowed_heights(n_sites, total_spin_x2, trunc_x2, pos)
-        else:
-            vals = tuple(h for h in range(pos % 2, trunc_x2 + 1, 2))
+    return _assign_qubits(n_sites, total_spin_x2, trunc_x2, [
+        allowed_heights(n_sites, total_spin_x2, trunc_x2, pos)
+        for pos in range(n_sites + 1)])
+
+
+def _assign_qubits(n_sites: int, total_spin_x2: int, trunc_x2: int,
+                   values) -> QubitLayout:
+    """The layout whose position pos carries the heights values[pos]: main
+    qubits in chain order for two or three values, then extension qubits
+    for three; a position with no value or more than three is refused."""
+    for pos, vals in enumerate(values):
         if not vals or len(vals) > 3:
             raise UnsupportedConfigurationError(
                 f"position {pos} has {len(vals)} reachable heights")
-        values.append(vals)
     main, ext = {}, {}
     q = 0
     for pos in range(n_sites + 1):
@@ -276,56 +274,6 @@ class PauliString:
 class PauliSum:
     n_qubits: int
     terms: tuple[PauliString, ...]
-
-    def _term_action(self, term: PauliString, cols: np.ndarray):
-        """Images and amplitudes of one string applied to column bit-strings."""
-        n = self.n_qubits
-        flip = 0
-        zmask = 0
-        ybits = []
-        for q, letter in enumerate(term.letters):
-            bp = n - 1 - q
-            if letter in ("X", "Y"):
-                flip |= 1 << bp
-            if letter in ("Z", "Y"):
-                zmask |= 1 << bp
-            if letter == "Y":
-                ybits.append(bp)
-        vals = np.full(cols.size, term.coefficient, dtype=complex)
-        if zmask:
-            par = np.zeros(cols.size, dtype=np.int64)
-            tmp = cols & zmask
-            while np.any(tmp):
-                par ^= tmp & 1
-                tmp >>= 1
-            vals = vals * np.where(par == 1, -1.0, 1.0)
-        for bp in ybits:
-            up = ((cols >> bp) & 1) == 0
-            vals = vals * np.where(up, 1j, -1j)
-        return cols ^ flip, vals
-
-    def matrix_elements(self, row_bits: np.ndarray,
-                        col_bits: np.ndarray) -> np.ndarray:
-        """Dense block <row|H|col> over arbitrary bit-string selections."""
-        rows = np.asarray(row_bits, dtype=np.int64)
-        cols = np.asarray(col_bits, dtype=np.int64)
-        order = np.argsort(rows, kind="stable")
-        sorted_rows = rows[order]
-        out = np.zeros((rows.size, cols.size), dtype=complex)
-        for term in self.terms:
-            images, vals = self._term_action(term, cols)
-            where = np.searchsorted(sorted_rows, images)
-            where = np.clip(where, 0, rows.size - 1)
-            hit = sorted_rows[where] == images
-            np.add.at(out, (order[where[hit]], np.nonzero(hit)[0]), vals[hit])
-        return out
-
-    def to_dense(self) -> np.ndarray:
-        if self.n_qubits > DENSE_MATRIX_MAX_QUBITS:
-            raise ResourceLimitError(
-                f"dense matrix refused above {DENSE_MATRIX_MAX_QUBITS} qubits")
-        allbits = np.arange(1 << self.n_qubits, dtype=np.int64)
-        return self.matrix_elements(allbits, allbits)
 
     def export_text(self) -> str:
         lines = [f"qubits {self.n_qubits}"]

@@ -8,12 +8,15 @@ band-mode Hamiltonian from the transposition height rules into phases and
 computational-basis run (trotter_evolve_sz, `evolve --basis sz`) runs no
 gates either: sz_trotter_layer applies each bond of the step, in the order
 sz_trotter_step emits it, as one update on two slices of the register.
-The gate-level statevector simulator (simulate, circuit_unitary) is the
-cross-check of both kernels in the tests and runs the emitted circuits that
-serve export, the golden files and gate counts.  The bond energies of an
-encoded run (bond_energies_csf) are the quadratic form of each
-transposition's height rule over the recorded path vectors, bond by bond,
-with flips that leave the truncation dropped; no operator matrix is built.
+The gate-level statevector simulator (simulate) is the cross-check of
+both kernels in the tests; the dense unitary of a circuit, built from it,
+is a test reference (tests/references.py) that checks the emitted circuits
+behind export and the golden files.  The total spin of the
+computational-basis run comes from bitwise ladder passes over the register
+(apply_total_raise, apply_total_sz).  The bond energies of an encoded run
+(bond_energies_csf) are the quadratic form of each transposition's height
+rule over the recorded path vectors, bond by bond, with flips that leave
+the truncation dropped; no operator matrix is built.
 
 Amplitude indexing: qubit 0 is the most significant bit, so reshaping to
 [2]*n puts qubit q on axis q.  All kernels preserve the norm to float
@@ -27,7 +30,7 @@ given checkpoint times, one call returns the state at each of them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 from math import cos, sin
 from typing import Sequence
 
@@ -35,7 +38,6 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse._sparsetools import csr_matvec
 
-from . import oracle
 from .basis import CsfBasis, enumerate_paths, initial_path
 from .circuits import (Circuit, band_angle, identity_shift_angle, sublayers,
                        sz_bond_layers)
@@ -48,12 +50,6 @@ from .sga import SparseOperator, _bond_rules, build_hamiltonian
 class StateVector:
     n_qubits: int
     amplitudes: np.ndarray
-
-
-def basis_state(n_qubits: int, bits: int) -> StateVector:
-    amps = np.zeros(1 << n_qubits, dtype=complex)
-    amps[bits] = 1.0
-    return StateVector(n_qubits, amps)
 
 
 REGISTER_MAX_QUBITS = 26    # 2^26 amplitudes, 1 GiB
@@ -128,17 +124,6 @@ def simulate(circuit: Circuit, initial: StateVector) -> StateVector:
     for gate in circuit.gates:
         apply_gate(state, gate)
     return state
-
-
-def circuit_unitary(circuit: Circuit) -> np.ndarray:
-    """Dense unitary: one simulate of the identity, its columns a trailing
-    batch axis of the register; test-scale only.  The kernels hold up to
-    four dim x dim blocks at once: 256 MiB at the cap of 11 qubits."""
-    dim = 1 << circuit.n_qubits
-    if dim > 2048:
-        raise ResourceLimitError("unitary build capped at 11 qubits")
-    eye = StateVector(circuit.n_qubits, np.eye(dim, dtype=complex).reshape(-1))
-    return simulate(circuit, eye).amplitudes.reshape(dim, dim)
 
 
 # --- exact propagation ---
@@ -345,6 +330,43 @@ def exact_evolve(hamiltonian, amplitudes: np.ndarray, duration,
 
 # --- observables ---
 
+# Bit convention of the computational-basis register: bit i holds site i
+# (1-based site i+1), site 0 is the most significant bit of the amplitude
+# index; alpha=0, beta=1.
+
+@lru_cache(maxsize=None)
+def _down_counts(n_sites: int) -> np.ndarray:
+    """Number of beta (bit 1) sites of every amplitude index, as a read-only
+    int8 array built once per chain length (the cache holds at most twice
+    the largest one)."""
+    down = np.zeros(1, dtype=np.int8)
+    for _ in range(n_sites):
+        down = np.concatenate([down, down + 1])   # one more leading bit
+    down.flags.writeable = False
+    return down
+
+
+def _site_view(amplitudes: np.ndarray, site: int) -> np.ndarray:
+    """The amplitudes with 0-based site `site` on the middle axis of three:
+    [:, 0] its alpha slice, [:, 1] its beta slice."""
+    return amplitudes.reshape(1 << site, 2, -1)
+
+
+def apply_total_sz(amplitudes: np.ndarray, n_sites: int) -> np.ndarray:
+    """Total S_z (in units of hbar): sum over sites of +-1/2."""
+    return (n_sites / 2 - _down_counts(n_sites)) * amplitudes
+
+
+def apply_total_raise(amplitudes: np.ndarray, n_sites: int) -> np.ndarray:
+    """S_+ = sum_i s_+^i in N single-site passes: each site's beta slice
+    added into its alpha slice of a zero register, on the (2^i, 2, rest)
+    view of site i."""
+    raised = np.zeros_like(amplitudes)
+    for site in range(n_sites):
+        _site_view(raised, site)[:, 0] += _site_view(amplitudes, site)[:, 1]
+    return raised
+
+
 def bond_energies_sz(state: StateVector, coupling: float = 1.0) -> np.ndarray:
     """<(XX+YY+ZZ)/4>_{p,p+1} * J for every bond, via the swap identity.
 
@@ -368,16 +390,16 @@ def s2_expectation_sz(state: StateVector) -> float:
     """<S^2> = ||S_+ psi||^2 + ||S_z psi||^2 + <S_z>: the N raising passes
     of S^2 without the lowering ones."""
     amps, n = state.amplitudes, state.n_qubits
-    raised = oracle.apply_total_raise(amps, n)
-    sz = oracle.apply_total_sz(amps, n)
+    raised = apply_total_raise(amps, n)
+    sz = apply_total_sz(amps, n)
     return float((np.vdot(raised, raised) + np.vdot(sz, sz)
                   + np.vdot(amps, sz)).real)
 
 
 def sz_expectation_sz(state: StateVector) -> float:
     return float(np.vdot(state.amplitudes,
-                         oracle.apply_total_sz(state.amplitudes,
-                                               state.n_qubits)).real)
+                         apply_total_sz(state.amplitudes,
+                                        state.n_qubits)).real)
 
 
 def decode_to_path_vector(state: StateVector, basis: CsfBasis,
@@ -558,6 +580,14 @@ def _total_energy(bonds: np.ndarray) -> np.ndarray:
     return total
 
 
+def _layer_dt(duration: float, n_layers: int) -> float:
+    """The time step of n_layers layers over duration, 0.0 with no layer;
+    a negative count raises ValueError."""
+    if n_layers < 0:
+        raise ValueError(f"layer count {n_layers} is negative")
+    return duration / n_layers if n_layers else 0.0
+
+
 def _trotter_loop(state, layers, dt: float, observe):
     """Apply each layer action of `layers` (state -> new state) in turn,
     observing the state at t=0 and after every layer.
@@ -644,8 +674,8 @@ def trotter_evolve_sz(n_sites: int, total_spin_x2: int, duration: float,
     """Layered evolution in the computational basis from the sector's start
     path (M = S), each layer a sz_trotter_layer, observables per layer:
     bond energies, <S^2> and <S_z>."""
+    dt = _layer_dt(duration, n_layers)
     state = sz_reference_state(n_sites, total_spin_x2)
-    dt = duration / n_layers if n_layers else 0.0
     layer = sz_trotter_layer(n_sites, dt, order, coupling)
 
     def observe(state):
@@ -680,10 +710,10 @@ def path_trotter_run(step: PathStep, start: np.ndarray, duration: float,
     Returns the times and the path vectors at t=0 and after every layer,
     shape (n_layers + 1, dim).
     """
+    dt = _layer_dt(duration, n_layers)
     ramps = [1.0] * n_layers if ramps is None else list(ramps)
     if len(ramps) != n_layers:
         raise ValueError(f"{len(ramps)} ramp values for {n_layers} layers")
-    dt = duration / n_layers if n_layers else 0.0
 
     def layers():
         layer, layer_ramp = None, None

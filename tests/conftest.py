@@ -5,6 +5,8 @@ from scipy.linalg import expm
 from spinadapt.encode import PauliString, PauliSum, _expand_term, band_terms
 from spinadapt.sga import band_coefficients
 
+from references import to_dense
+
 
 def _band_step_reference(layout, dt, ramp=1.0):
     """One order-1 encoded Trotter step from dense exponentials:
@@ -20,7 +22,7 @@ def _band_step_reference(layout, dt, ramp=1.0):
             _expand_term(term, layout.n_qubits, a, b, acc)
             mini = PauliSum(layout.n_qubits, tuple(
                 PauliString(complex(v), k) for k, v in acc.items()))
-            layers[(term.perm - 1) % 2] += (ramp if s else 1.0) * mini.to_dense()
+            layers[(term.perm - 1) % 2] += (ramp if s else 1.0) * to_dense(mini)
     return np.exp(1j * dt * (layout.n_sites - 1) / 4) * \
         expm(-1j * dt * 0.5 * layers[1]) @ expm(-1j * dt * 0.5 * layers[0])
 

@@ -18,9 +18,12 @@ from spinadapt import (build_hamiltonian, build_layout, cardinality,
 from spinadapt.adiabatic import sweep
 from spinadapt.circuits import csf_trotter_step, export_gatelist, \
     sz_trotter_step
-from spinadapt.oracle import (oracle_operator_matrix, sz_hamiltonian_matrix)
 from spinadapt.sga import ground_state, permutation_matrix
-from spinadapt.sim import circuit_unitary, trotter_evolve_csf, trotter_evolve_sz
+from spinadapt.sim import trotter_evolve_csf, trotter_evolve_sz
+
+from references import (circuit_unitary, matrix_elements,
+                        oracle_operator_matrix, sz_hamiltonian_matrix,
+                        to_dense)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -140,7 +143,7 @@ def test_criterion_4_encoding_equivalence():
                 pauli = encode_hamiltonian(n, ts, trunc)
                 layout = build_layout(n, ts, trunc)
                 bits = layout.physical_bitstrings(basis)
-                block = pauli.matrix_elements(bits, bits).real
+                block = matrix_elements(pauli, bits, bits).real
                 ref = build_hamiltonian(basis, "band").toarray()
                 worst = max(worst, float(np.abs(block - ref).max()))
     assert worst < 1e-10
@@ -153,7 +156,7 @@ def test_criterion_5_trotter_order_scaling():
     dts = np.array([0.2, 0.1, 0.05, 0.025])
     slopes = {}
     ham_sz = sz_hamiltonian_matrix(8).toarray()
-    ham_csf = encode_hamiltonian(8, 0, 3).to_dense()
+    ham_csf = to_dense(encode_hamiltonian(8, 0, 3))
     for order, target in ((1, 2.0), (2, 3.0)):
         errs = [np.abs(circuit_unitary(sz_trotter_step(8, dt, order))
                        - expm(-1j * dt * ham_sz)).max() for dt in dts]

@@ -152,6 +152,15 @@ def test_run_schedule_refuses_a_layer_count_outside_the_shared_ones(
         run_schedule(runs, 6)
 
 
+@pytest.mark.parametrize("counts,bad", [([0], 0), ([-2], -2), ([4, 0], 0)])
+def test_reference_runs_refuse_a_layer_count_below_one(counts, bad):
+    # named before the lcm of the counts is taken
+    with pytest.raises(ValueError, match=f"layer count {bad} is below 1"):
+        sweep(4, 0, 3, [1.0], counts)
+    with pytest.raises(ValueError, match=f"layer count {bad} is below 1"):
+        ReferenceRuns(PreparedSector.prepare(4, 0, 3), 1.0, counts)
+
+
 def test_reference_within_tolerance_of_finer_run():
     sector = PreparedSector.prepare(8, 0, 3)
     refs = ReferenceRuns(sector, 20.0, [10]).boundaries(10)

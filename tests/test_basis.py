@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 
 from spinadapt import (InvalidQuantumNumbersError, ResourceLimitError,
                        SpinPath, UnphysicalPathError, cardinality, enumerate_paths,
-                       singlet_pair_path, step_to_height,
-                       triplet_reference_path)
+                       singlet_pair_path, triplet_reference_path)
 from spinadapt import basis
 from spinadapt.basis import allowed_heights
+
+from references import path_steps, step_to_height
 
 
 def is_valid_heights(heights, trunc_x2=None) -> bool:
@@ -104,7 +105,7 @@ def test_step_height_round_trip_examples():
     with pytest.raises(UnphysicalPathError):
         step_to_height((1, -1, -1, 1, 1, -1, 1, -1))
     for path in enumerate_paths(8, 0, 4):
-        assert step_to_height(path.steps()) == path
+        assert step_to_height(path_steps(path)) == path
 
 
 def test_spin_path_validation():

@@ -7,9 +7,11 @@ from spinadapt.circuits import (Circuit, Gate, csf_trotter_step, export_gatelist
                                 export_qasm, heisenberg_bond_block,
                                 sz_trotter_step)
 from spinadapt.errors import UnsupportedConfigurationError
-from spinadapt.oracle import apply_total_s2, apply_total_sz, sz_hamiltonian_matrix
-from spinadapt.sim import (StateVector, circuit_unitary, simulate,
+from spinadapt.sim import (StateVector, apply_total_sz, simulate,
                            sz_reference_state)
+
+from references import (apply_total_s2, circuit_unitary, sz_hamiltonian_matrix,
+                        to_dense, unfolded_layout, unfolded_trotter_step)
 
 
 def bond_exponential(theta):
@@ -75,7 +77,7 @@ def test_sz_step_error_scaling(order, expected):
                                         (8, 0, 4), (8, 2, 3), (6, 2, 4)])
 def test_csf_step_unitary_and_exact_layers(n, ts, trunc, band_step_reference):
     pauli = encode_hamiltonian(n, ts, trunc)
-    ham = pauli.to_dense()
+    ham = to_dense(pauli)
     dt = 0.29
     circ = csf_trotter_step(n, ts, trunc, dt, order=1)
     u = circuit_unitary(circ)
@@ -92,7 +94,7 @@ def test_csf_step_unitary_and_exact_layers(n, ts, trunc, band_step_reference):
 @pytest.mark.parametrize("order,expected", [(1, 2.0), (2, 3.0)])
 def test_csf_step_error_scaling(order, expected):
     n, ts, trunc = 8, 0, 3
-    ham = encode_hamiltonian(n, ts, trunc).to_dense()
+    ham = to_dense(encode_hamiltonian(n, ts, trunc))
     dts = np.array([0.2, 0.1, 0.05, 0.025])
     errs = []
     for dt in dts:
@@ -124,11 +126,10 @@ def _physical_block(circuit, layout, basis):
 def test_constant_folding_exact_on_pinned_sector():
     for n, ts, trunc in [(6, 0, 2), (6, 0, 3), (6, 0, 4)]:
         folded = csf_trotter_step(n, ts, trunc, 0.31, order=1)
-        unfolded = csf_trotter_step(n, ts, trunc, 0.31, order=1, boundary=False)
+        unfolded = unfolded_trotter_step(n, ts, trunc, 0.31, order=1)
         basis = enumerate_paths(n, ts, trunc)
         uf = _physical_block(folded, build_layout(n, ts, trunc), basis)
-        uu = _physical_block(unfolded, build_layout(n, ts, trunc, False),
-                             basis)
+        uu = _physical_block(unfolded, unfolded_layout(n, ts, trunc), basis)
         assert np.abs(uf - uu).max() < 1e-10
 
 

@@ -10,6 +10,8 @@ from spinadapt import (InvalidQuantumNumbersError, PauliSum, ResourceLimitError,
 from spinadapt.encode import _expand_term, band_terms
 from spinadapt.sga import band_coefficients, build_hamiltonian
 
+from references import encode_path, matrix_elements, to_dense
+
 PINNED_COUNTS = {
     (8, 0): {2: 3, 3: 5, 4: 6},
     (16, 0): {2: 7, 3: 13, 4: 18},
@@ -42,16 +44,16 @@ def test_layout_round_trip_all_paths(n_half, ts, trunc):
     basis = enumerate_paths(2 * n_half, ts, trunc)
     seen = set()
     for path in basis:
-        bits = layout.encode_path(path)
+        bits = encode_path(layout, path)
         assert 0 <= bits < 1 << layout.n_qubits and bits not in seen
         seen.add(bits)
     assert layout.physical_bitstrings(basis).tolist() == \
-        [layout.encode_path(p) for p in basis]
+        [encode_path(layout, p) for p in basis]
 
 
 def test_encode_examples():
     layout = build_layout(8, 0, 2)
-    assert layout.encode_path(singlet_pair_path(8)) == 0
+    assert encode_path(layout, singlet_pair_path(8)) == 0
     # trunc=1: every bit pattern is a path
     bits = layout.physical_bitstrings(enumerate_paths(8, 0, 2))
     assert sorted(bits.tolist()) == list(range(1 << layout.n_qubits))
@@ -59,7 +61,7 @@ def test_encode_examples():
     gray = build_layout(16, 0, 4)
     basis = enumerate_paths(16, 0, 4)
     path = next(p for p in basis if 4 in p.heights)
-    bits = gray.encode_path(path)
+    bits = encode_path(gray, path)
     pos = next(pos for pos in range(17) if path.heights[pos] == 4)
     # height 4 is the Gray pair 11; clearing its main bit gives the unused
     # pattern 10 (ext=1 main=0), which no path encodes to
@@ -110,8 +112,8 @@ def test_gray_code_pinned():
 
 
 @pytest.mark.parametrize("encode", [
-    lambda layout: layout.encode_path(singlet_pair_path(10)),
-    lambda layout: layout.encode_path(singlet_pair_path(6)),
+    lambda layout: encode_path(layout, singlet_pair_path(10)),
+    lambda layout: encode_path(layout, singlet_pair_path(6)),
     lambda layout: layout.physical_bitstrings(enumerate_paths(6, 0, 2))],
     ids=["longer-path", "shorter-path", "shorter-basis"])
 def test_other_chain_length_refused(encode):
@@ -129,7 +131,7 @@ def test_pauli_sum_matches_band_matrix(n, ts, trunc):
     pauli = encode_hamiltonian(n, ts, trunc)
     layout = build_layout(n, ts, trunc)
     bits = layout.physical_bitstrings(basis)
-    block = pauli.matrix_elements(bits, bits)
+    block = matrix_elements(pauli, bits, bits)
     assert np.abs(block.imag).max() < 1e-12
     ref = build_hamiltonian(basis, "band").toarray()
     assert np.abs(block.real - ref).max() < 1e-10
@@ -195,7 +197,7 @@ def test_no_leakage_from_physical_sector(n_half, ts, trunc):
     unphys = np.array([b for b in range(1 << pauli.n_qubits)
                        if b not in phys], dtype=np.int64)
     assume(unphys.size > 0)
-    cross = pauli.matrix_elements(unphys,
+    cross = matrix_elements(pauli, unphys,
                                   np.array(sorted(phys), dtype=np.int64))
     assert np.abs(cross).max() < 1e-12
 
@@ -223,5 +225,5 @@ def test_export_deterministic():
 def test_dense_pauli_matrix_refused_above_12_qubits():
     # 13 qubits would be a 1 GiB complex matrix
     with pytest.raises(ResourceLimitError, match="12 qubits"):
-        PauliSum(13, ()).to_dense()
-    assert PauliSum(2, ()).to_dense().shape == (4, 4)
+        to_dense(PauliSum(13, ()))
+    assert to_dense(PauliSum(2, ())).shape == (4, 4)

@@ -4,10 +4,11 @@ import scipy.sparse as sp
 
 from spinadapt import ResourceLimitError, SpinPath, enumerate_paths, \
     singlet_pair_path
-from spinadapt.oracle import (_down_counts, apply_heisenberg,
-                              apply_permutation, apply_total_s2,
-                              apply_total_sz, expand_csf,
-                              oracle_operator_matrix, sz_hamiltonian_matrix)
+from spinadapt.sim import _down_counts, apply_total_sz
+
+from references import (apply_heisenberg, apply_permutation, apply_total_s2,
+                        expand_csf, oracle_operator_matrix,
+                        sz_hamiltonian_matrix)
 
 
 def test_two_site_singlet_amplitudes():

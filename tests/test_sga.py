@@ -9,13 +9,14 @@ from hypothesis import strategies as st
 
 from spinadapt import (InvalidQuantumNumbersError, SpinPath, apply_hamiltonian,
                        band_coefficients, band_hamiltonian, build_hamiltonian,
-                       enumerate_paths, permutation_matrix, singlet_pair_path,
-                       step_to_height)
+                       enumerate_paths, permutation_matrix, singlet_pair_path)
 from spinadapt.adiabatic import schedule_hamiltonians
 from spinadapt import sga
-from spinadapt.oracle import oracle_operator_matrix
 from spinadapt.sga import (PRUNE_TOL, _bond_rules, _height_rule,
                            ground_energy_matrix_free, ground_state)
+
+from references import (oracle_operator_matrix, path_steps, step_to_height,
+                        sz_hamiltonian_matrix)
 
 
 def test_band_coefficients_values():
@@ -210,7 +211,6 @@ def test_variational_hierarchy_and_band_convergence():
 
 @pytest.mark.parametrize("n", [8, 10])
 def test_spectrum_embedding_in_sz_spectrum(n):
-    from spinadapt.oracle import sz_hamiltonian_matrix
     full_spec = np.sort(np.linalg.eigvalsh(sz_hamiltonian_matrix(n).toarray()))
     for ts in (0, 2):
         basis = enumerate_paths(n, ts)
@@ -378,18 +378,18 @@ def test_step_rules_agree_with_height_rules():
     for p in range(1, 8):
         via_steps = np.zeros((len(basis), len(basis)))
         for k, path in enumerate(basis):
-            for steps, c in step_permutation_apply(path.steps(), p):
+            for steps, c in step_permutation_apply(path_steps(path), p):
                 via_steps[basis.position(step_to_height(steps)), k] += c
         mat = permutation_matrix(basis, p, p + 1).toarray()
         assert np.abs(mat - via_steps).max() < 1e-15
 
 
 def test_step_rules_patterns():
-    sp8 = singlet_pair_path(8).steps()
+    sp8 = path_steps(singlet_pair_path(8))
     out = step_permutation_apply(sp8, 2)  # (d, u) at sites 2,3: valley s=1/2
     coeff = dict(out)
     assert abs(coeff[sp8] - 0.5) < 1e-15
-    up_up = SpinPath((0, 1, 2, 1, 0, 1, 0, 1, 0), 8).steps()
+    up_up = path_steps(SpinPath((0, 1, 2, 1, 0, 1, 0, 1, 0), 8))
     assert step_permutation_apply(up_up, 1) == [(up_up, 1.0)]
 
 

@@ -15,19 +15,20 @@ from spinadapt.basis import (cardinality, initial_path, sector_bytes,
 from spinadapt.circuits import (Circuit, Gate, csf_trotter_step, sublayers,
                                 sz_trotter_step)
 from spinadapt.encode import build_layout
-from spinadapt.oracle import (apply_permutation, apply_total_s2,
-                              sz_hamiltonian_matrix)
 from spinadapt.adiabatic import schedule_hamiltonians
 from spinadapt.sga import SparseOperator, _bond_sums, build_hamiltonian
-from spinadapt.sim import (EvolutionRecord, PathStep, StateVector, basis_state,
+from spinadapt.sim import (EvolutionRecord, PathStep, StateVector,
                            bond_energies_csf, bond_energies_sz,
-                           circuit_unitary,
                            decode_to_path_vector, embed_path_vector,
                            exact_evolve, fidelity, path_trotter_run,
                            s2_expectation_sz, simulate, start_vector,
                            sz_expectation_sz, sz_reference_state,
                            sz_trotter_layer, trotter_comparison_csf,
                            trotter_evolve_csf, trotter_evolve_sz)
+
+from references import (apply_permutation, apply_total_s2, basis_state,
+                        circuit_unitary, encode_path, sz_hamiltonian_matrix,
+                        to_dense, unfolded_trotter_step)
 
 
 def test_identity_circuit_keeps_state():
@@ -72,7 +73,7 @@ def _unitary_by_columns(circuit):
 @pytest.mark.parametrize("circuit", [
     csf_trotter_step(8, 0, 3, 0.37, 2, 0.6, 1.3),
     csf_trotter_step(8, 2, 4, 0.21, 1),
-    csf_trotter_step(4, 0, 4, 0.3, 2, boundary=False),
+    unfolded_trotter_step(4, 0, 4, 0.3, 2),
     sz_trotter_step(5, 0.4, 2, 0.8),
     Circuit(3, (Gate("CX", 0, control=2), Gate("RY", 1, angle=0.3),
                 Gate("PHASE", 0, angle=0.2), Gate("RZ", 2, angle=-1.1))),
@@ -175,8 +176,8 @@ def test_exact_evolve_accepts_operator_types():
     pauli = encode_hamiltonian(8, 0, 3)
     layout = build_layout(8, 0, 3)
     qvec = np.zeros(1 << pauli.n_qubits, complex)
-    qvec[layout.encode_path(next(iter(basis)))] = 1.0
-    out_q = exact_evolve(pauli.to_dense(), qvec, 0.7)
+    qvec[encode_path(layout, next(iter(basis)))] = 1.0
+    out_q = exact_evolve(to_dense(pauli), qvec, 0.7)
     dec = out_q[layout.physical_bitstrings(basis)]
     assert np.abs(np.abs(np.vdot(out_op, dec)) - 1.0) < 1e-10
 
@@ -720,7 +721,7 @@ def test_path_basis_run_matches_register(n_half, ts, trunc, order, ramps):
                                        len(ramps), coupling, ramps)
     layout = build_layout(n, ts, trunc)
     state = basis_state(layout.n_qubits,
-                        layout.encode_path(initial_path(n, ts)))
+                        encode_path(layout, initial_path(n, ts)))
     dt = duration / len(ramps)
     vectors = [decode_to_path_vector(state, basis, layout)]
     for ramp in ramps:
@@ -839,6 +840,15 @@ def test_sz_layer_refuses_non_finite_step():
     for dt, coupling in [(float("nan"), 1.0), (1.0, np.inf)]:
         with pytest.raises(ValueError, match="finite"):
             sz_trotter_layer(4, dt, 1, coupling)
+
+
+@pytest.mark.parametrize("run", [
+    lambda n_layers: trotter_evolve_sz(4, 0, 1.0, n_layers),
+    lambda n_layers: trotter_evolve_csf(4, 0, 2, 1.0, n_layers)],
+    ids=["sz", "csf"])
+def test_trotter_runs_refuse_a_negative_layer_count(run):
+    with pytest.raises(ValueError, match="layer count -1 is negative"):
+        run(-1)
 
 
 def test_sz_register_refused_beyond_cap(monkeypatch):
