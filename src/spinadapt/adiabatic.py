@@ -31,13 +31,12 @@ import numpy as np
 import scipy.sparse as sp
 
 from .basis import CsfBasis, enumerate_paths
+from .circuits import SCHEDULE_ORDER
 from .sga import _bond_sums, _csr
 # simulate is re-exported: bench/spans.py patches every module's copy of it
 # and checks the copy here.
 from .sim import (PathStep, exact_evolve, path_trotter_run,  # noqa: F401
                   simulate, start_vector)
-
-DEFAULT_ORDER = 2     # Trotter order of a schedule that names none
 
 
 @dataclass
@@ -87,7 +86,7 @@ class PreparedSector:
 
     @classmethod
     def prepare(cls, n_sites: int, total_spin_x2: int, trunc_x2: int,
-                order: int = DEFAULT_ORDER,
+                order: int = SCHEDULE_ORDER,
                 coupling: float = 1.0) -> "PreparedSector":
         basis = enumerate_paths(n_sites, total_spin_x2, trunc_x2)
         step = PathStep(basis, order)
@@ -173,7 +172,7 @@ def run_schedule(runs: ReferenceRuns, n_layers: int) -> ScheduleResult:
 
 
 def sweep(n_sites: int, total_spin_x2: int, trunc_x2: int,
-          durations, layer_counts, order: int = DEFAULT_ORDER,
+          durations, layer_counts, order: int = SCHEDULE_ORDER,
           coupling: float = 1.0) -> list[dict]:
     """Final energy and fidelity over a (duration, layers) grid.  The
     sector is prepared once for the whole grid; the layer counts of one

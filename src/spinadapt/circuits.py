@@ -4,7 +4,7 @@ Two families: the reference step in the computational basis (three-CX
 splitting of each two-site exchange block) and the spin-adapted steps built
 from the encoded band terms (pass-through pieces become CX-RZ-CX pairs,
 tilted-field pieces become controlled-Z rotations conjugated by RY(acos a_s),
-a_s from sga.band_coefficients, compiled as a CX ladder walking the control
+a_s from rules.band_coefficients, compiled as a CX ladder walking the control
 parities).  Every term's weights are dyadic multiples of nonzero
 coefficients, so the emitter drops none of them.
 
@@ -20,9 +20,12 @@ from math import acos, isfinite, pi
 
 from .encode import BandTerm, QubitLayout, band_terms, build_layout, z_parities
 from .errors import ResourceLimitError, UnsupportedConfigurationError
-from .sga import band_coefficients
+from .rules import band_coefficients
 
 GATE_KINDS = ("RY", "RZ", "CX", "PHASE")
+# Trotter order of an adiabatic schedule that names none, read by
+# adiabatic's schedules and by the `adiabatic --order` help of the CLI
+SCHEDULE_ORDER = 2
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,12 @@ Subcommands: basis, ham, diag, evolve, adiabatic, circuit.  Flags only, no
 config files; every run is deterministic, so identical flags give
 byte-identical outputs.  Exit codes: 0 success, 2 invalid configuration,
 3 resource-guard refusal.
+
+The module imports numpy-only layers (basis, encode, circuits) at the top,
+and sga, sim and adiabatic, which build scipy.sparse matrices, inside the
+subcommands that use them: `basis`, `circuit` and `ham --format pauli` run
+without scipy; `ham --format matrix`, `evolve` and `adiabatic` load
+scipy.sparse; `diag` also loads scipy's eigensolvers, at its first solve.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ import functools
 import math
 import sys
 
-from . import adiabatic, circuits, encode, sga, sim
+from . import circuits, encode
 from .basis import (check_budget, enumerate_paths, sector_bytes, sector_walks,
                     untruncated_level)
 from .errors import (InvalidQuantumNumbersError, ResourceLimitError,
@@ -105,6 +111,7 @@ def cmd_ham(args) -> int:
                                           trunc, args.coupling)
         _write(pauli.export_text(), args.out)
     else:
+        from . import sga
         basis = enumerate_paths(args.sites, args.total_spin_x2,
                                 TRUNC_CHOICES.get(args.trunc))
         op = sga.build_hamiltonian(basis, args.mode, args.coupling)
@@ -113,6 +120,7 @@ def cmd_ham(args) -> int:
 
 
 def cmd_diag(args) -> int:
+    from . import sga
     n, spin = args.sites, args.total_spin_x2
     labels = list(TRUNC_CHOICES) if args.trunc is None else [args.trunc]
     rungs = [(label, TRUNC_CHOICES[label] or untruncated_level(n))
@@ -151,6 +159,7 @@ def cmd_diag(args) -> int:
 
 
 def cmd_evolve(args) -> int:
+    from . import sim
     if args.basis == "sz":
         _refuse_trunc_on_sz(args)
         record, _ = sim.trotter_evolve_sz(
@@ -166,8 +175,9 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_adiabatic(args) -> int:
+    from . import adiabatic
     trunc = _require_finite_trunc(args, "adiabatic schedules")
-    order = adiabatic.DEFAULT_ORDER if args.order is None else args.order
+    order = circuits.SCHEDULE_ORDER if args.order is None else args.order
     if args.sweep:
         if args.duration is not None or args.layers is not None:
             raise InvalidQuantumNumbersError(
@@ -257,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     # --order defaults to None so that an explicit one can be refused where
     # it changes nothing (--trunc 0.5)
     p.add_argument("--order", type=int, choices=[1, 2], default=None,
-                   help=f"Trotter order (default {adiabatic.DEFAULT_ORDER})")
+                   help=f"Trotter order (default {circuits.SCHEDULE_ORDER})")
     p.add_argument("--duration", type=POSITIVE, default=None,
                    help=f"ramp duration T (default {ADIABATIC_DURATION:g})")
     p.add_argument("--layers", type=POSITIVE_COUNT, default=None,

@@ -13,8 +13,8 @@ Band operators are assembled from a small diagonal/mixing term IR that the
 circuit builder consumes as well, so the emitted Pauli sum and the Trotter
 blocks are one construction by definition; z_parities is the one reading of
 a product of diagonal units, for both.  The mixing coefficients (a_s, b_s)
-are sga.band_coefficients, as for the spin-path matrices, and sga._scaled
-alone decides round-off in the summed Pauli coefficients.  At the
+are rules.band_coefficients, as for the spin-path matrices, and
+rules._scaled alone decides round-off in the summed Pauli coefficients.  At the
 Gray-coded truncation the bulk operators are simplified using the freedom
 to alter matrix elements outside the physical subspace (single-qubit
 projectors instead of pair projectors where the physical sector forces the
@@ -35,7 +35,7 @@ import numpy as np
 
 from .basis import CsfBasis, allowed_heights
 from .errors import InvalidQuantumNumbersError, UnsupportedConfigurationError
-from .sga import _scaled, band_coefficients
+from .rules import _scaled, band_coefficients
 
 SUPPORTED_TRUNC_X2 = (1, 2, 3, 4)
 GRAY_CODES = {0: (0, 0), 1: (0, 1), 2: (1, 1)}  # height rank -> (ext, main)
@@ -306,7 +306,7 @@ def encode_hamiltonian(n_sites: int, total_spin_x2: int, trunc_x2: int,
 
     Includes the (J/2) prefactor and the -(N-1)/4 J identity shift, so the
     scalar truncation level comes out as one identity term.  Coefficients
-    are summed at unit coupling and sga._scaled; exact zeros are dropped.
+    are summed at unit coupling and rules._scaled; exact zeros are dropped.
     """
     layout = build_layout(n_sites, total_spin_x2, trunc_x2)
     acc: dict[str, float] = {}

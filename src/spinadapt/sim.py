@@ -43,7 +43,8 @@ from .circuits import (Circuit, band_angle, identity_shift_angle, sublayers,
                        sz_bond_layers)
 from .encode import QubitLayout, build_layout
 from .errors import InvalidQuantumNumbersError, ResourceLimitError
-from .sga import SparseOperator, _bond_rules, build_hamiltonian
+from .rules import _bond_rules
+from .sga import SparseOperator, build_hamiltonian
 
 
 @dataclass
@@ -433,7 +434,7 @@ def bond_energies_csf(basis: CsfBasis, vectors: np.ndarray,
     batch of spin-path coefficient vectors, shape (n_vectors, dim).
 
     <v|pi|v> is the quadratic form of the transposition's height rule,
-    taken one bond at a time (sga._bond_rules) with no operator matrix:
+    taken one bond at a time (rules._bond_rules) with no operator matrix:
     sum_r diag[r] |v_r|^2 + 2 sum_pairs b Re(conj(v_peak) v_valley), over
     the kept (valley, peak) pairs, so flips that leave the truncation are
     dropped, as in permutation_matrix.  Each row is divided by its |v|^2.

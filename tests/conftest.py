@@ -3,7 +3,7 @@ import pytest
 from scipy.linalg import expm
 
 from spinadapt.encode import PauliString, PauliSum, _expand_term, band_terms
-from spinadapt.sga import band_coefficients
+from spinadapt.rules import band_coefficients
 
 from references import to_dense
 

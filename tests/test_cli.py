@@ -9,7 +9,8 @@ import warnings
 from pathlib import Path
 
 import pytest
-from spinadapt import basis, cli, sga, sim
+import scipy.sparse.linalg as spla
+from spinadapt import basis, circuits, cli, sga, sim
 from spinadapt.basis import cardinality, enumerate_paths
 from spinadapt.cli import TRUNC_CHOICES, build_parser, main
 
@@ -495,6 +496,23 @@ def test_exit_code_resource_guard(capsys):
     assert captured.out == ""
     assert captured.err.startswith("resource guard:")
     assert "9694845 paths" in captured.err
+
+
+def test_unconverged_lanczos_exits_with_the_resource_guard(monkeypatch,
+                                                          capsys):
+    eigsh = spla.eigsh
+    monkeypatch.setattr(spla, "eigsh",
+                        lambda *a, **kw: eigsh(*a, maxiter=1, **kw))
+    assert main(["diag", "--sites", "14"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("resource guard: Lanczos")
+
+
+def test_adiabatic_help_names_the_schedule_order():
+    text = _subparsers()["adiabatic"].format_help()
+    assert f"Trotter order (default {circuits.SCHEDULE_ORDER})" in text
 
 
 def test_output_file(tmp_path, capsys):

@@ -8,7 +8,8 @@ from spinadapt import (InvalidQuantumNumbersError, PauliSum, ResourceLimitError,
                        encode_hamiltonian, enumerate_paths, qubit_count,
                        singlet_pair_path)
 from spinadapt.encode import _expand_term, band_terms
-from spinadapt.sga import band_coefficients, build_hamiltonian
+from spinadapt.rules import band_coefficients
+from spinadapt.sga import build_hamiltonian
 
 from references import encode_path, matrix_elements, to_dense
 

@@ -11,9 +11,9 @@ from spinadapt import (InvalidQuantumNumbersError, SpinPath, apply_hamiltonian,
                        band_coefficients, band_hamiltonian, build_hamiltonian,
                        enumerate_paths, permutation_matrix, singlet_pair_path)
 from spinadapt.adiabatic import schedule_hamiltonians
-from spinadapt import sga
-from spinadapt.sga import (PRUNE_TOL, _bond_rules, _height_rule,
-                           ground_energy_matrix_free, ground_state)
+from spinadapt import ResourceLimitError, rules, sga
+from spinadapt.rules import PRUNE_TOL, _bond_rules, _height_rule
+from spinadapt.sga import ground_energy_matrix_free, ground_state
 
 from references import (oracle_operator_matrix, path_steps, step_to_height,
                         sz_hamiltonian_matrix)
@@ -331,8 +331,9 @@ def test_unconverged_lanczos_raises(monkeypatch):
     eigsh = spla.eigsh
     monkeypatch.setattr(spla, "eigsh",
                         lambda *a, **kw: eigsh(*a, maxiter=1, **kw))
-    with pytest.raises(spla.ArpackNoConvergence):
+    with pytest.raises(ResourceLimitError, match="k=2 .* N=14, 2S=0") as info:
         ground_state(build_hamiltonian(enumerate_paths(14, 0)), 2)
+    assert isinstance(info.value.__cause__, spla.ArpackNoConvergence)
 
 
 def test_rayleigh_quotient_singlet_pairs():
@@ -416,7 +417,7 @@ def test_bond_rules_pair_each_kept_flip(n_half, ts, trunc):
             == sorted([*zip(valleys, peaks, off), *zip(peaks, valleys, off)])
 
 
-# The per-row walk that the per-triple tables of sga._bond_rules replaced,
+# The per-row walk that the per-triple tables of rules._bond_rules replaced,
 # kept as its cross-check: _height_rule on every row of every bond.
 
 def _per_row_bond_rules(basis, bonds=None):
@@ -457,7 +458,7 @@ def test_bond_rules_run_the_height_rule_once_per_call(monkeypatch):
         calls.append(len(triples))
         return _height_rule(triples)
 
-    monkeypatch.setattr(sga, "_height_rule", counted)
+    monkeypatch.setattr(rules, "_height_rule", counted)
     for trunc in (1, 2, None):
         basis = enumerate_paths(12, 0, trunc)
         for bonds in (None, [3], range(2, 12, 2)):
