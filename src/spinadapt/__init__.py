@@ -13,8 +13,7 @@ alone: sga's names below are exported lazily, and the first lookup of one
 imports sga.
 """
 
-from .basis import (CsfBasis, SpinPath, cardinality, enumerate_paths,
-                    singlet_pair_path, triplet_reference_path)
+from .basis import CsfBasis, SpinPath, cardinality, enumerate_paths
 from .encode import (PauliString, PauliSum, QubitLayout, build_layout,
                      encode_hamiltonian, qubit_count)
 from .errors import (InvalidQuantumNumbersError, ResourceLimitError,
@@ -31,8 +30,7 @@ __all__ = [
     "ResourceLimitError", "SpinAdaptError", "UnphysicalPathError",
     "UnsupportedConfigurationError", "apply_hamiltonian", "band_coefficients", "band_hamiltonian",
     "build_hamiltonian", "build_layout", "cardinality", "encode_hamiltonian",
-    "enumerate_paths", "permutation_matrix", "qubit_count", "singlet_pair_path",
-    "triplet_reference_path",
+    "enumerate_paths", "permutation_matrix", "qubit_count",
 ]
 
 __version__ = "0.1.0"

@@ -45,7 +45,12 @@ class SpinPath:
         return self.heights[-1]
 
     def __str__(self):
-        return "/".join(str(h) for h in self.heights)
+        return _slashed(self.heights)
+
+
+def _slashed(heights) -> str:
+    """A height sequence as the path text of str(SpinPath) and the CSV."""
+    return "/".join(map(str, heights))
 
 
 def _check_quantum_numbers(n_sites: int, total_spin_x2: int) -> None:
@@ -68,29 +73,17 @@ def cardinality(n_sites: int, total_spin_x2: int) -> int:
     return q
 
 
-def singlet_pair_path(n_sites: int) -> SpinPath:
-    """Product of nearest-neighbor singlet pairs: heights alternate 0,1,...,0."""
-    if n_sites % 2 != 0:
-        raise InvalidQuantumNumbersError("singlet-pair product needs even N")
-    return SpinPath(tuple(i % 2 for i in range(n_sites + 1)), n_sites)
-
-
-def triplet_reference_path(n_sites: int) -> SpinPath:
-    """Alternating 0,1 path that closes at height 2: the easy S=1 start state."""
-    if n_sites % 2 != 0:
-        raise InvalidQuantumNumbersError("triplet reference needs even N")
-    heights = [i % 2 for i in range(n_sites)] + [2]
-    return SpinPath(tuple(heights), n_sites)
-
-
 def initial_path(n_sites: int, total_spin_x2: int) -> SpinPath:
-    """Product start path of a sector: singlet pairs (2S=0) or the triplet
+    """Product start path of a sector, the zeroth band's ground state:
+    heights 0, 1, 0, 1, ..., 1, 2S, singlet pairs (2S=0) or the triplet
     reference (2S=2)."""
-    if total_spin_x2 == 0:
-        return singlet_pair_path(n_sites)
-    if total_spin_x2 == 2:
-        return triplet_reference_path(n_sites)
-    raise UnsupportedConfigurationError("start paths cover 2S in (0, 2) only")
+    names = {0: "singlet-pair product", 2: "triplet reference"}
+    if total_spin_x2 not in names:
+        raise UnsupportedConfigurationError("start paths cover 2S in (0, 2) only")
+    if n_sites % 2 != 0:
+        raise InvalidQuantumNumbersError(f"{names[total_spin_x2]} needs even N")
+    return SpinPath(tuple(i % 2 for i in range(n_sites)) + (total_spin_x2,),
+                    n_sites)
 
 
 @dataclass(frozen=True)
@@ -147,8 +140,10 @@ class CsfBasis:
         return bool(self.ranks(getattr(path, "heights", path)) >= 0)
 
     def to_csv(self) -> str:
-        return "index,heights\n" + "".join(f"{k},{p}\n"
-                                            for k, p in enumerate(self))
+        # rows are paths by construction: no SpinPath is built or checked
+        rows = self.heights.tolist()
+        return "index,heights\n" + "".join(f"{k},{_slashed(row)}\n"
+                                            for k, row in enumerate(rows))
 
 
 def untruncated_level(n_sites: int) -> int:
@@ -166,8 +161,8 @@ def untruncated_level(n_sites: int) -> int:
 # peak, which can exceed it: the assembly's COO pieces, their conversion and
 # the interpreter come on top.  Measured peak RSS of diag: full N=28
 # 1504-1532 MiB against 1.40 GiB estimated, --sites 34 --trunc 1.5 2731 MiB
-# against 2.10 GiB.  Making the estimate a bound of the peak is ROADMAP
-# item 5.
+# against 2.10 GiB.  Making the estimate a bound of the peak is open work
+# (ROADMAP: assembly within the size guard).
 SECTOR_MAX_BYTES = 3 << 30
 
 

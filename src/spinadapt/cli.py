@@ -177,6 +177,7 @@ def cmd_evolve(args) -> int:
 def cmd_adiabatic(args) -> int:
     from . import adiabatic
     trunc = _require_finite_trunc(args, "adiabatic schedules")
+    _refuse_order_on_scalar_step(args, trunc)
     order = circuits.SCHEDULE_ORDER if args.order is None else args.order
     if args.sweep:
         if args.duration is not None or args.layers is not None:
@@ -188,7 +189,6 @@ def cmd_adiabatic(args) -> int:
                                args.coupling)
         _write(adiabatic.sweep_csv(rows), args.out)
     else:
-        _refuse_order_on_scalar_step(args, trunc)
         duration = ADIABATIC_DURATION if args.duration is None \
             else args.duration
         layers = ADIABATIC_LAYERS if args.layers is None else args.layers

@@ -13,8 +13,7 @@ import pytest
 from scipy.linalg import expm
 
 from spinadapt import (build_hamiltonian, build_layout, cardinality,
-                       encode_hamiltonian, enumerate_paths, qubit_count,
-                       singlet_pair_path)
+                       encode_hamiltonian, enumerate_paths, qubit_count)
 from spinadapt.adiabatic import sweep
 from spinadapt.circuits import csf_trotter_step, export_gatelist, \
     sz_trotter_step

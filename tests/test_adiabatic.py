@@ -6,12 +6,12 @@ from scipy.integrate import solve_ivp
 from spinadapt import adiabatic, sga, sim
 from spinadapt.adiabatic import (PreparedSector, ReferenceRuns, run_schedule,
                                  schedule_hamiltonians, sweep, sweep_csv)
-from spinadapt.basis import (enumerate_paths, initial_path, singlet_pair_path,
-                             triplet_reference_path)
+from spinadapt.basis import enumerate_paths, initial_path
 from spinadapt.sga import build_hamiltonian, ground_state
 from spinadapt.sim import exact_evolve
 from spinadapt.cli import main
-from spinadapt.errors import ResourceLimitError
+from spinadapt.errors import (InvalidQuantumNumbersError, ResourceLimitError,
+                              UnsupportedConfigurationError)
 
 
 def _single_run(n_sites, total_spin_x2, trunc_x2, duration, n_layers,
@@ -24,8 +24,17 @@ def _single_run(n_sites, total_spin_x2, trunc_x2, duration, n_layers,
 
 
 def test_initial_paths():
-    assert initial_path(8, 0) == singlet_pair_path(8)
-    assert initial_path(8, 2) == triplet_reference_path(8)
+    # start paths exist for 2S in {0, 2} on even chains only
+    with pytest.raises(InvalidQuantumNumbersError,
+                       match="^singlet-pair product needs even N$"):
+        initial_path(7, 0)
+    with pytest.raises(InvalidQuantumNumbersError,
+                       match="^triplet reference needs even N$"):
+        initial_path(7, 2)
+    for n, ts in ((8, 4), (7, 1)):
+        with pytest.raises(UnsupportedConfigurationError,
+                           match=r"^start paths cover 2S in \(0, 2\) only$"):
+            initial_path(n, ts)
 
 
 def test_short_schedule_stays_put():

@@ -6,10 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinadapt import (InvalidQuantumNumbersError, ResourceLimitError,
-                       SpinPath, UnphysicalPathError, cardinality, enumerate_paths,
-                       singlet_pair_path, triplet_reference_path)
+                       SpinPath, UnphysicalPathError, cardinality, enumerate_paths)
 from spinadapt import basis
-from spinadapt.basis import allowed_heights
+from spinadapt.basis import allowed_heights, initial_path
 
 from references import path_steps, step_to_height
 
@@ -57,16 +56,16 @@ def test_enumerate_truncated_counts():
 
 def test_singlet_pair_path_is_sole_trunc_half_state():
     basis = enumerate_paths(8, 0, 1)
-    assert list(basis) == [singlet_pair_path(8)]
-    assert singlet_pair_path(8).heights == (0, 1, 0, 1, 0, 1, 0, 1, 0)
-    assert singlet_pair_path(2).heights == (0, 1, 0)
-    assert singlet_pair_path(16).heights == tuple(i % 2 for i in range(17))
+    assert list(basis) == [initial_path(8, 0)]
+    assert initial_path(8, 0).heights == (0, 1, 0, 1, 0, 1, 0, 1, 0)
+    assert initial_path(2, 0).heights == (0, 1, 0)
+    assert initial_path(16, 0).heights == tuple(i % 2 for i in range(17))
 
 
 def test_triplet_reference_path():
-    assert triplet_reference_path(8).heights == (0, 1, 0, 1, 0, 1, 0, 1, 2)
-    assert triplet_reference_path(2).heights == (0, 1, 2)
-    p16 = triplet_reference_path(16)
+    assert initial_path(8, 2).heights == (0, 1, 0, 1, 0, 1, 0, 1, 2)
+    assert initial_path(2, 2).heights == (0, 1, 2)
+    p16 = initial_path(16, 2)
     assert len(p16.heights) == 17 and p16.heights[-1] == 2
     assert p16.heights[:-1] == tuple(i % 2 for i in range(16))
 
@@ -96,12 +95,12 @@ def test_index_lookup(n_half, ts, trunc):
         assert basis.position(p) == k
         assert p in basis
     with pytest.raises(KeyError):
-        basis.position(singlet_pair_path(2 * n_half + 2))
+        basis.position(initial_path(2 * n_half + 2, 0))
 
 
 def test_step_height_round_trip_examples():
     sp8 = step_to_height((1, -1, 1, -1, 1, -1, 1, -1))
-    assert sp8 == singlet_pair_path(8)
+    assert sp8 == initial_path(8, 0)
     with pytest.raises(UnphysicalPathError):
         step_to_height((1, -1, -1, 1, 1, -1, 1, -1))
     for path in enumerate_paths(8, 0, 4):

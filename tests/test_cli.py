@@ -306,6 +306,8 @@ def test_exit_code_invalid_config(capsys):
     ["circuit", "--sites", "8", "--trunc", "0.5", "--order", "2"],
     ["adiabatic", "--sites", "8", "--trunc", "0.5", "--duration", "2",
      "--layers", "4", "--order", "2"],
+    ["adiabatic", "--sites", "6", "--trunc", "0.5", "--sweep", "--order",
+     "1"],
 ])
 def test_refused_configuration_prints_error(argv, capsys):
     code = main(argv)

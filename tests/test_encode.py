@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from spinadapt import (InvalidQuantumNumbersError, PauliSum, ResourceLimitError,
                        UnsupportedConfigurationError, build_layout,
-                       encode_hamiltonian, enumerate_paths, qubit_count,
-                       singlet_pair_path)
+                       encode_hamiltonian, enumerate_paths, qubit_count)
+from spinadapt.basis import initial_path
 from spinadapt.encode import _expand_term, band_terms
 from spinadapt.rules import band_coefficients
 from spinadapt.sga import build_hamiltonian
@@ -54,7 +54,7 @@ def test_layout_round_trip_all_paths(n_half, ts, trunc):
 
 def test_encode_examples():
     layout = build_layout(8, 0, 2)
-    assert encode_path(layout, singlet_pair_path(8)) == 0
+    assert encode_path(layout, initial_path(8, 0)) == 0
     # trunc=1: every bit pattern is a path
     bits = layout.physical_bitstrings(enumerate_paths(8, 0, 2))
     assert sorted(bits.tolist()) == list(range(1 << layout.n_qubits))
@@ -113,8 +113,8 @@ def test_gray_code_pinned():
 
 
 @pytest.mark.parametrize("encode", [
-    lambda layout: encode_path(layout, singlet_pair_path(10)),
-    lambda layout: encode_path(layout, singlet_pair_path(6)),
+    lambda layout: encode_path(layout, initial_path(10, 0)),
+    lambda layout: encode_path(layout, initial_path(6, 0)),
     lambda layout: layout.physical_bitstrings(enumerate_paths(6, 0, 2))],
     ids=["longer-path", "shorter-path", "shorter-basis"])
 def test_other_chain_length_refused(encode):

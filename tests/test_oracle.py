@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from spinadapt import ResourceLimitError, SpinPath, enumerate_paths, \
-    singlet_pair_path
+from spinadapt import ResourceLimitError, SpinPath, enumerate_paths
+from spinadapt.basis import initial_path
 from spinadapt.sim import _down_counts, apply_total_sz
 
 from references import (apply_heisenberg, apply_permutation, apply_total_s2,
@@ -12,7 +12,7 @@ from references import (apply_heisenberg, apply_permutation, apply_total_s2,
 
 
 def test_two_site_singlet_amplitudes():
-    amps = expand_csf(singlet_pair_path(2), 0)
+    amps = expand_csf(initial_path(2, 0), 0)
     # |alpha beta> = index 0b01, |beta alpha> = 0b10
     expected = np.zeros(4, complex)
     expected[0b01] = 1 / np.sqrt(2)
@@ -63,7 +63,7 @@ def test_total_sz_counts_are_cached_read_only(n):
 
 def test_expand_guard():
     with pytest.raises(ResourceLimitError):
-        expand_csf(singlet_pair_path(16))
+        expand_csf(initial_path(16, 0))
 
 
 def test_permutations_are_involutions_and_symmetric():

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from spinadapt import (InvalidQuantumNumbersError, SpinPath, apply_hamiltonian,
                        band_coefficients, band_hamiltonian, build_hamiltonian,
-                       enumerate_paths, permutation_matrix, singlet_pair_path)
+                       enumerate_paths, permutation_matrix)
+from spinadapt.basis import initial_path
 from spinadapt.adiabatic import schedule_hamiltonians
 from spinadapt import ResourceLimitError, rules, sga
 from spinadapt.rules import PRUNE_TOL, _bond_rules, _height_rule
@@ -339,7 +340,7 @@ def test_unconverged_lanczos_raises(monkeypatch):
 def test_rayleigh_quotient_singlet_pairs():
     basis = enumerate_paths(16, 0)
     vec = np.zeros(len(basis))
-    vec[basis.position(singlet_pair_path(16))] = 1.0
+    vec[basis.position(initial_path(16, 0))] = 1.0
     e = vec @ apply_hamiltonian(basis, "height", vec)
     assert abs(e - (-6.0)) < 1e-12  # -3/4 per singlet bond at N=16
 
@@ -386,7 +387,7 @@ def test_step_rules_agree_with_height_rules():
 
 
 def test_step_rules_patterns():
-    sp8 = path_steps(singlet_pair_path(8))
+    sp8 = path_steps(initial_path(8, 0))
     out = step_permutation_apply(sp8, 2)  # (d, u) at sites 2,3: valley s=1/2
     coeff = dict(out)
     assert abs(coeff[sp8] - 0.5) < 1e-15

@@ -8,14 +8,14 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from spinadapt import (InvalidQuantumNumbersError, ResourceLimitError,
                        encode_hamiltonian, enumerate_paths,
-                       permutation_matrix, singlet_pair_path)
+                       permutation_matrix)
 from spinadapt import sga, sim
 from spinadapt.basis import (cardinality, initial_path, sector_bytes,
                              untruncated_level)
 from spinadapt.circuits import (Circuit, Gate, csf_trotter_step, sublayers,
                                 sz_trotter_step)
 from spinadapt.encode import build_layout
-from spinadapt.adiabatic import schedule_hamiltonians
+from spinadapt.adiabatic import PreparedSector, schedule_hamiltonians
 from spinadapt.sga import SparseOperator, _bond_sums, build_hamiltonian
 from spinadapt.sim import (EvolutionRecord, PathStep, StateVector,
                            bond_energies_csf, bond_energies_sz,
@@ -27,8 +27,9 @@ from spinadapt.sim import (EvolutionRecord, PathStep, StateVector,
                            trotter_evolve_csf, trotter_evolve_sz)
 
 from references import (apply_permutation, apply_total_s2, basis_state,
-                        circuit_unitary, encode_path, sz_hamiltonian_matrix,
-                        to_dense, unfolded_trotter_step)
+                        circuit_unitary, encode_path, expand_csf,
+                        sz_hamiltonian_matrix, to_dense,
+                        unfolded_trotter_step)
 
 
 def test_identity_circuit_keeps_state():
@@ -695,7 +696,7 @@ def test_csf_converges_to_exact_at_full_truncation():
     basis = enumerate_paths(n, 0, 4)
     ham = build_hamiltonian(basis, "band")  # ceiling: equals full Hamiltonian
     start = np.zeros(len(basis), complex)
-    start[basis.position(singlet_pair_path(n))] = 1.0
+    start[basis.position(initial_path(n, 0))] = 1.0
     exact = exact_evolve(ham, start, duration)
     errs = []
     for layers in (8, 16, 32):
@@ -861,6 +862,25 @@ def test_sz_register_refused_beyond_cap(monkeypatch):
         with pytest.raises(ResourceLimitError, match="6 qubits"):
             build()
     assert sz_reference_state(6, 2).amplitudes.size == 1 << 6
+
+
+@pytest.mark.parametrize("ts", [0, 2])
+@pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 12])
+def test_sz_reference_state_is_the_expanded_start_path(n, ts):
+    # the register built pair by pair is the genealogical expansion of the
+    # start path at M = S
+    amps = sz_reference_state(n, ts).amplitudes
+    assert np.abs(amps - expand_csf(initial_path(n, ts))).max() <= 1e-15
+
+
+@pytest.mark.parametrize("run", [
+    lambda: trotter_evolve_csf(6, 0, 0, 1.0, 2),
+    lambda: trotter_evolve_csf(6, 2, 1, 1.0, 2),
+    lambda: PreparedSector.prepare(6, 2, 1),
+], ids=["trunc0", "trunc-below-2S", "prepared-sector"])
+def test_empty_sector_has_no_start_vector(run):
+    with pytest.raises(InvalidQuantumNumbersError, match="sector is empty"):
+        run()
 
 
 @given(st.integers(min_value=1, max_value=7), st.sampled_from([0, 2]),
