@@ -24,19 +24,18 @@ duration and one layer count.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-from .basis import CsfBasis, enumerate_paths
+from .basis import CsfBasis, enumerate_paths, sector_bytes
 from .circuits import SCHEDULE_ORDER
 from .sga import _bond_sums, _csr
 # simulate is re-exported: bench/spans.py patches every module's copy of it
 # and checks the copy here.
-from .sim import (PathStep, exact_evolve, path_trotter_run,  # noqa: F401
-                  simulate, start_vector)
+from .sim import (PathStep, _check_run, exact_evolve,  # noqa: F401
+                  path_trotter_run, simulate, start_vector)
 
 
 @dataclass
@@ -103,13 +102,13 @@ class ReferenceRuns:
     The ramp is integrated once, when the first schedule asks for its
     boundaries, by one exact_evolve of H_start with the ramp's slope
     H_ramp / T, checkpointed at the sorted union of the layer boundaries k/n
-    of every count n in `layer_counts`, kept as integers on the grid of
-    1/lcm(layer_counts).  Each interval between boundaries is a Taylor
-    series of the continuous ramp with no splitting error; each series runs
-    to the 2^-53 tail test of exact_evolve, and one that does not converge
-    raises ResourceLimitError, as does a slope that overflows.  For counts
-    10, 20, 30 and 40 that is 60 intervals.  A count below 1 is refused
-    with ValueError.
+    of every count n in `layer_counts`, each state keyed by the float k/n.
+    Each interval between boundaries is a Taylor series of the continuous
+    ramp with no splitting error; each series runs to the 2^-53 tail test of
+    exact_evolve, and one that does not converge raises ResourceLimitError,
+    as does a slope that overflows.  For counts 10, 20, 30 and 40 that is 60
+    intervals.  A count below 1 is refused with ValueError, counts whose
+    runs exceed the memory budget (sim._check_run) with ResourceLimitError.
     """
 
     def __init__(self, sector: PreparedSector, duration: float,
@@ -120,31 +119,28 @@ class ReferenceRuns:
         for n in self.layer_counts:
             if n < 1:
                 raise ValueError(f"layer count {n} is below 1")
-        self.grid = math.lcm(*self.layer_counts)
-        self.states: dict[int, np.ndarray] | None = None
-
-    def stride(self, n_layers: int) -> int:
-        """Grid steps per layer; a count not in `layer_counts` is refused."""
-        if n_layers not in self.layer_counts:
-            raise ValueError(f"{n_layers} layers is not one of the "
-                             f"shared counts {self.layer_counts}")
-        return self.grid // n_layers
+        dim = len(sector.basis)
+        # rows of 4 vectors: the layers' list and stack, two einsum operands
+        refs = sum(k + 1 for k in self.layer_counts)
+        _check_run(sector_bytes(sector.basis.n_sites, dim) + 16 * dim * refs,
+                   max(self.layer_counts, default=0) + 1, 4 * dim,
+                   f"the sector of {dim} paths, {refs} reference states")
+        self.states: dict[float, np.ndarray] | None = None
 
     def boundaries(self, n_layers: int) -> list[np.ndarray]:
-        """States at the layer boundaries of n_layers layers (see stride)."""
-        stride = self.stride(n_layers)
+        """States at the boundaries k / n_layers of a count in layer_counts."""
         if self.states is None:
             sector, duration = self.sector, self.duration
-            keys = sorted({self.grid // n * k for n in self.layer_counts
+            keys = sorted({k / n for n in self.layer_counts
                            for k in range(n + 1)})
             # a T near the underflow limit overflows the slope, whose
             # non-finite entries exact_evolve refuses
             with np.errstate(over="ignore", invalid="ignore"):
                 slope = sector.h_ramp / duration if duration else None
-            times = [key / self.grid * duration for key in keys[1:]]
+            times = [key * duration for key in keys[1:]]
             states = exact_evolve(sector.h_start, sector.start, times, slope)
-            self.states = {0: sector.start, **dict(zip(keys[1:], states))}
-        return [self.states[k * stride] for k in range(n_layers + 1)]
+            self.states = {0.0: sector.start, **dict(zip(keys[1:], states))}
+        return [self.states[k / n_layers] for k in range(n_layers + 1)]
 
 
 def run_schedule(runs: ReferenceRuns, n_layers: int) -> ScheduleResult:
@@ -157,7 +153,9 @@ def run_schedule(runs: ReferenceRuns, n_layers: int) -> ScheduleResult:
     count is checked first, and the Trotter layers run before the reference
     is integrated, so a refusal of the layers' angles comes next.
     """
-    runs.stride(n_layers)
+    if n_layers not in runs.layer_counts:
+        raise ValueError(f"{n_layers} layers is not one of the shared "
+                         f"counts {runs.layer_counts}")
     sector = runs.sector
     times, vecs = path_trotter_run(
         sector.step, sector.start, runs.duration, n_layers, sector.coupling,

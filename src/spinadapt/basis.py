@@ -151,18 +151,17 @@ def untruncated_level(n_sites: int) -> int:
     return n_sites
 
 
-# Byte budget of one sector: its int8 heights, the CSR bound of its
-# Hamiltonian (one diagonal entry and at most N-1 flips per row, float64
-# values and int32 indices) and ARPACK's Lanczos vectors (ground_state keeps
-# sga.LANCZOS_NCV = 12 basis vectors and a few work vectors of the dimension
-# for a few eigenvalues; the 24 vectors counted are an upper bound).
-# Full N=28 (dim 2 674 440) is estimated at 1.4 GiB; full N=30
-# (dim 9 694 845) at 5.3 GiB.  The estimate is not a bound on the process
-# peak, which can exceed it: the assembly's COO pieces, their conversion and
-# the interpreter come on top.  Measured peak RSS of diag: full N=28
-# 1504-1532 MiB against 1.40 GiB estimated, --sites 34 --trunc 1.5 2731 MiB
-# against 2.10 GiB.  Making the estimate a bound of the peak is open work
-# (ROADMAP: assembly within the size guard).
+# The byte budget of what a route holds at once (check_budget): sectors,
+# ladders (cli.cmd_diag), registers and Trotter runs' rows (sim).  A sector
+# counts its int8 heights, the CSR bound of its Hamiltonian (one diagonal
+# entry and at most N-1 flips per row, float64 values and int32 indices) and
+# ARPACK's Lanczos vectors (ground_state keeps sga.LANCZOS_NCV = 12 basis
+# vectors and a few work vectors; 24 counted): full N=28 (dim 2 674 440) is
+# estimated at 1.4 GiB, full N=30 (dim 9 694 845) at 5.3 GiB.  That is not a
+# bound on diag's peak: the assembly's COO pieces, their conversion and the
+# interpreter come on top (peak RSS 1504-1532 MiB at full N=28, 2731 MiB at
+# --sites 34 --trunc 1.5 against 2.10 GiB; ROADMAP: assembly within the
+# size guard).
 SECTOR_MAX_BYTES = 3 << 30
 
 
@@ -176,14 +175,13 @@ def sector_bytes(n_sites: int, dim: int) -> int:
 
 
 def check_budget(need: int, what: str) -> None:
-    """Raise ResourceLimitError when an estimate of `need` bytes
-    (sector_bytes, or a sum of them for sectors held at once) exceeds
-    SECTOR_MAX_BYTES; `what` names the sectors."""
+    """Raise ResourceLimitError when an estimate of `need` bytes held at
+    once exceeds SECTOR_MAX_BYTES; `what` is the refusal up to the budget,
+    with {} for the estimate ("N=30, ...: 9694845 paths need {} for ...")."""
     if need > SECTOR_MAX_BYTES:
         raise ResourceLimitError(
-            f"{what} need an estimated {need / 2**30:.1f} GiB for heights, "
-            f"Hamiltonian and Lanczos vectors, above the "
-            f"{SECTOR_MAX_BYTES / 2**30:g} GiB budget")
+            what.format(f"an estimated {need / 2**30:.1f} GiB")
+            + f", above the {SECTOR_MAX_BYTES / 2**30:g} GiB budget")
 
 
 def sector_walks(n_sites: int, total_spin_x2: int,
@@ -222,7 +220,8 @@ def sector_walks(n_sites: int, total_spin_x2: int,
     dim = int(walks[0, 0])
     check_budget(sector_bytes(n_sites, dim),
                  f"N={n_sites}, 2S={total_spin_x2}, trunc {trunc_x2}: "
-                 f"{dim} paths")
+                 f"{dim} paths need {{}} for heights, Hamiltonian and "
+                 f"Lanczos vectors")
     return walks.view(np.int64)
 
 

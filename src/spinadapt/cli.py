@@ -137,7 +137,8 @@ def cmd_diag(args) -> int:
         check_budget(sector_bytes(n, dims[-1]) + sector_bytes(n, widest),
                      f"N={n}, 2S={spin} height ladder: the full rung "
                      f"({dims[-1]} paths) and its largest truncated rung "
-                     f"({widest} paths) held at once")
+                     f"({widest} paths) held at once need {{}} for heights, "
+                     f"Hamiltonian and Lanczos vectors")
         top = sga.build_hamiltonian(enumerate_paths(n, spin, rungs[-1][1]),
                                     args.mode, args.coupling)
     lines = ["trunc,mode,dim,ground_energy,gap"]

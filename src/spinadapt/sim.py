@@ -38,7 +38,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse._sparsetools import csr_matvec
 
-from .basis import CsfBasis, enumerate_paths, initial_path
+from .basis import (CsfBasis, check_budget, enumerate_paths, initial_path,
+                    sector_bytes, sector_walks)
 from .circuits import (Circuit, band_angle, identity_shift_angle, sublayers,
                        sz_bond_layers)
 from .encode import QubitLayout, build_layout
@@ -53,20 +54,11 @@ class StateVector:
     amplitudes: np.ndarray
 
 
-# 2^26 amplitudes, 1 GiB.  The cap bounds the register, not the run:
-# `evolve --basis sz` peaks at about 4.6 registers (peak RSS 124, 346 and
-# 1234 MiB at N=20, 22, 24), so the admitted N=26 projects to about 4.7 GiB,
-# above basis.SECTOR_MAX_BYTES.  Making the guards bound the peak is open.
-REGISTER_MAX_QUBITS = 26
-
-
-def _refuse_register(n_qubits: int) -> None:
-    """Refuse a 2^n_qubits register above REGISTER_MAX_QUBITS, before any
-    allocation."""
-    if n_qubits > REGISTER_MAX_QUBITS:
-        raise ResourceLimitError(
-            f"a {n_qubits}-qubit register is refused above "
-            f"{REGISTER_MAX_QUBITS} qubits")
+def _check_run(held: int, n_rows: int, values: int, what: str) -> None:
+    """check_budget, before a run's first layer, of `held` bytes (`what`) and
+    n_rows rows, each `values` 16-byte values and 1 KiB of objects at most."""
+    check_budget(held + n_rows * (16 * values + 1024),
+                 f"{what} and {n_rows} recorded rows need {{}}")
 
 
 # --- gate kernels ---
@@ -419,8 +411,9 @@ def decode_to_path_vector(state: StateVector, basis: CsfBasis,
 def embed_path_vector(path_vector: np.ndarray, basis: CsfBasis,
                       layout: QubitLayout) -> StateVector:
     """The encoded register holding a spin-path vector (inverse of
-    decode_to_path_vector); refused above REGISTER_MAX_QUBITS."""
-    _refuse_register(layout.n_qubits)
+    decode_to_path_vector), refused beyond the budget before allocation."""
+    check_budget(16 << layout.n_qubits,
+                 f"the {layout.n_qubits}-qubit register needs {{}}")
     amps = np.zeros(1 << layout.n_qubits, dtype=complex)
     amps[layout.physical_bitstrings(basis)] = path_vector
     return StateVector(layout.n_qubits, amps)
@@ -609,10 +602,10 @@ def _trotter_loop(state, layers, dt: float, observe):
 
 def sz_reference_state(n_sites: int, total_spin_x2: int) -> StateVector:
     """Computational-basis vector of the sector's start path (M = S),
-    refused above REGISTER_MAX_QUBITS sites before any allocation: the pair
+    refused beyond basis.SECTOR_MAX_BYTES before any allocation: the pair
     on sites 2k+1, 2k+2 of initial_path is the singlet (|01> - |10>)/sqrt(2)
     where h[2k+2] = 0, the stretched pair |00> where it is 2."""
-    _refuse_register(n_sites)
+    check_budget(16 << n_sites, f"the {n_sites}-qubit register needs {{}}")
     pairs = {0: np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2),
              2: np.array([1, 0, 0, 0], dtype=complex)}
     amps = np.ones(1, dtype=complex)
@@ -674,6 +667,9 @@ def trotter_evolve_sz(n_sites: int, total_spin_x2: int, duration: float,
     path (M = S), each layer a sz_trotter_layer, observables per layer:
     bond energies, <S^2> and <S_z>."""
     dt = _layer_dt(duration, n_layers)
+    # 5 registers at its peak (state, next layer, S_+, S_z): 4.57-4.69 traced
+    _check_run(5 * (16 << n_sites), n_layers + 1, n_sites + 2,
+               f"N={n_sites}: the sz run's 5 registers")
     state = sz_reference_state(n_sites, total_spin_x2)
     layer = sz_trotter_layer(n_sites, dt, order, coupling)
 
@@ -742,7 +738,13 @@ def trotter_comparison_csf(n_sites: int, total_spin_x2: int, trunc_x2: int,
     fidelity: overlap with the exact truncated evolution, per recorded time.
     """
     layout = build_layout(n_sites, total_spin_x2, trunc_x2)
-    _refuse_register(layout.n_qubits)      # before either run starts
+    dims = [int(sector_walks(n_sites, total_spin_x2, trunc)[0, 0])
+            for trunc in (trunc_x2, None)]
+    # a row of P paths holds 3P values: stack, |v|^2, bond_energies_csf pairs
+    _check_run(sum(sector_bytes(n_sites, dim) for dim in dims)
+               + (16 << layout.n_qubits), n_layers + 1, 3 * sum(dims),
+               f"N={n_sites}, trunc {trunc_x2}: sectors of {dims[0]} and "
+               f"{dims[1]} paths, the {layout.n_qubits}-qubit register")
     record, basis = trotter_evolve_csf(
         n_sites, total_spin_x2, trunc_x2, duration, n_layers, order, coupling)
     ref_record, _ = trotter_evolve_csf(n_sites, total_spin_x2, None, duration,

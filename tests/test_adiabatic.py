@@ -163,7 +163,7 @@ def test_run_schedule_refuses_a_layer_count_outside_the_shared_ones(
 
 @pytest.mark.parametrize("counts,bad", [([0], 0), ([-2], -2), ([4, 0], 0)])
 def test_reference_runs_refuse_a_layer_count_below_one(counts, bad):
-    # named before the lcm of the counts is taken
+    # named before the counts are used
     with pytest.raises(ValueError, match=f"layer count {bad} is below 1"):
         sweep(4, 0, 3, [1.0], counts)
     with pytest.raises(ValueError, match=f"layer count {bad} is below 1"):

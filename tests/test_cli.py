@@ -10,9 +10,10 @@ from pathlib import Path
 
 import pytest
 import scipy.sparse.linalg as spla
-from spinadapt import basis, circuits, cli, sga, sim
+from spinadapt import adiabatic, basis, circuits, cli, sga, sim
 from spinadapt.basis import cardinality, enumerate_paths
 from spinadapt.cli import TRUNC_CHOICES, build_parser, main
+from spinadapt.errors import ResourceLimitError
 
 
 def run(argv, capsys):
@@ -533,45 +534,105 @@ def test_coupling_rescales(capsys):
     assert e2 == 2 * e1
 
 
-def test_sz_register_refused_beyond_cap(monkeypatch, capsys):
-    # a lowered cap, so that a broken guard would allocate only 2^8
-    # amplitudes
-    monkeypatch.setattr(sim, "REGISTER_MAX_QUBITS", 6)
-    code = main(["evolve", "--sites", "8", "--basis", "sz"])
+def _refused(argv, capsys) -> str:
+    """main(argv) exits 3 with one resource guard line and no output; the
+    line is returned."""
+    code = main(argv)
     captured = capsys.readouterr()
     assert code == 3
     assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("resource guard:")
+    return captured.err
+
+
+def _run_estimate(argv, monkeypatch, capsys) -> int:
+    """The bytes of the first estimate sim checks on main(argv)'s route,
+    refused there so that nothing runs."""
+    needs = []
+
+    def record(need, what):
+        needs.append(need)
+        raise ResourceLimitError(what)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(sim, "check_budget", record)
+        _refused(argv, capsys)
+    return needs[0]
+
+
+def test_sz_register_refused_beyond_cap(monkeypatch, capsys):
+    # a lowered budget, one 6-qubit register, so that a broken guard would
+    # allocate only 2^8 amplitudes
+    monkeypatch.setattr(basis, "SECTOR_MAX_BYTES", 16 << 6)
+    _refused(["evolve", "--sites", "8", "--basis", "sz"], capsys)
 
 
 def test_csf_evolve_caps_only_its_encoded_register(monkeypatch, capsys):
     # the bond reference runs on the spin paths, so a csf evolve needs no
-    # 2^N register: N=8 at truncation 1 (3 qubits) runs under a 6-qubit cap
-    # with the same output, and truncation 2 (6 qubits) is refused under 5
+    # 2^N register: N=8 at truncation 1 (3 qubits) runs with the same output
+    # under a budget that refuses the sz run's 2^8 registers, and truncation
+    # 2 (6 qubits) is refused under a budget just below its estimate
     argv = ["evolve", "--sites", "8", "--trunc", "1"]
+    sz_argv = ["evolve", "--sites", "8", "--basis", "sz"]
+    trunc2_argv = ["evolve", "--sites", "8", "--trunc", "2"]
     _, expected = run(argv, capsys)
-    monkeypatch.setattr(sim, "REGISTER_MAX_QUBITS", 6)
+    sz_need = _run_estimate(sz_argv, monkeypatch, capsys)
+    trunc2_need = _run_estimate(trunc2_argv, monkeypatch, capsys)
+    monkeypatch.setattr(basis, "SECTOR_MAX_BYTES", sz_need - 1)
+    _refused(sz_argv, capsys)
     assert run(argv, capsys) == (0, expected)
-    monkeypatch.setattr(sim, "REGISTER_MAX_QUBITS", 5)
-    code = main(["evolve", "--sites", "8", "--trunc", "2"])
-    captured = capsys.readouterr()
-    assert code == 3
-    assert captured.out == ""
-    assert captured.err.startswith("resource guard:")
+    monkeypatch.setattr(basis, "SECTOR_MAX_BYTES", trunc2_need - 1)
+    assert run(argv, capsys) == (0, expected)
+    _refused(trunc2_argv, capsys)
 
 
 def test_csf_evolve_refuses_its_register_before_the_runs(monkeypatch, capsys):
-    # N=22 at truncation 2 needs a 27-qubit register: refused before either
-    # Trotter run starts
+    # N=24 at truncation 2 needs a 30-qubit register (16 GiB): refused
+    # before either Trotter run starts
     def refuse(*args, **kwargs):
         raise AssertionError("a Trotter run started before the refusal")
 
     monkeypatch.setattr(sim, "trotter_evolve_csf", refuse)
-    code = main(["evolve", "--sites", "22", "--trunc", "2"])
-    captured = capsys.readouterr()
-    assert code == 3
-    assert captured.out == ""
-    assert captured.err.startswith("resource guard:")
+    assert "30-qubit register" in _refused(
+        ["evolve", "--sites", "24", "--trunc", "2"], capsys)
+
+
+def test_csf_evolve_admits_a_27_qubit_register(capsys):
+    # 2 GiB, within the budget, from np.zeros: only the rows of the 29 525
+    # paths are written
+    code, out = run(["evolve", "--sites", "22", "--trunc", "2", "--layers",
+                     "1"], capsys)
+    assert code == 0
+    assert len(out.splitlines()) == 3
+
+
+def test_sz_run_refused_at_26_sites_before_its_register(monkeypatch, capsys):
+    # 5 registers of 1 GiB at the run's peak, above the 3 GiB budget
+    def refuse(*args, **kwargs):
+        raise AssertionError("the register was built before the refusal")
+
+    monkeypatch.setattr(sim, "sz_reference_state", refuse)
+    assert "5 registers" in _refused(
+        ["evolve", "--basis", "sz", "--sites", "26"], capsys)
+
+
+@pytest.mark.parametrize("argv, module, run_name", [
+    (["evolve", "--sites", "8", "--trunc", "1"], sim, "trotter_evolve_csf"),
+    (["evolve", "--sites", "8", "--basis", "sz"], sim, "sz_reference_state"),
+    (["adiabatic", "--sites", "8", "--trunc", "1.5"], adiabatic,
+     "run_schedule"),
+], ids=["csf", "sz", "adiabatic"])
+def test_a_billion_layers_refused_before_the_run(argv, module, run_name,
+                                                 monkeypatch, capsys):
+    # the recorded rows count against the budget before the first layer and
+    # before any per-layer list is built
+    def refuse(*args, **kwargs):
+        raise AssertionError("the run started before the refusal")
+
+    monkeypatch.setattr(module, run_name, refuse)
+    assert "1000000001 recorded rows" in _refused(
+        argv + ["--layers", str(10 ** 9)], capsys)
 
 
 def test_diag_refused_beyond_sector_budget(monkeypatch, capsys):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from spinadapt import (InvalidQuantumNumbersError, ResourceLimitError,
                        encode_hamiltonian, enumerate_paths,
                        permutation_matrix)
-from spinadapt import sga, sim
+from spinadapt import basis, sga, sim
 from spinadapt.basis import (cardinality, initial_path, sector_bytes,
                              untruncated_level)
 from spinadapt.circuits import (Circuit, Gate, csf_trotter_step, sublayers,
@@ -853,15 +853,38 @@ def test_trotter_runs_refuse_a_negative_layer_count(run):
 
 
 def test_sz_register_refused_beyond_cap(monkeypatch):
-    # the cap is lowered so that a broken guard would allocate only 2^8
-    # amplitudes
-    monkeypatch.setattr(sim, "REGISTER_MAX_QUBITS", 6)
-    for build in (lambda: sz_reference_state(8, 0),
-                  lambda: sz_reference_state(8, 2),
-                  lambda: trotter_evolve_sz(8, 0, 1.0, 2)):
-        with pytest.raises(ResourceLimitError, match="6 qubits"):
+    # the budget is lowered to one 6-qubit register, so that a broken guard
+    # would allocate only 2^8 amplitudes
+    monkeypatch.setattr(basis, "SECTOR_MAX_BYTES", 16 << 6)
+    for build, match in ((lambda: sz_reference_state(8, 0), "8-qubit"),
+                         (lambda: sz_reference_state(8, 2), "8-qubit"),
+                         (lambda: trotter_evolve_sz(8, 0, 1.0, 2),
+                          "5 registers")):
+        with pytest.raises(ResourceLimitError, match=match):
             build()
     assert sz_reference_state(6, 2).amplitudes.size == 1 << 6
+
+
+@pytest.mark.parametrize("run", [
+    lambda: trotter_evolve_sz(16, 0, 1.0, 10),
+    lambda: trotter_comparison_csf(16, 0, 4, 1.0, 10)], ids=["sz", "csf"])
+def test_traced_peak_within_the_run_estimate(run, monkeypatch):
+    # the largest estimate the run checks against the budget (its registers
+    # and recorded rows, and the csf run's sectors) bounds its traced peak
+    needs = []
+
+    def record(need, what):
+        needs.append(need)
+        basis.check_budget(need, what)
+
+    monkeypatch.setattr(sim, "check_budget", record)
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= max(needs)
 
 
 @pytest.mark.parametrize("ts", [0, 2])
