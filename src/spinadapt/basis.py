@@ -177,10 +177,10 @@ def sector_bytes(n_sites: int, dim: int) -> int:
 def check_budget(need: int, what: str) -> None:
     """Raise ResourceLimitError when an estimate of `need` bytes held at
     once exceeds SECTOR_MAX_BYTES; `what` is the refusal up to the budget,
-    with {} for the estimate ("N=30, ...: 9694845 paths need {} for ...")."""
+    with {} for the estimate, shown up to 2^1023 bytes (a float's range)."""
     if need > SECTOR_MAX_BYTES:
         raise ResourceLimitError(
-            what.format(f"an estimated {need / 2**30:.1f} GiB")
+            what.format(f"an estimated {min(need, 2**1023) / 2**30:.1f} GiB")
             + f", above the {SECTOR_MAX_BYTES / 2**30:g} GiB budget")
 
 

@@ -666,10 +666,10 @@ def trotter_evolve_sz(n_sites: int, total_spin_x2: int, duration: float,
     """Layered evolution in the computational basis from the sector's start
     path (M = S), each layer a sz_trotter_layer, observables per layer:
     bond energies, <S^2> and <S_z>."""
-    dt = _layer_dt(duration, n_layers)
     # 5 registers at its peak (state, next layer, S_+, S_z): 4.57-4.69 traced
     _check_run(5 * (16 << n_sites), n_layers + 1, n_sites + 2,
                f"N={n_sites}: the sz run's 5 registers")
+    dt = _layer_dt(duration, n_layers)
     state = sz_reference_state(n_sites, total_spin_x2)
     layer = sz_trotter_layer(n_sites, dt, order, coupling)
 

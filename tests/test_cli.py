@@ -607,32 +607,37 @@ def test_csf_evolve_admits_a_27_qubit_register(capsys):
     assert len(out.splitlines()) == 3
 
 
-def test_sz_run_refused_at_26_sites_before_its_register(monkeypatch, capsys):
-    # 5 registers of 1 GiB at the run's peak, above the 3 GiB budget
+@pytest.mark.parametrize("sites", [26, 1100])
+def test_sz_run_refused_before_its_register(sites, monkeypatch, capsys):
+    # 5 registers of 1 GiB at N=26's peak, above the 3 GiB budget; at
+    # N=1100 an estimate beyond a float's range
     def refuse(*args, **kwargs):
         raise AssertionError("the register was built before the refusal")
 
     monkeypatch.setattr(sim, "sz_reference_state", refuse)
     assert "5 registers" in _refused(
-        ["evolve", "--basis", "sz", "--sites", "26"], capsys)
+        ["evolve", "--basis", "sz", "--sites", str(sites)], capsys)
 
 
+@pytest.mark.parametrize("layers", [10 ** 9, 10 ** 400],
+                         ids=["1e9", "1e400"])
 @pytest.mark.parametrize("argv, module, run_name", [
     (["evolve", "--sites", "8", "--trunc", "1"], sim, "trotter_evolve_csf"),
     (["evolve", "--sites", "8", "--basis", "sz"], sim, "sz_reference_state"),
     (["adiabatic", "--sites", "8", "--trunc", "1.5"], adiabatic,
      "run_schedule"),
 ], ids=["csf", "sz", "adiabatic"])
-def test_a_billion_layers_refused_before_the_run(argv, module, run_name,
-                                                 monkeypatch, capsys):
+def test_huge_layer_counts_refused_before_the_run(argv, module, run_name,
+                                                    layers, monkeypatch,
+                                                    capsys):
     # the recorded rows count against the budget before the first layer and
-    # before any per-layer list is built
+    # before any per-layer list is built, also past a float's range
     def refuse(*args, **kwargs):
         raise AssertionError("the run started before the refusal")
 
     monkeypatch.setattr(module, run_name, refuse)
-    assert "1000000001 recorded rows" in _refused(
-        argv + ["--layers", str(10 ** 9)], capsys)
+    assert f"{layers + 1} recorded rows" in _refused(
+        argv + ["--layers", str(layers)], capsys)
 
 
 def test_diag_refused_beyond_sector_budget(monkeypatch, capsys):
